@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -48,6 +49,18 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+
+
+def _finite_float(text: str) -> float:
+    """argparse type for real parameters: a finite float.
+
+    Rejecting inf and nan here keeps every config sidecar rerunnable: the
+    sidecar would hold them as the strings "Infinity" and "NaN".
+    """
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
 
 
 def _emit(args_dict: dict, payload: dict, out: str | None,
@@ -242,7 +255,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("sample", help="draw one random field",
                        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
     p.add_argument("--family", choices=["fwa", "fwb", "white"], default="fwb")
-    p.add_argument("--alpha", type=float, default=1.0)
+    p.add_argument("--alpha", type=_finite_float, default=1.0)
     p.add_argument("--nmax", type=int, default=64)
     p.add_argument("--real", action="store_true", help="real-valued field")
     p.add_argument("--mean-zero", dest="mean_zero", action="store_true",
@@ -258,8 +271,8 @@ def _build_parser() -> _Parser:
                    help="re-truncate the nonlinearity to the data band")
     p.add_argument("--nmax", type=int, default=None,
                    help="re-truncate the initial field before evolving")
-    p.add_argument("--dt", type=float, required=True)
-    p.add_argument("--t", type=float, required=True, help="final time")
+    p.add_argument("--dt", type=_finite_float, required=True)
+    p.add_argument("--t", type=_finite_float, required=True, help="final time")
     p.add_argument("--record-every", dest="record_every", type=int, default=0)
     p.add_argument("--init", required=True, help="initial field JSON file")
     common(p)
@@ -270,9 +283,9 @@ def _build_parser() -> _Parser:
                    default="kdv-white-noise")
     p.add_argument("--nmax", type=int, default=None, help="override truncation")
     p.add_argument("--samples", type=int, default=None, help="override sample count")
-    p.add_argument("--t", type=float, default=None, help="override horizon")
-    p.add_argument("--dt", type=float, default=None, help="override time step")
-    p.add_argument("--alpha", type=float, default=0.01, help="rejection level")
+    p.add_argument("--t", type=_finite_float, default=None, help="override horizon")
+    p.add_argument("--dt", type=_finite_float, default=None, help="override time step")
+    p.add_argument("--alpha", type=_finite_float, default=0.01, help="rejection level")
     common(p)
 
     p = sub.add_parser("cm", help="shift-identity and shifted-data experiment",
@@ -281,33 +294,33 @@ def _build_parser() -> _Parser:
                    default="theorem-1")
     p.add_argument("--nmax", type=int, default=None)
     p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--t", type=float, default=None)
-    p.add_argument("--dt", type=float, default=None)
+    p.add_argument("--t", type=_finite_float, default=None)
+    p.add_argument("--dt", type=_finite_float, default=None)
     p.add_argument("--evolve-samples", dest="evolve_samples", type=int, default=None)
     common(p)
 
     p = sub.add_parser("dichotomy", help="equivalence-vs-singularity calculators",
                        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
     p.add_argument("--mode", choices=["kakutani", "feldman-hajek"], required=True)
-    p.add_argument("--u-decay", dest="u_decay", type=float, default=1.0)
-    p.add_argument("--v-decay", dest="v_decay", type=float, default=1.4)
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--gamma", type=float, default=2.0)
-    p.add_argument("--s", type=float, default=0.0)
+    p.add_argument("--u-decay", dest="u_decay", type=_finite_float, default=1.0)
+    p.add_argument("--v-decay", dest="v_decay", type=_finite_float, default=1.4)
+    p.add_argument("--beta", type=_finite_float, default=1.0)
+    p.add_argument("--gamma", type=_finite_float, default=2.0)
+    p.add_argument("--s", type=_finite_float, default=0.0)
     p.add_argument("--nmax", type=int, default=100000)
     common(p)
 
     p = sub.add_parser("ldp", help="small-noise hit-probability study",
                        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
     p.add_argument("--family", choices=["fwa", "fwb", "white"], default="fwb")
-    p.add_argument("--alpha", type=float, default=1.0)
+    p.add_argument("--alpha", type=_finite_float, default=1.0)
     p.add_argument("--real", action="store_true")
     p.add_argument("--mean-zero", dest="mean_zero", action="store_true")
     p.add_argument("--nmax", type=int, default=0)
     p.add_argument("--center-mode", dest="center_mode", type=int, default=0)
-    p.add_argument("--center-value", dest="center_value", type=float, default=1.0)
-    p.add_argument("--radius", type=float, default=0.3)
-    p.add_argument("--s", type=float, default=0.0)
+    p.add_argument("--center-value", dest="center_value", type=_finite_float, default=1.0)
+    p.add_argument("--radius", type=_finite_float, default=0.3)
+    p.add_argument("--s", type=_finite_float, default=0.0)
     p.add_argument("--epsilons", default="0.5,0.35,0.25")
     p.add_argument("--samples", default="200000",
                    help="per-epsilon sample count (single value or comma list)")
@@ -317,9 +330,9 @@ def _build_parser() -> _Parser:
                        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
     p.add_argument("--hamiltonian", choices=["gaussian", "quartic"],
                    default="gaussian")
-    p.add_argument("--beta", type=float, default=1.0)
+    p.add_argument("--beta", type=_finite_float, default=1.0)
     p.add_argument("--cells", type=int, default=4096)
-    p.add_argument("--span", type=float, default=8.0)
+    p.add_argument("--span", type=_finite_float, default=8.0)
     p.add_argument("--directions", type=int, default=20)
     common(p)
 

@@ -62,7 +62,7 @@ SCOPE_LABEL = "finite_truncation"
 # Fixed random-path lanes within an experiment's seed.
 _LANE_A = 0
 _LANE_B = 1
-_LANE_COMPARE = 2
+_LANE_COMPARE = 2  # one bootstrap stream, shared by the whole panel
 _LANE_LDP0 = 10
 _LANE_DEMO0 = 40
 
@@ -237,28 +237,26 @@ def invariance_experiment(
         k = result.n_max
         b = result.coeffs[:, k - base.n_max: k + base.n_max + 1]
 
-    rows = []
-    skipped = []
-    p_values = []
-    for obs_index, (name, fn) in enumerate(
-            observable_panel(base.n_max, base.real_valued)):
+    names, xs_a, xs_b, skipped = [], [], [], []
+    for name, fn in observable_panel(base.n_max, base.real_valued):
         xa, xb = fn(a), fn(b)
         if np.std(xa) == 0.0 and np.std(xb) == 0.0 and np.all(xa[0] == xb):
             skipped.append(name)
             continue
-        if weighted:
-            rng = generator(seed, lane=_LANE_COMPARE, sub=obs_index)
-            stat, p = weighted_ks_bootstrap(xa, wa, xb, wb, rng,
-                                            reps=bootstrap_reps)
-        else:
-            stat, p = ks_two_sample(xa, xb)
-        rows.append((name, stat, p))
-        p_values.append(p)
+        names.append(name)
+        xs_a.append(xa)
+        xs_b.append(xb)
+    if weighted and names:
+        tests = weighted_ks_bootstrap(np.array(xs_a), wa, np.array(xs_b), wb,
+                                      generator(seed, lane=_LANE_COMPARE),
+                                      reps=bootstrap_reps)
+    else:
+        tests = [ks_two_sample(xa, xb) for xa, xb in zip(xs_a, xs_b)]
 
-    adjusted = holm_adjust(p_values) if rows else np.array([])
+    adjusted = holm_adjust([p for _, p in tests])
     observables = tuple(
         ObservableResult(name, stat, p, float(adj), bool(adj < alpha))
-        for (name, stat, p), adj in zip(rows, adjusted)
+        for name, (stat, p), adj in zip(names, tests, adjusted)
     )
     eq_label = "none" if eq is None else \
         f"{eq.family}(p={eq.p},{eq.sign},galerkin={eq.galerkin_projected})"
@@ -654,8 +652,6 @@ def ldp_mc(
     n_max = base.n_max
     weights, pinned = base_rate_weights(base)
     vc = _embed(v0, n_max)
-    if np.any(pinned & (np.abs(vc - _embed(center, n_max)) > 0)):
-        pass  # pinned displacement is handled inside the infimum
     inf = ldp_rate_infimum(center, radius, s, v0, weights=weights,
                            pinned=pinned, complex_modes=not base.real_valued,
                            n_max=n_max)

@@ -2,6 +2,8 @@
 
 Every JSON document carries schema_version; dumps are sorted and
 indented so byte-identical output certifies byte-identical content.
+Output is strict JSON: non-finite floats are written as the strings
+"Infinity", "-Infinity" and "NaN".
 """
 
 from __future__ import annotations
@@ -9,17 +11,16 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
-from pathlib import Path
+import math
 
 import numpy as np
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 __all__ = [
     "SCHEMA_VERSION",
     "to_jsonable",
     "canonical_dumps",
-    "write_json",
     "write_csv",
     "invariance_csv_rows",
     "ldp_csv_rows",
@@ -42,10 +43,10 @@ def to_jsonable(obj):
         return bool(obj)
     if isinstance(obj, (np.integer,)):
         return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
+    if isinstance(obj, (float, np.floating)):
+        return _json_float(float(obj))
     if isinstance(obj, complex):
-        return [obj.real, obj.imag]
+        return [_json_float(obj.real), _json_float(obj.imag)]
     if isinstance(obj, (list, tuple)):
         return [to_jsonable(v) for v in obj]
     if isinstance(obj, dict):
@@ -53,13 +54,18 @@ def to_jsonable(obj):
     return obj
 
 
+def _json_float(x: float):
+    """x itself when finite, else its name as a string."""
+    if math.isfinite(x):
+        return x
+    if math.isnan(x):
+        return "NaN"
+    return "Infinity" if x > 0 else "-Infinity"
+
+
 def canonical_dumps(payload) -> str:
     return json.dumps(to_jsonable(payload), sort_keys=True, indent=2,
-                      allow_nan=True) + "\n"
-
-
-def write_json(path, payload) -> None:
-    Path(path).write_text(canonical_dumps(payload))
+                      allow_nan=False) + "\n"
 
 
 def write_csv(path, columns, rows) -> None:

@@ -13,6 +13,7 @@ __all__ = [
     "spearman_rho",
     "standard_error",
     "uniformity_ks",
+    "weighted_ks_bootstrap",
 ]
 
 
@@ -77,15 +78,20 @@ def uniformity_ks(p_values) -> tuple[float, float]:
 
 
 def weighted_ks_bootstrap(
-    xa: np.ndarray,
+    xs_a: np.ndarray,
     wa: np.ndarray,
-    xb: np.ndarray,
+    xs_b: np.ndarray,
     wb: np.ndarray,
     rng: np.random.Generator,
     reps: int = 2000,
     batch: int = 250,
-) -> tuple[float, float]:
-    """Two-sample KS for self-normalized weighted ensembles.
+) -> list[tuple[float, float]]:
+    """Two-sample KS for self-normalized weighted ensembles, per observable.
+
+    ``xs_a`` (n_obs, na) and ``xs_b`` (n_obs, nb) hold one row per panel
+    observable, evaluated on the members of ensembles A and B, whose
+    weights are ``wa`` (na,) and ``wb`` (nb,).  Returns [(statistic, p)]
+    in panel order.
 
     The statistic is the sup difference of the weighted ECDFs over the
     pooled sample points.  Its null distribution is calibrated by the
@@ -95,46 +101,56 @@ def weighted_ks_bootstrap(
     correlate with the observable, where resampling to nominally
     unweighted ensembles of the same size does not (duplicates halve the
     effective size and inflate the false-positive rate).
+
+    The resampled weights depend on the ensembles, not on the observable,
+    so each bootstrap replicate is drawn once and shared by the whole
+    panel; only the pooled sort order differs between observables.  The
+    counts come from ``integers`` plus one offset ``bincount``, which has
+    the distribution of a multinomial over equal cells.  Sharing makes the
+    panel's p-values dependent; Holm's step-down correction controls the
+    family-wise error under any dependence, so it stays valid.  At most
+    ``batch`` replicates are held in memory at once.
     """
-    xa = np.asarray(xa, dtype=np.float64)
-    xb = np.asarray(xb, dtype=np.float64)
-    na, nb = xa.size, xb.size
-    wta = np.asarray(wa, dtype=np.float64) / np.sum(wa)
-    wtb = np.asarray(wb, dtype=np.float64) / np.sum(wb)
+    xs_a = np.asarray(xs_a, dtype=np.float64)
+    xs_b = np.asarray(xs_b, dtype=np.float64)
+    n_obs, na = xs_a.shape
+    n_obs_b, nb = xs_b.shape
+    if n_obs_b != n_obs:
+        raise ValueError(f"xs_a has {n_obs} observables, xs_b {n_obs_b}")
+    wa = np.asarray(wa, dtype=np.float64)
+    wb = np.asarray(wb, dtype=np.float64)
+    if wa.shape != (na,) or wb.shape != (nb,):
+        raise ValueError(f"weights of shapes {wa.shape}, {wb.shape} do not match"
+                         f" ensembles of {na} and {nb} members")
+    wta = wa / np.sum(wa)
+    wtb = wb / np.sum(wb)
 
-    pool = np.concatenate([xa, xb])
-    order = np.argsort(pool, kind="stable")
-    isa = order < na
-    slot_a = np.where(isa)[0]
-    slot_b = np.where(~isa)[0]
-    src_a = order[slot_a]
-    src_b = order[slot_b] - na
+    orders = np.argsort(np.concatenate([xs_a, xs_b], axis=1), axis=1,
+                        kind="stable")
+    signed = np.concatenate([wta, -wtb])
+    d_obs = np.max(np.abs(np.cumsum(signed[orders], axis=1)), axis=1)
 
-    f_a = np.zeros(na + nb)
-    f_a[slot_a] = wta[src_a]
-    f_a = np.cumsum(f_a)
-    f_b = np.zeros(na + nb)
-    f_b[slot_b] = wtb[src_b]
-    f_b = np.cumsum(f_b)
-    d_obs = float(np.max(np.abs(f_a - f_b)))
-
-    exceed = 0
+    exceed = np.zeros(n_obs, dtype=np.int64)
     done = 0
     while done < reps:
         size = min(batch, reps - done)
-        counts_a = rng.multinomial(na, np.full(na, 1.0 / na), size=size)
-        counts_b = rng.multinomial(nb, np.full(nb, 1.0 / nb), size=size)
-        wsa = counts_a * wta
+        wsa = _uniform_counts(rng, size, na) * wta
         wsa /= wsa.sum(axis=1, keepdims=True)
-        wsb = counts_b * wtb
+        wsb = _uniform_counts(rng, size, nb) * wtb
         wsb /= wsb.sum(axis=1, keepdims=True)
-        block_a = np.zeros((size, na + nb))
-        block_a[:, slot_a] = wsa[:, src_a]
-        block_b = np.zeros((size, na + nb))
-        block_b[:, slot_b] = wsb[:, src_b]
-        g = (np.cumsum(block_a, axis=1) - f_a) - (np.cumsum(block_b, axis=1) - f_b)
-        d_star = np.max(np.abs(g), axis=1)
-        exceed += int(np.sum(d_star >= d_obs - 1e-12))
+        delta = np.concatenate([wsa - wta, wtb - wsb], axis=1)
+        for k, order in enumerate(orders):
+            g = np.take(delta, order, axis=1)
+            np.cumsum(g, axis=1, out=g)
+            np.abs(g, out=g)
+            exceed[k] += np.count_nonzero(g.max(axis=1) >= d_obs[k] - 1e-12)
         done += size
     p = (1.0 + exceed) / (reps + 1.0)
-    return d_obs, float(p)
+    return [(float(d), float(pk)) for d, pk in zip(d_obs, p)]
+
+
+def _uniform_counts(rng: np.random.Generator, size: int, n: int) -> np.ndarray:
+    """(size, n) counts of n uniform draws from n cells per row."""
+    flat = rng.integers(0, n, size=(size, n))
+    flat += np.arange(size)[:, np.newaxis] * n
+    return np.bincount(flat.ravel(), minlength=size * n).reshape(size, n)

@@ -37,6 +37,13 @@ class TestHelp:
             main(["sample", "--no-such-flag"])
         assert exc.value.code == 1
 
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_parameter_exits_one(self, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sample", f"--alpha={value}"])
+        assert exc.value.code == 1
+        assert "not a finite number" in capsys.readouterr().err
+
     def test_no_subcommand_exits_one(self):
         assert main([]) == 1
 
@@ -89,6 +96,21 @@ class TestDichotomyCommand:
                          "--v-decay", str(decay), "--nmax", "100000",
                          "--out", str(out)]) == 0
             assert json.loads(out.read_text())["report"]["verdict"] == expected
+
+    def test_divergent_statistic_is_strict_json(self, tmp_path):
+        # The singular case's divergent statistic once came out as a bare
+        # Infinity token, which strict parsers reject.
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        out = tmp_path / "k.json"
+        assert main(["dichotomy", "--mode", "kakutani", "--u-decay", "1.0",
+                     "--v-decay", "1.4", "--nmax", "1000",
+                     "--out", str(out)]) == 0
+        for path in (out, tmp_path / "k.json.config.json"):
+            payload = json.loads(path.read_text(), parse_constant=reject)
+            assert payload["schema_version"] == SCHEMA_VERSION == "2"
+        assert json.loads(out.read_text())["report"]["statistic"] == "Infinity"
 
 
 class TestEvolveCommand:
