@@ -77,17 +77,14 @@ def _emit(args_dict: dict, payload: dict, out: str | None,
         write_csv(args_dict["csv"], csv_columns, csv_rows)
 
 
-def _seed(args) -> RandomSeed:
-    return RandomSeed(args.seed, args.stream)
+def _seed(a: dict) -> RandomSeed:
+    return RandomSeed(a["seed"], a["stream"])
 
 
-def _field_spec_from_args(args) -> GaussianFieldSpec:
+def _field_spec_from_args(a: dict) -> GaussianFieldSpec:
     return GaussianFieldSpec(
-        family=args.family,
-        n_max=args.nmax,
-        alpha=args.alpha,
-        real_valued=args.real,
-        mean_zero=True if args.mean_zero else None,
+        family=a["family"], n_max=a["nmax"], alpha=a["alpha"],
+        real_valued=a["real"], mean_zero=True if a["mean_zero"] else None,
     )
 
 
@@ -96,11 +93,7 @@ def _field_spec_from_args(args) -> GaussianFieldSpec:
 # ---------------------------------------------------------------------------
 
 def _run_sample(a: dict) -> int:
-    spec = GaussianFieldSpec(
-        family=a["family"], n_max=a["nmax"], alpha=a["alpha"],
-        real_valued=a["real"], mean_zero=True if a["mean_zero"] else None,
-    )
-    f = sample(spec, RandomSeed(a["seed"], a["stream"]))
+    f = sample(_field_spec_from_args(a), _seed(a))
     _emit(a, {"kind": "sample", "field": field_to_json(f)}, a["out"])
     return EXIT_OK
 
@@ -137,7 +130,7 @@ def _run_invariance(a: dict) -> int:
     t_final = p["t_final"] if a["t"] is None else a["t"]
     dt = a["dt"] or p["dt"]
     report = ex.invariance_experiment(
-        p["measure"], p["eq"], t_final, m, RandomSeed(a["seed"], a["stream"]),
+        p["measure"], p["eq"], t_final, m, _seed(a),
         dt=dt, alpha=a["alpha"],
         ais_levels=p.get("ais_levels", 96),
         ais_pcn_steps=p.get("ais_pcn_steps", 3),
@@ -157,7 +150,7 @@ def _run_cm(a: dict) -> int:
         p["v0"], p["base"], p["eq"],
         t_final=p["t_final"] if a["t"] is None else a["t"],
         m_samples=a["samples"] or p["m_samples"],
-        seed=RandomSeed(a["seed"], a["stream"]),
+        seed=_seed(a),
         dt=a["dt"] or p["dt"],
         evolve_samples=(p["evolve_samples"] if a["evolve_samples"] is None
                         else a["evolve_samples"]),
@@ -180,10 +173,7 @@ def _run_dichotomy(a: dict) -> int:
 
 
 def _run_ldp(a: dict) -> int:
-    base = GaussianFieldSpec(
-        family=a["family"], n_max=a["nmax"], alpha=a["alpha"],
-        real_valued=a["real"], mean_zero=True if a["mean_zero"] else None,
-    )
+    base = _field_spec_from_args(a)
     n = a["nmax"]
     center = np.zeros(2 * n + 1, dtype=np.complex128)
     center[a["center_mode"] + n] = a["center_value"]
@@ -196,7 +186,7 @@ def _run_ldp(a: dict) -> int:
     if len(m_counts) == 1:
         m_counts = m_counts[0]
     report = ex.ldp_mc(v0, base, center_field, a["radius"], a["s"],
-                       epsilons, m_counts, RandomSeed(a["seed"], a["stream"]))
+                       epsilons, m_counts, _seed(a))
     _emit(a, {"kind": "ldp", "report": to_jsonable(report)}, a["out"],
           LDP_CSV_COLUMNS, ldp_csv_rows(report))
     return EXIT_OK if report.trend_ok else EXIT_FLAGGED
@@ -209,7 +199,7 @@ def _run_entropy_check(a: dict) -> int:
     h = q ** 2 / 2.0 if a["hamiltonian"] == "gaussian" else q ** 4
     report = ms.entropy_check_finite_dim(
         h, a["beta"], 2.0 * span / cells,
-        n_directions=a["directions"], seed=RandomSeed(a["seed"], a["stream"]),
+        n_directions=a["directions"], seed=_seed(a),
     )
     _emit(a, {"kind": "entropy_check", "hamiltonian": a["hamiltonian"],
               "report": to_jsonable(report)}, a["out"])
@@ -339,27 +329,47 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _resolved(args: argparse.Namespace) -> dict:
+    return {k: v for k, v in vars(args).items() if k not in ("config", "top_out")}
+
+
+def _replay(parser: _Parser, path: str, out: str | None) -> dict:
+    """The resolved args of a config sidecar, re-parsed by the subcommand's
+    own parser so its types and checks apply.  A value that does not parse
+    back to itself, an unknown key or a missing key exits 1."""
+    saved = json.loads(Path(path).read_text())
+    resolved = saved.get("resolved_args") if isinstance(saved, dict) else None
+    if not isinstance(resolved, dict) or resolved.get("subcommand") not in _HANDLERS:
+        parser.error(f"config {path}: no resolved_args for a known subcommand")
+    if out is not None:
+        resolved["out"] = out
+    argv = [resolved["subcommand"]]
+    for key, value in resolved.items():
+        if key != "subcommand" and value is not None and value is not False:
+            flag = "--" + key.replace("_", "-")
+            argv.append(flag if value is True else f"{flag}={value}")
+    replayed = _resolved(parser.parse_args(argv))
+    bad = sorted(k for k in replayed.keys() | resolved.keys()
+                 if k not in replayed or k not in resolved
+                 or replayed[k] != resolved[k]
+                 or isinstance(replayed[k], bool) != isinstance(resolved[k], bool))
+    if bad:
+        parser.error(f"config {path}: bad, unknown or missing values: {', '.join(bad)}")
+    return replayed
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.config is not None:
-        saved = json.loads(Path(args.config).read_text())
-        resolved = dict(saved["resolved_args"])
-        if args.top_out is not None:
-            resolved["out"] = args.top_out
-    else:
-        if args.subcommand is None:
+    try:
+        if args.config is not None:
+            resolved = _replay(parser, args.config, args.top_out)
+        elif args.subcommand is None:
             parser.print_help(sys.stderr)
             return EXIT_USAGE
-        resolved = {k: v for k, v in vars(args).items()
-                    if k not in ("config", "top_out")}
-    handler = _HANDLERS.get(resolved.get("subcommand"))
-    if handler is None:
-        print(f"gibbsflow: unknown subcommand {resolved.get('subcommand')!r}",
-              file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        return handler(resolved)
+        else:
+            resolved = _resolved(args)
+        return _HANDLERS[resolved["subcommand"]](resolved)
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as err:
         print(f"gibbsflow: error: {err}", file=sys.stderr)
         return EXIT_USAGE

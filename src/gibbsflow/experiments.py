@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import GaussianFieldSpec, mode_std, sample_ensemble, sample_matrix
-from .integrators import EquationSpec, SolverConfig, default_solver_grid, evolve_ensemble
+from .integrators import EquationSpec, SolverConfig, evolve_ensemble
 from .measures import (
     GibbsSpec,
     cameron_martin_log_density_matrix,
@@ -26,7 +26,7 @@ from .measures import (
     kakutani_power_law,
 )
 from .rng import RandomSeed, generator
-from .spectral import GridConfig, TorusField, truncate
+from .spectral import GridConfig, TorusField, grid_for, truncate
 from .stats import (
     holm_adjust,
     ks_two_sample,
@@ -220,7 +220,7 @@ def invariance_experiment(
         if dt is None:
             raise ValueError("dt is required when evolving")
     if grid is None:
-        grid = default_solver_grid(base.n_max, eq.p if eq is not None else 4)
+        grid = grid_for(base.n_max, eq.p if eq is not None else 4)
 
     a, wa, b, wb, ess_a, ess_b, flagged, measure_label = _measure_ensembles(
         measure, m_samples, seed, grid, ais_levels, ais_pcn_steps, n_threads
@@ -432,7 +432,7 @@ def cameron_martin_experiment(
         if dt is None:
             raise ValueError("dt is required for the evolution part")
         subset = y[:evolve_samples]
-        grid_run = grid or default_solver_grid(base.n_max, eq.p)
+        grid_run = grid or grid_for(base.n_max, eq.p)
         n_steps = max(1, int(round(t_final / dt)))
         cfg = SolverConfig(dt=dt, t_final=t_final, grid=grid_run,
                            record_every=max(1, n_steps // 8))

@@ -174,10 +174,7 @@ def _check_shift(v0: TorusField, spec: GaussianFieldSpec) -> TorusField:
 
 def shifted_sample(v0: TorusField, spec: GaussianFieldSpec, seed: RandomSeed) -> TorusField:
     """Draw v0 + phi with phi ~ spec."""
-    base = _check_shift(v0, spec)
-    phi = sample(spec, seed)
-    return TorusField(spec.n_max, base.coeffs + phi.coeffs,
-                      spec.real_valued and base.real_valued)
+    return scaled_sample(v0, 1.0, spec, seed)
 
 
 def scaled_sample(
@@ -231,10 +228,7 @@ def sobolev_threshold_probe(
     w = (1.0 + n * n) ** s
 
     med_sq = np.zeros(len(n_grid))
-    contrib = np.empty((samples, 2 * n_top + 1))
-    for i in range(samples):
-        row = _draw_matrix(top, 1, generator(seed, sample=i))[0]
-        contrib[i] = w * np.abs(row) ** 2
+    contrib = w * np.abs(sample_ensemble(top, samples, seed)) ** 2
     for j, nn in enumerate(n_grid):
         sel = np.abs(n) <= nn
         med_sq[j] = np.median(np.sum(contrib[:, sel], axis=1))

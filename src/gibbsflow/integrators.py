@@ -15,14 +15,18 @@ Schemes: Strang splitting for the Schroedinger families (exact linear
 phases around an exact pointwise nonlinear rotation, evaluated on the
 padded grid) and integrating-factor classical RK4 for gkdv with the
 nonlinearity in conservation form d_x(u^(p-1))/(p-1), dealiased by
-padding.  With galerkin_projected the nonlinearity is re-truncated to the
-initial band |n| <= N every evaluation and each step is projected back
-onto its mass sphere, so the discrete flow conserves mass to roundoff --
-the structural properties the invariance experiments rely on.
+padding.  The grid rule is ``spectral.grid_for(N, p)``: the smallest
+5-smooth M with M >= p*N + 1 and M >= 2N + 2, so degree-p products of the
+band |n| <= N are alias-free.  With galerkin_projected the nonlinearity
+is re-truncated to the initial band |n| <= N every evaluation and each
+step is projected back onto its mass sphere, so the discrete flow
+conserves mass to roundoff -- the structural properties the invariance
+experiments rely on.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -31,13 +35,16 @@ import numpy as np
 from .spectral import (
     GridConfig,
     TorusField,
-    default_grid,
+    analyze,
+    analyze_real,
+    from_half,
+    grid_for,
     lp_integral,
     lp_min_points,
     mean_square,
     synthesize,
-    analyze,
-    truncate,
+    synthesize_real,
+    to_physical,
 )
 
 __all__ = [
@@ -53,7 +60,6 @@ __all__ = [
     "momentum",
     "gauge_check",
     "GaugeReport",
-    "default_solver_grid",
 ]
 
 FAMILIES = ("nls", "wick_nls", "gkdv")
@@ -98,7 +104,6 @@ class SolverConfig:
     dt: float
     t_final: float
     grid: GridConfig | None = None
-    scheme: str | None = None  # default picked per family
     record_every: int = 0  # 0: record endpoints only
 
     def __post_init__(self):
@@ -106,8 +111,6 @@ class SolverConfig:
             raise ValueError("dt must be > 0")
         if self.record_every < 0:
             raise ValueError("record_every must be >= 0")
-        if self.scheme not in (None, "strang_split", "if_rk4"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
 
 
 @dataclass(frozen=True)
@@ -135,15 +138,6 @@ class EnsembleEvolution:
     dt_effective: float
 
 
-def default_solver_grid(n_max: int, p: int) -> GridConfig:
-    """Power-of-two grid large enough for alias-free degree-(p-1) products."""
-    pad = 1.5 if p <= 3 else 2.0
-    grid = default_grid(n_max, pad)
-    while grid.m_points < p * n_max + 1:
-        grid = GridConfig(grid.m_points * 2, pad)
-    return grid
-
-
 def linear_propagate(f: TorusField, t: float, family: str) -> TorusField:
     """Exact linear group: c_n -> e^{i n^2 t} c_n (Schroedinger families)
     or c_n -> e^{i n^3 t} c_n (Airy)."""
@@ -153,15 +147,6 @@ def linear_propagate(f: TorusField, t: float, family: str) -> TorusField:
     power = 3 if family == "gkdv" else 2
     phase = np.exp(1j * n ** power * t)
     return TorusField(f.n_max, phase * f.coeffs, f.real_valued and family == "gkdv")
-
-
-def _scheme_for(eq: EquationSpec, cfg: SolverConfig) -> str:
-    scheme = cfg.scheme or ("if_rk4" if eq.family == "gkdv" else "strang_split")
-    if eq.family == "gkdv" and scheme != "if_rk4":
-        raise ValueError("gkdv runs use the if_rk4 scheme")
-    if eq.family != "gkdv" and scheme != "strang_split":
-        raise ValueError("Schroedinger families use the strang_split scheme")
-    return scheme
 
 
 def _working_truncation(n_max: int, eq: EquationSpec, grid: GridConfig) -> int:
@@ -196,14 +181,13 @@ def _check_guard(eq: EquationSpec, dt: float, k_work: int) -> None:
         )
 
 
-def _synth_real(half: np.ndarray, m_points: int) -> np.ndarray:
-    buf = np.zeros(half.shape[:-1] + (m_points // 2 + 1,), dtype=np.complex128)
-    buf[..., : half.shape[-1]] = half * m_points
-    return np.fft.irfft(buf, n=m_points, axis=-1)
-
-
-def _analyze_real(u: np.ndarray, k: int) -> np.ndarray:
-    return np.fft.rfft(u, axis=-1)[..., : k + 1] / u.shape[-1]
+def _onto_mass_sphere(c: np.ndarray, mass: np.ndarray) -> np.ndarray:
+    """Rescale each row so sum |c_n|^2 equals ``mass`` (zero rows stay)."""
+    after = np.sum(np.abs(c) ** 2, axis=-1)
+    scale = np.ones_like(after)
+    ok = after > 0.0
+    scale[ok] = np.sqrt(mass[ok] / after[ok])
+    return c * scale[:, np.newaxis]
 
 
 class _StrangStepper:
@@ -225,22 +209,17 @@ class _StrangStepper:
         u = synthesize(c, self.k, self.grid.m_points)
         absq = np.abs(u) ** 2
         peak = np.max(absq, axis=-1)
+        ms = np.sum(np.abs(c) ** 2, axis=-1)
         if eq.family == "wick_nls":
-            ms = np.sum(np.abs(c) ** 2, axis=-1)
             theta = absq - 2.0 * ms[:, np.newaxis]
         elif self.exponent == 1.0:
             theta = absq
         else:
             theta = absq ** self.exponent
         u = u * np.exp(1j * (eq.s * self.dt) * theta)
-        before = np.sum(np.abs(c) ** 2, axis=-1)
         c = analyze(u, self.k)
         if eq.galerkin_projected:
-            after = np.sum(np.abs(c) ** 2, axis=-1)
-            scale = np.ones_like(after)
-            ok = after > 0.0
-            scale[ok] = np.sqrt(before[ok] / after[ok])
-            c = c * scale[:, np.newaxis]
+            c = _onto_mass_sphere(c, ms)
         c = c * self.phase_half
         return c, peak
 
@@ -261,10 +240,10 @@ class _KdvStepper:
         self._peak = None
 
     def _nonlinear(self, h: np.ndarray) -> np.ndarray:
-        u = _synth_real(h, self.grid.m_points)
+        u = synthesize_real(h, self.grid.m_points)
         self._peak = np.maximum(self._peak, np.max(u * u, axis=-1))
         w = u ** (self.eq.p - 1)
-        return self.deriv * _analyze_real(w, self.k)
+        return self.deriv * analyze_real(w, self.k)
 
     def step(self, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         self._peak = np.zeros(h.shape[0])
@@ -276,25 +255,8 @@ class _KdvStepper:
         h_new = e2 * (h + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
         if self.eq.galerkin_projected:
             before = np.sum(np.abs(h[..., 1:]) ** 2, axis=-1)
-            after = np.sum(np.abs(h_new[..., 1:]) ** 2, axis=-1)
-            scale = np.ones_like(after)
-            ok = after > 0.0
-            scale[ok] = np.sqrt(before[ok] / after[ok])
-            h_new = h_new.copy()
-            h_new[..., 1:] *= scale[:, np.newaxis]
+            h_new[..., 1:] = _onto_mass_sphere(h_new[..., 1:], before)
         return h_new, self._peak
-
-
-def _to_half(coeffs: np.ndarray, k: int) -> np.ndarray:
-    return coeffs[..., k:].copy()
-
-
-def _from_half(half: np.ndarray, k: int) -> np.ndarray:
-    full = np.empty(half.shape[:-1] + (2 * k + 1,), dtype=np.complex128)
-    full[..., k:] = half
-    full[..., :k] = np.conj(half[..., 1:][..., ::-1])
-    full[..., k] = full[..., k].real  # exact real mean
-    return full
 
 
 def evolve_ensemble(
@@ -314,7 +276,7 @@ def evolve_ensemble(
     """
     if eq.family == "gkdv" and not real_valued:
         raise ValueError("gkdv evolves real_valued fields only")
-    grid = cfg.grid or default_solver_grid(n_max, eq.p)
+    grid = cfg.grid or grid_for(n_max, eq.p)
     k_work = _working_truncation(n_max, eq, grid)
     n_steps, dt = _steps(cfg)
     _check_guard(eq, abs(dt), k_work)
@@ -324,7 +286,7 @@ def evolve_ensemble(
     full[:, k_work - n_max: k_work + n_max + 1] = coeffs
 
     use_half = eq.family == "gkdv"
-    state = _to_half(full, k_work) if use_half else full
+    state = full[:, k_work:].copy() if use_half else full
     stepper = (_KdvStepper if use_half else _StrangStepper)(eq, grid, k_work, dt)
 
     active = np.ones(batch, dtype=bool)
@@ -334,7 +296,7 @@ def evolve_ensemble(
     def emit(step_index: int):
         if on_record is not None:
             t = step_index * dt
-            cur = _from_half(state, k_work) if use_half else state
+            cur = from_half(state) if use_half else state
             on_record(t, cur, active.copy())
 
     emit(0)
@@ -354,7 +316,7 @@ def evolve_ensemble(
             if step % record_every == 0 or step == n_steps:
                 emit(step)
 
-    final = _from_half(state, k_work) if use_half else state
+    final = from_half(state) if use_half else state
     return EnsembleEvolution(
         coeffs=final,
         n_max=k_work,
@@ -367,8 +329,8 @@ def evolve_ensemble(
 
 def evolve(f0: TorusField, eq: EquationSpec, cfg: SolverConfig) -> TrajectoryRecord:
     """Integrate one initial field, recording snapshots and invariants."""
-    grid = cfg.grid or default_solver_grid(f0.n_max, eq.p)
-    cfg = SolverConfig(cfg.dt, cfg.t_final, grid, cfg.scheme, cfg.record_every)
+    grid = cfg.grid or grid_for(f0.n_max, eq.p)
+    cfg = dataclasses.replace(cfg, grid=grid)
     times: list[float] = []
     fields: list[TorusField] = []
 
@@ -412,7 +374,7 @@ def momentum(f: TorusField) -> float:
 
 def hamiltonian(f: TorusField, eq: EquationSpec, grid: GridConfig | None = None) -> float:
     """Conserved energy of the truncated flow (see module conventions)."""
-    grid = grid or default_solver_grid(f.n_max, eq.p)
+    grid = grid or grid_for(f.n_max, eq.p)
     n = f.modes.astype(np.float64)
     kinetic = np.pi * float(np.sum(n * n * np.abs(f.coeffs) ** 2))
     s = eq.s
@@ -430,7 +392,7 @@ def hamiltonian(f: TorusField, eq: EquationSpec, grid: GridConfig | None = None)
         raise ValueError(
             f"grid too small for u^{eq.p}: need m_points >= {required}"
         )
-    u = synthesize(f.coeffs[np.newaxis, :], f.n_max, grid.m_points)[0].real
+    u = to_physical(f, grid).real
     signed = 2.0 * np.pi * float(np.mean(u ** eq.p))
     return kinetic + (s / (eq.p * (eq.p - 1))) * signed
 
@@ -456,17 +418,17 @@ def gauge_check(u0: TorusField, t_final: float, cfg: SolverConfig,
     """
     eq_nls = EquationSpec("nls", p=4, sign=sign)
     eq_wick = EquationSpec("wick_nls", p=4, sign=sign)
-    cfg = SolverConfig(cfg.dt, t_final, cfg.grid, None,
-                       cfg.record_every or max(1, int(round(abs(t_final) / cfg.dt)) // 8))
+    cfg = dataclasses.replace(
+        cfg, t_final=t_final,
+        record_every=cfg.record_every or max(1, int(round(abs(t_final) / cfg.dt)) // 8))
     traj_a = evolve(u0, eq_nls, cfg)
     traj_b = evolve(u0, eq_wick, cfg)
     gamma = -2.0 * eq_nls.s * mean_square(u0)
-    grid = cfg.grid or default_solver_grid(u0.n_max, 4)
+    grid = cfg.grid or grid_for(u0.n_max, 4)
     mod_disc = 0.0
     phase_resid = 0.0
     for t, fa, fb in zip(traj_a.times, traj_a.fields, traj_b.fields):
-        ua = synthesize(fa.coeffs[np.newaxis, :], fa.n_max, grid.m_points)[0]
-        ub = synthesize(fb.coeffs[np.newaxis, :], fb.n_max, grid.m_points)[0]
+        ua, ub = to_physical(fa, grid), to_physical(fb, grid)
         mod_disc = max(mod_disc, float(np.max(np.abs(np.abs(ua) - np.abs(ub)))))
         phase_resid = max(
             phase_resid, float(np.max(np.abs(ub - np.exp(1j * gamma * t) * ua)))

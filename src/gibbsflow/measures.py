@@ -29,7 +29,7 @@ import numpy as np
 from .fields import GaussianFieldSpec, mode_std, sample_matrix
 from .parallel import map_chunks
 from .rng import RandomSeed, generator
-from .spectral import GridConfig, TorusField, default_grid, lp_min_points, synthesize, truncate
+from .spectral import GridConfig, TorusField, grid_for, lp_min_points, synthesize, truncate
 
 __all__ = [
     "DichotomyVerdict",
@@ -42,7 +42,6 @@ __all__ = [
     "kakutani_power_law",
     "gibbs_log_weight",
     "gibbs_log_weight_matrix",
-    "gibbs_quadrature_grid",
     "GibbsEnsemble",
     "gibbs_ensemble",
     "normalized_weights",
@@ -95,6 +94,16 @@ def covariance_eigenvalues(beta: float, s: float, n_values) -> np.ndarray:
     return np.abs(n) ** (2.0 * s - 2.0) / beta
 
 
+def _doubling_checkpoints(n_max: int) -> tuple:
+    """Partial-sum checkpoints 1, 2, 4, ... below n_max, then n_max."""
+    ns = []
+    k = 1
+    while k < n_max:
+        ns.append(k)
+        k *= 2
+    return tuple(ns) + (n_max,)
+
+
 def feldman_hajek_statistic(
     beta: float, gamma: float, s: float = 0.0, n_max: int = 100_000
 ) -> DichotomyVerdict:
@@ -109,16 +118,11 @@ def feldman_hajek_statistic(
         raise ValueError("beta and gamma must be > 0")
     del s  # the eigenvalue ratio is independent of the realization index
     term = ((gamma - beta) / (gamma + beta)) ** 2
-    ns = []
-    k = 1
-    while k < n_max:
-        ns.append(k)
-        k *= 2
-    ns.append(n_max)
+    ns = _doubling_checkpoints(n_max)
     sums = tuple(2.0 * n * term for n in ns)
     if term == 0.0:
-        return DichotomyVerdict("equivalent", 0.0, tuple(ns), sums)
-    return DichotomyVerdict("singular", math.inf, tuple(ns), sums,
+        return DichotomyVerdict("equivalent", 0.0, ns, sums)
+    return DichotomyVerdict("singular", math.inf, ns, sums,
                             divergence_detected=True)
 
 
@@ -198,17 +202,12 @@ def kakutani_power_law(
     if shell is None:
         raise ValueError("only dim=1 partial sums are tabulated here")
     cum = np.cumsum(shell * n ** (2.0 * (u_decay - v_decay)))
-    ns = []
-    k = 1
-    while k < n_max:
-        ns.append(k)
-        k *= 2
-    ns.append(n_max)
+    ns = _doubling_checkpoints(n_max)
     partial = tuple(float(cum[i - 1]) for i in ns)
     equivalent = 2.0 * (v_decay - u_decay) > dim
     if equivalent:
-        return DichotomyVerdict("equivalent", float(cum[-1]), tuple(ns), partial)
-    return DichotomyVerdict("singular", math.inf, tuple(ns), partial,
+        return DichotomyVerdict("equivalent", float(cum[-1]), ns, partial)
+    return DichotomyVerdict("singular", math.inf, ns, partial,
                             divergence_detected=True)
 
 
@@ -249,15 +248,6 @@ class GibbsSpec:
             raise ValueError("cutoff_B must be > 0")
 
 
-def gibbs_quadrature_grid(spec: GibbsSpec) -> GridConfig:
-    """Default grid: exact |u|^p quadrature with power-of-two padding."""
-    pad = 1.5 if spec.p <= 3 else 2.0
-    grid = default_grid(spec.base.n_max, pad)
-    while grid.m_points < lp_min_points(spec.base.n_max, spec.p):
-        grid = GridConfig(grid.m_points * 2, pad)
-    return grid
-
-
 def gibbs_log_weight_matrix(
     coeffs: np.ndarray, spec: GibbsSpec, grid: GridConfig
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -289,7 +279,7 @@ def gibbs_log_weight(
     Defocusing weights are always <= 0 (density bounded by 1), which is
     what licenses the rejection-sampling cross-check.
     """
-    grid = grid or gibbs_quadrature_grid(spec)
+    grid = grid or grid_for(spec.base.n_max, spec.p)
     log_w, within = gibbs_log_weight_matrix(f.coeffs[np.newaxis, :], spec, grid)
     return float(log_w[0]), bool(within[0])
 
@@ -406,7 +396,7 @@ def gibbs_ensemble(
         raise ValueError("m_samples must be >= 100")
     if method not in ("snis", "ais"):
         raise ValueError(f"unknown method {method!r}")
-    grid = grid or gibbs_quadrature_grid(spec)
+    grid = grid or grid_for(spec.base.n_max, spec.p)
     width = 2 * spec.base.n_max + 1
     coeffs = np.empty((m_samples, width), dtype=np.complex128)
     log_w = np.empty(m_samples)

@@ -20,9 +20,10 @@ caller has to guess which one a routine uses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import next_fast_len
 
 __all__ = [
     "TorusField",
@@ -39,19 +40,18 @@ __all__ = [
     "to_physical",
     "from_physical",
     "pointwise_product",
-    "default_grid",
+    "grid_for",
     "lp_min_points",
     "synthesize",
     "analyze",
+    "synthesize_real",
+    "analyze_real",
+    "from_half",
     "field_to_json",
     "field_from_json",
 ]
 
 _SYMMETRY_RTOL = 1e-12
-
-
-def _is_power_of_two(m: int) -> bool:
-    return m >= 1 and (m & (m - 1)) == 0
 
 
 @dataclass(frozen=True)
@@ -102,34 +102,25 @@ class TorusField:
 
 @dataclass(frozen=True)
 class GridConfig:
-    """Physical collocation grid for quadrature and transforms.
-
-    m_points must be a power of two; padding_factor >= 1 records the
-    oversampling used for dealiased products (3/2 for quadratic
-    nonlinearities, 2 for cubic).
-    """
+    """Equispaced collocation grid of m_points >= 1 points on [0, 2*pi)."""
 
     m_points: int
-    padding_factor: float = 1.5
 
     def __post_init__(self):
-        if not _is_power_of_two(self.m_points):
-            raise ValueError(f"m_points must be a power of two, got {self.m_points}")
-        if self.padding_factor < 1.0:
-            raise ValueError("padding_factor must be >= 1")
+        if self.m_points < 1:
+            raise ValueError(f"m_points must be >= 1, got {self.m_points}")
 
     @property
     def points(self) -> np.ndarray:
         return np.linspace(0.0, 2.0 * np.pi, self.m_points, endpoint=False)
 
 
-def default_grid(n_max: int, padding_factor: float = 1.5) -> GridConfig:
-    """Smallest power-of-two grid with M >= padding_factor * (2N+1)."""
-    target = max(2, math.ceil(padding_factor * (2 * n_max + 1)))
-    m = 1
-    while m < target:
-        m *= 2
-    return GridConfig(m_points=m, padding_factor=padding_factor)
+def grid_for(n_max: int, degree: float) -> GridConfig:
+    """The one grid rule: the smallest 5-smooth M that resolves the band
+    |n| <= N (M >= 2N+2) and makes degree-``degree`` products of it
+    alias-free (M >= degree*N + 1, see ``lp_min_points``)."""
+    need = max(lp_min_points(n_max, degree), 2 * n_max + 2)
+    return GridConfig(next_fast_len(need, real=True))
 
 
 def zero_field(n_max: int, real_valued: bool = False) -> TorusField:
@@ -201,8 +192,7 @@ def lp_integral(f: TorusField, p: float, grid: GridConfig) -> float:
             f"grid too small for |u|^{p} at n_max={f.n_max}: "
             f"need m_points >= {required}, got {grid.m_points}"
         )
-    u = synthesize(f.coeffs[np.newaxis, :], f.n_max, grid.m_points)[0]
-    return float(2.0 * np.pi * np.mean(np.abs(u) ** p))
+    return float(2.0 * np.pi * np.mean(np.abs(to_physical(f, grid)) ** p))
 
 
 def derivative(f: TorusField, k: int) -> TorusField:
@@ -225,15 +215,20 @@ def truncate(f: TorusField, n_new: int) -> TorusField:
     return TorusField(n_new, c, f.real_valued)
 
 
+def _require_points(m_points: int, n_max: int) -> None:
+    if m_points < 2 * n_max + 2:
+        raise ValueError(
+            f"m_points={m_points} too small: cannot resolve n_max={n_max} "
+            f"(need >= {2 * n_max + 2})"
+        )
+
+
 def synthesize(coeffs: np.ndarray, n_max: int, m_points: int) -> np.ndarray:
     """Evaluate batched coefficient rows on the M-point grid (complex values).
 
     coeffs has shape (batch, 2N+1); requires M >= 2N+2.
     """
-    if m_points < 2 * n_max + 2:
-        raise ValueError(
-            f"m_points={m_points} too small for n_max={n_max} (need >= {2 * n_max + 2})"
-        )
+    _require_points(m_points, n_max)
     buf = np.zeros(coeffs.shape[:-1] + (m_points,), dtype=np.complex128)
     idx = np.arange(-n_max, n_max + 1) % m_points
     buf[..., idx] = coeffs
@@ -243,13 +238,32 @@ def synthesize(coeffs: np.ndarray, n_max: int, m_points: int) -> np.ndarray:
 def analyze(values: np.ndarray, n_max: int) -> np.ndarray:
     """Recover coefficient rows c_n, |n| <= N, from batched grid values."""
     m_points = values.shape[-1]
-    if m_points < 2 * n_max + 2:
-        raise ValueError(
-            f"{m_points} samples cannot resolve n_max={n_max} (need >= {2 * n_max + 2})"
-        )
+    _require_points(m_points, n_max)
     spec = np.fft.fft(values, axis=-1) / m_points
     idx = np.arange(-n_max, n_max + 1) % m_points
     return spec[..., idx]
+
+
+def synthesize_real(half: np.ndarray, m_points: int) -> np.ndarray:
+    """Real grid values of real fields given by half-spectrum rows c_0..c_N."""
+    _require_points(m_points, half.shape[-1] - 1)
+    return np.fft.irfft(half * m_points, n=m_points, axis=-1)
+
+
+def analyze_real(values: np.ndarray, n_max: int) -> np.ndarray:
+    """Half-spectrum rows c_0..c_N of batched real grid values."""
+    _require_points(values.shape[-1], n_max)
+    return np.fft.rfft(values, axis=-1)[..., : n_max + 1] / values.shape[-1]
+
+
+def from_half(half: np.ndarray) -> np.ndarray:
+    """Full rows c_-N..c_N of real fields from half-spectrum rows c_0..c_N."""
+    k = half.shape[-1] - 1
+    full = np.empty(half.shape[:-1] + (2 * k + 1,), dtype=np.complex128)
+    full[..., k:] = half
+    full[..., :k] = np.conj(half[..., 1:][..., ::-1])
+    full[..., k] = full[..., k].real  # exact real mean
+    return full
 
 
 def to_physical(f: TorusField, grid: GridConfig) -> np.ndarray:
@@ -266,35 +280,22 @@ def from_physical(samples: np.ndarray, n_max: int) -> TorusField:
     samples = np.asarray(samples)
     if samples.ndim != 1:
         raise ValueError("samples must be a 1-d vector")
-    m = samples.shape[0]
-    if m < 2 * n_max + 2:
-        raise ValueError(
-            f"{m} samples cannot resolve n_max={n_max} (need >= {2 * n_max + 2})"
-        )
     if np.isrealobj(samples):
-        half = np.fft.rfft(samples.astype(np.float64)) / m
-        c = np.zeros(2 * n_max + 1, dtype=np.complex128)
-        c[n_max:] = half[: n_max + 1]
-        c[:n_max] = np.conj(half[1: n_max + 1][::-1])
-        return TorusField(n_max, c, real_valued=True)
+        half = analyze_real(samples.astype(np.float64), n_max)
+        return TorusField(n_max, from_half(half), real_valued=True)
     return TorusField(n_max, analyze(samples[np.newaxis, :], n_max)[0], real_valued=False)
 
 
 def pointwise_product(f: TorusField, g: TorusField, n_out: int | None = None) -> TorusField:
     """Exact coefficients of the pointwise product u*v up to |n| <= n_out.
 
-    Computed on a zero-padded grid large enough that no aliased copy of the
+    On ``grid_for(max(N_f + N_g, n_out), 2)`` no aliased copy of the
     degree-(N_f + N_g) product lands inside the output band.
     """
     if n_out is None:
         n_out = f.n_max + g.n_max
-    need = f.n_max + g.n_max + n_out + 1
-    m = 2
-    while m < need:
-        m *= 2
-    uf = synthesize(f.coeffs[np.newaxis, :], f.n_max, m)[0]
-    ug = synthesize(g.coeffs[np.newaxis, :], g.n_max, m)[0]
-    prod = analyze((uf * ug)[np.newaxis, :], n_out)[0]
+    grid = grid_for(max(f.n_max + g.n_max, n_out), 2)
+    prod = analyze((to_physical(f, grid) * to_physical(g, grid))[np.newaxis, :], n_out)[0]
     return TorusField(n_out, prod, f.real_valued and g.real_valued)
 
 

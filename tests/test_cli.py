@@ -70,6 +70,43 @@ class TestSampleCommand:
         assert main(["--config", str(sidecar), "--out", str(rerun)]) == 0
         assert rerun.read_bytes() == out.read_bytes()
 
+    def _sidecar(self, tmp_path):
+        out = tmp_path / "field.json"
+        assert main(["sample", "--family", "fwb", "--nmax", "4", "--seed", "7",
+                     "--out", str(out)]) == 0
+        return tmp_path / "field.json.config.json"
+
+    def _replay_edited(self, tmp_path, capsys, edit):
+        sidecar = self._sidecar(tmp_path)
+        config = json.loads(sidecar.read_text())
+        edit(config["resolved_args"])
+        sidecar.write_text(json.dumps(config))
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(sidecar), "--out", str(tmp_path / "rerun.json")])
+        assert exc.value.code == 1
+        assert not (tmp_path / "rerun.json").exists()
+        return capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("alpha", "Infinity", "not a finite number"),
+        ("nmax", "4", "nmax"),
+        ("family", "pink", "invalid choice"),
+    ])
+    def test_config_bad_value_exits_one(self, tmp_path, capsys, key, value, message):
+        err = self._replay_edited(tmp_path, capsys,
+                                  lambda args: args.update({key: value}))
+        assert message in err
+
+    def test_config_unknown_key_exits_one(self, tmp_path, capsys):
+        err = self._replay_edited(tmp_path, capsys,
+                                  lambda args: args.update({"bogus": 1}))
+        assert "bogus" in err
+
+    def test_config_missing_key_exits_one(self, tmp_path, capsys):
+        err = self._replay_edited(tmp_path, capsys, lambda args: args.pop("seed"))
+        assert "missing values: seed" in err
+
     def test_stdout_mode(self, capsys):
         assert main(["sample", "--family", "white", "--nmax", "2",
                      "--seed", "3"]) == 0

@@ -12,12 +12,13 @@ from gibbsflow.fields import (
     per_mode_std,
     sample,
     sample_ensemble,
+    sample_matrix,
     scaled_sample,
     shifted_sample,
     sobolev_threshold_probe,
 )
-from gibbsflow.rng import RandomSeed
-from gibbsflow.spectral import field_from_modes, sobolev_norm, zero_field
+from gibbsflow.rng import RandomSeed, generator
+from gibbsflow.spectral import field_from_modes, sobolev_norm, truncate, zero_field
 
 
 class TestSpecInvariants:
@@ -133,6 +134,14 @@ class TestShifts:
         b = sample(spec, RandomSeed(3))
         assert np.array_equal(a.coeffs, b.coeffs)
 
+    def test_shift_adds_the_plain_sample_exactly(self):
+        spec = GaussianFieldSpec("fwb", 8, alpha=1.0, real_valued=True)
+        v0 = field_from_modes(3, {0: 0.7, 2: 0.25 - 0.5j, -2: 0.25 + 0.5j},
+                              real_valued=True)
+        got = shifted_sample(v0, spec, RandomSeed(9, 4))
+        want = truncate(v0, 8).coeffs + sample(spec, RandomSeed(9, 4)).coeffs
+        assert np.array_equal(got.coeffs, want) and got.real_valued
+
     def test_white_mode_zero_is_exact(self):
         v0 = field_from_modes(4, {0: 2.5, 1: 0.5, -1: 0.5}, real_valued=True)
         spec = GaussianFieldSpec("white", 4, real_valued=True)
@@ -221,6 +230,21 @@ class TestThresholdProbe:
         rep = sobolev_threshold_probe(spec, -0.4, samples=16, seed=RandomSeed(3))
         assert list(rep.median_norms) == sorted(rep.median_norms)
         assert rep.tail_slope >= GrowthReport.SLOPE_THRESHOLD
+
+    def test_rows_come_from_per_sample_paths(self):
+        # Row i is the draw on path (lane 0, sample i), as in sample_ensemble.
+        spec = GaussianFieldSpec("fwb", 3, alpha=0.5, real_valued=True)
+        rep = sobolev_threshold_probe(spec, 0.3, n_grid=(5, 10, 20), samples=7,
+                                      seed=RandomSeed(4, 2))
+        top = GaussianFieldSpec("fwb", 20, alpha=0.5, real_valued=True)
+        n = np.arange(-20, 21)
+        power = np.array([
+            (1.0 + n * n) ** 0.3
+            * np.abs(sample_matrix(top, 1, generator(RandomSeed(4, 2), sample=i))[0]) ** 2
+            for i in range(7)])
+        medians = [np.sqrt(np.median(np.sum(power[:, np.abs(n) <= k], axis=1)))
+                   for k in (5, 10, 20)]
+        assert rep.median_norms == tuple(medians)
 
     def test_needs_three_points(self):
         spec = GaussianFieldSpec("white", 4)

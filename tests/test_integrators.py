@@ -8,7 +8,6 @@ from gibbsflow.fields import GaussianFieldSpec, sample
 from gibbsflow.integrators import (
     EquationSpec,
     SolverConfig,
-    default_solver_grid,
     evolve,
     evolve_ensemble,
     gauge_check,
@@ -18,7 +17,7 @@ from gibbsflow.integrators import (
     momentum,
 )
 from gibbsflow.rng import RandomSeed
-from gibbsflow.spectral import TorusField, field_from_modes, sobolev_norm, zero_field
+from gibbsflow.spectral import TorusField, field_from_modes, grid_for, sobolev_norm, zero_field
 
 from helpers import dense_quadrature_lp
 
@@ -133,7 +132,7 @@ class TestConservation:
         # confirmed against the dense quadrature oracle.
         f = field_from_modes(2, {1: 0.5, -1: 0.5}, real_valued=True)
         eq = EquationSpec("gkdv", p=3, sign="plus")
-        grid = default_solver_grid(2, 3)
+        grid = grid_for(2, 3)
         fx_sq = dense_quadrature_lp(field_from_modes(2, {1: 0.5j, -1: -0.5j},
                                                      real_valued=True), 2)
         assert_allclose(fx_sq / 2.0, np.pi / 2.0, rtol=1e-12)
@@ -146,7 +145,7 @@ class TestConservation:
         f = field_from_modes(1, {1: 1.0})
         eq = EquationSpec("nls", p=4, sign="plus")
         oracle = dense_quadrature_lp(f, 4)
-        assert_allclose(hamiltonian(f, eq, default_solver_grid(1, 4)),
+        assert_allclose(hamiltonian(f, eq, grid_for(1, 4)),
                         np.pi + oracle / 4.0, rtol=1e-12)
 
     def test_gkdv_mean_exactly_constant(self):
@@ -275,3 +274,19 @@ class TestGuards:
         eq = EquationSpec("nls", p=4, sign="plus")
         with pytest.raises(ValueError, match="alias-free"):
             evolve(f, eq, SolverConfig(dt=1e-4, t_final=0.1, grid=GridConfig(32)))
+
+
+class TestGridIndependence:
+    def test_galerkin_kdv_agrees_on_any_alias_free_grid(self):
+        # Projected KdV's quadratic nonlinearity is dealiased exactly on the
+        # rule's M = 100 and on M = 128 alike; only roundoff may differ.
+        from gibbsflow.fields import sample_ensemble
+        from gibbsflow.spectral import GridConfig
+        rows = sample_ensemble(GaussianFieldSpec("white", 32, real_valued=True),
+                               8, RandomSeed(5))
+        eq = EquationSpec("gkdv", p=3, sign="plus", galerkin_projected=True)
+        assert grid_for(32, 3).m_points == 100
+        a, b = (evolve_ensemble(rows, 32, eq, SolverConfig(dt=1e-4, t_final=0.02, grid=g),
+                                real_valued=True).coeffs
+                for g in (grid_for(32, 3), GridConfig(128)))
+        assert_allclose(a, b, rtol=0, atol=1e-13 * np.max(np.abs(b)))

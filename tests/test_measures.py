@@ -20,7 +20,6 @@ from gibbsflow.measures import (
     feldman_hajek_statistic,
     gibbs_ensemble,
     gibbs_log_weight,
-    gibbs_quadrature_grid,
     grid_entropy,
     hellinger_mode,
     kakutani_power_law,
@@ -28,7 +27,7 @@ from gibbsflow.measures import (
     normalized_weights,
 )
 from gibbsflow.rng import RandomSeed, generator
-from gibbsflow.spectral import field_from_modes, zero_field
+from gibbsflow.spectral import field_from_modes, grid_for, zero_field
 
 from helpers import dense_quadrature_lp, rejection_sample_gibbs
 
@@ -78,6 +77,14 @@ class TestFeldmanHajek:
     def test_positive_temperatures_required(self):
         with pytest.raises(ValueError, match="beta and gamma"):
             feldman_hajek_statistic(0.0, 1.0)
+
+    def test_checkpoints_shared_with_kakutani(self):
+        # Doubling checkpoints 1, 2, 4, ... below n_max, then n_max itself.
+        expected = {2: (1, 2), 5: (1, 2, 4, 5), 64: (1, 2, 4, 8, 16, 32, 64),
+                    100: (1, 2, 4, 8, 16, 32, 64, 100)}
+        for n_max, ns in expected.items():
+            assert feldman_hajek_statistic(1.0, 2.0, n_max=n_max).partial_ns == ns
+            assert kakutani_power_law(1.0, 1.4, n_max=n_max).partial_ns == ns
 
 
 class TestHellinger:
@@ -225,7 +232,7 @@ class TestGibbsEnsemble:
     def test_reweighting_pushes_quartic_down(self):
         spec = self.spec(n_max=16)
         ens = gibbs_ensemble(spec, 2000, RandomSeed(3), method="snis")
-        grid = gibbs_quadrature_grid(spec)
+        grid = grid_for(spec.base.n_max, spec.p)
         from gibbsflow.measures import gibbs_log_weight_matrix
         lw, _ = gibbs_log_weight_matrix(ens.coeffs, spec, grid)
         quartic = -4.0 * lw  # int |u|^4 per sample
@@ -234,7 +241,7 @@ class TestGibbsEnsemble:
 
     def test_snis_and_ais_match_rejection_oracle(self):
         spec = self.spec(n_max=4)
-        grid = gibbs_quadrature_grid(spec)
+        grid = grid_for(spec.base.n_max, spec.p)
         exact = rejection_sample_gibbs(spec, 4000, np.random.default_rng(99), grid)
         target = np.mean(np.abs(exact[:, 5]) ** 2)  # E|c_1|^2 under Gibbs
         se_oracle = np.std(np.abs(exact[:, 5]) ** 2, ddof=1) / np.sqrt(4000)

@@ -7,12 +7,12 @@ from numpy.testing import assert_allclose
 from gibbsflow.spectral import (
     GridConfig,
     TorusField,
-    default_grid,
     derivative,
     field_from_json,
     field_from_modes,
     field_to_json,
     from_physical,
+    grid_for,
     lp_integral,
     mean_square,
     mean_value,
@@ -98,7 +98,7 @@ class TestSobolevNorm:
 
 class TestLpIntegral:
     def test_zero_field(self):
-        assert lp_integral(zero_field(3), 4, default_grid(3, 2.0)) == 0.0
+        assert lp_integral(zero_field(3), 4, grid_for(3, 4)) == 0.0
 
     def test_constant_parseval(self):
         f = field_from_modes(0, {0: 3.0})
@@ -109,20 +109,20 @@ class TestLpIntegral:
         f = field_from_modes(1, {1: 1.0})
         oracle = dense_quadrature_lp(f, 4)
         assert_allclose(oracle, 2 * np.pi, rtol=1e-12)
-        assert_allclose(lp_integral(f, 4, default_grid(1, 4.0)), oracle, rtol=1e-12)
+        assert_allclose(lp_integral(f, 4, grid_for(1, 4)), oracle, rtol=1e-12)
 
     def test_random_fields_match_dense_oracle(self):
         rng = np.random.default_rng(3)
         for real in (False, True):
             f = random_field(5, rng, real_valued=real)
-            got = lp_integral(f, 4, default_grid(5, 4.0))
+            got = lp_integral(f, 4, grid_for(5, 4))
             assert_allclose(got, dense_quadrature_lp(f, 4), rtol=1e-11)
 
     def test_parseval_identity(self):
         rng = np.random.default_rng(4)
         for n_max in (0, 3, 16):
             f = random_field(n_max, rng)
-            got = lp_integral(f, 2, default_grid(n_max, 2.0))
+            got = lp_integral(f, 2, grid_for(n_max, 2))
             assert_allclose(got, 2 * np.pi * mean_square(f), rtol=1e-12)
 
     def test_refuses_small_grid(self):
@@ -261,16 +261,29 @@ class TestDealiasedProduct:
         assert prod.real_valued
 
 
+def _is_5_smooth(m):
+    for q in (2, 3, 5):
+        while m % q == 0:
+            m //= q
+    return m == 1
+
+
 class TestGridConfig:
-    def test_power_of_two_enforced(self):
-        with pytest.raises(ValueError, match="power of two"):
-            GridConfig(48)
+    def test_m_points_positive(self):
+        with pytest.raises(ValueError, match="m_points must be >= 1"):
+            GridConfig(0)
+        assert GridConfig(48).m_points == 48  # any size, not only powers of two
 
-    def test_padding_floor(self):
-        with pytest.raises(ValueError, match="padding_factor"):
-            GridConfig(16, padding_factor=0.5)
-
-    def test_default_grid_sizes(self):
-        assert default_grid(16, 1.5).m_points == 64
-        assert default_grid(16, 2.0).m_points == 128
-        assert default_grid(0, 2.0).m_points == 2
+    def test_grid_for_rule(self):
+        for n_max in (0, 1, 2, 5, 16, 31, 32, 100):
+            for degree in (1, 2, 3, 4, 6):
+                m = grid_for(n_max, degree).m_points
+                assert _is_5_smooth(m)
+                assert m >= degree * n_max + 1 and m >= 2 * n_max + 2
+                # smallest such size
+                assert not any(_is_5_smooth(k) for k in
+                               range(max(degree * n_max + 1, 2 * n_max + 2), m))
+        assert grid_for(0, 4).m_points == 2
+        assert grid_for(32, 3).m_points == 100  # KdV
+        assert grid_for(16, 4).m_points == 72  # Wick-NLS
+        assert grid_for(32, 4).m_points == 135  # NLS and Wick-NLS
