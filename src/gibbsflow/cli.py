@@ -63,6 +63,14 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _thread_count(text: str) -> int:
+    """argparse type for --threads: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a thread count >= 1")
+    return value
+
+
 def _emit(args_dict: dict, payload: dict, out: str | None,
           csv_columns=None, csv_rows=None) -> None:
     payload = {"schema_version": SCHEMA_VERSION, **payload}
@@ -155,6 +163,7 @@ def _run_cm(a: dict) -> int:
         evolve_samples=(p["evolve_samples"] if a["evolve_samples"] is None
                         else a["evolve_samples"]),
         v0_decay=p.get("v0_decay"),
+        n_threads=a["threads"],
     )
     _emit(a, {"kind": "cameron_martin", "preset": a["preset"],
               "report": to_jsonable(report)}, a["out"])
@@ -186,7 +195,7 @@ def _run_ldp(a: dict) -> int:
     if len(m_counts) == 1:
         m_counts = m_counts[0]
     report = ex.ldp_mc(v0, base, center_field, a["radius"], a["s"],
-                       epsilons, m_counts, _seed(a))
+                       epsilons, m_counts, _seed(a), n_threads=a["threads"])
     _emit(a, {"kind": "ldp", "report": to_jsonable(report)}, a["out"],
           LDP_CSV_COLUMNS, ldp_csv_rows(report))
     return EXIT_OK if report.trend_ok else EXIT_FLAGGED
@@ -227,6 +236,7 @@ def _build_parser() -> _Parser:
         prog="gibbsflow",
         description=__doc__,
         formatter_class=argparse.ArgumentDefaultsHelpFormatter,
+        allow_abbrev=False,
     )
     parser.add_argument("--config", default=None,
                         help="rerun from a saved <out>.config.json file")
@@ -234,16 +244,22 @@ def _build_parser() -> _Parser:
                         help="with --config: override the recorded output path")
     sub = parser.add_subparsers(dest="subcommand")
 
-    def common(p):
+    def subcommand(name, summary):
+        # allow_abbrev=False: a prefix such as --evolve must not silently
+        # stand for --evolve-samples.
+        return sub.add_parser(name, help=summary, allow_abbrev=False,
+                              formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+
+    def common(p, threads=False):
         p.add_argument("--seed", type=int, default=0, help="base seed")
         p.add_argument("--stream", type=int, default=0, help="stream index")
         p.add_argument("--out", default=None, help="output JSON path (stdout if unset)")
         p.add_argument("--csv", default=None, help="optional CSV output path")
-        p.add_argument("--threads", type=int, default=default_threads(),
-                       help="worker threads (results identical for any count)")
+        if threads:
+            p.add_argument("--threads", type=_thread_count, default=default_threads(),
+                           help="worker threads (results identical for any count)")
 
-    p = sub.add_parser("sample", help="draw one random field",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    p = subcommand("sample", "draw one random field")
     p.add_argument("--family", choices=["fwa", "fwb", "white"], default="fwb")
     p.add_argument("--alpha", type=_finite_float, default=1.0)
     p.add_argument("--nmax", type=int, default=64)
@@ -252,8 +268,7 @@ def _build_parser() -> _Parser:
                    help="exclude the zero mode")
     common(p)
 
-    p = sub.add_parser("evolve", help="integrate one initial field",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    p = subcommand("evolve", "integrate one initial field")
     p.add_argument("--eq", choices=["nls", "wick-nls", "gkdv"], required=True)
     p.add_argument("--p", type=int, default=4, help="nonlinearity power")
     p.add_argument("--sign", choices=["plus", "minus"], default="plus")
@@ -267,8 +282,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--init", required=True, help="initial field JSON file")
     common(p)
 
-    p = sub.add_parser("invariance", help="two-ensemble invariance test",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    p = subcommand("invariance", "two-ensemble invariance test")
     p.add_argument("--preset", choices=sorted(presets.INVARIANCE_PRESETS),
                    default="kdv-white-noise")
     p.add_argument("--nmax", type=int, default=None, help="override truncation")
@@ -276,10 +290,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--t", type=_finite_float, default=None, help="override horizon")
     p.add_argument("--dt", type=_finite_float, default=None, help="override time step")
     p.add_argument("--alpha", type=_finite_float, default=0.01, help="rejection level")
-    common(p)
+    common(p, threads=True)
 
-    p = sub.add_parser("cm", help="shift-identity and shifted-data experiment",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    p = subcommand("cm", "shift-identity and shifted-data experiment")
     p.add_argument("--preset", choices=sorted(presets.CM_PRESETS),
                    default="theorem-1")
     p.add_argument("--nmax", type=int, default=None)
@@ -287,10 +300,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--t", type=_finite_float, default=None)
     p.add_argument("--dt", type=_finite_float, default=None)
     p.add_argument("--evolve-samples", dest="evolve_samples", type=int, default=None)
-    common(p)
+    common(p, threads=True)
 
-    p = sub.add_parser("dichotomy", help="equivalence-vs-singularity calculators",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    p = subcommand("dichotomy", "equivalence-vs-singularity calculators")
     p.add_argument("--mode", choices=["kakutani", "feldman-hajek"], required=True)
     p.add_argument("--u-decay", dest="u_decay", type=_finite_float, default=1.0)
     p.add_argument("--v-decay", dest="v_decay", type=_finite_float, default=1.4)
@@ -300,8 +312,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--nmax", type=int, default=100000)
     common(p)
 
-    p = sub.add_parser("ldp", help="small-noise hit-probability study",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    p = subcommand("ldp", "small-noise hit-probability study")
     p.add_argument("--family", choices=["fwa", "fwb", "white"], default="fwb")
     p.add_argument("--alpha", type=_finite_float, default=1.0)
     p.add_argument("--real", action="store_true")
@@ -314,10 +325,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--epsilons", default="0.5,0.35,0.25")
     p.add_argument("--samples", default="200000",
                    help="per-epsilon sample count (single value or comma list)")
-    common(p)
+    common(p, threads=True)
 
-    p = sub.add_parser("entropy-check", help="entropy maximization on a grid",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    p = subcommand("entropy-check", "entropy maximization on a grid")
     p.add_argument("--hamiltonian", choices=["gaussian", "quartic"],
                    default="gaussian")
     p.add_argument("--beta", type=_finite_float, default=1.0)

@@ -25,6 +25,7 @@ from .measures import (
     gibbs_ensemble,
     kakutani_power_law,
 )
+from .parallel import map_chunks
 from .rng import RandomSeed, generator
 from .spectral import GridConfig, TorusField, grid_for, truncate
 from .stats import (
@@ -65,6 +66,10 @@ _LANE_B = 1
 _LANE_COMPARE = 2  # one bootstrap stream, shared by the whole panel
 _LANE_LDP0 = 10
 _LANE_DEMO0 = 40
+
+# Monte Carlo rows per ldp_mc chunk; chunk i of epsilon e draws from path
+# (_LANE_LDP0 + e, sample i), so the plan fixes the hit counts.
+_LDP_CHUNK = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +236,7 @@ def invariance_experiment(
     if t_final != 0.0:
         cfg = SolverConfig(dt=dt, t_final=t_final, grid=grid)
         result = evolve_ensemble(b, base.n_max, eq, cfg,
-                                 real_valued=base.real_valued)
+                                 real_valued=base.real_valued, n_threads=n_threads)
         blowups = int(np.sum(result.blowup))
         flagged = flagged or blowups > 0
         k = result.n_max
@@ -372,6 +377,7 @@ def cameron_martin_experiment(
     evolve_samples: int = 0,
     v0_decay: float | None = None,
     z_threshold: float = 4.0,
+    n_threads: int = 1,
 ) -> CMReport:
     """Verify the shift identity and (optionally) evolve the shifted data.
 
@@ -380,7 +386,9 @@ def cameron_martin_experiment(
     functionals, all within z_threshold standard errors.  Part (b) evolves
     a subset of the shifted ensemble and records mass histories and blowup
     counts; "no blowup and sup_t mass within 10x initial" is reported as a
-    global-existence proxy, not as a proof of anything.
+    global-existence proxy, not as a proof of anything.  The evolution
+    runs in row chunks on up to n_threads threads; the report does not
+    depend on the thread count.
     """
     x = sample_ensemble(base, m_samples, seed, _LANE_A)
     y_noise = sample_ensemble(base, m_samples, seed, _LANE_B)
@@ -439,13 +447,13 @@ def cameron_martin_experiment(
         mass0 = 2.0 * np.pi * np.sum(np.abs(subset) ** 2, axis=1)
         sup_mass = np.zeros_like(mass0)
 
-        def on_record(t, full, active):
+        def on_record(rows, t, full, active):
             m = 2.0 * np.pi * np.sum(np.abs(full) ** 2, axis=1)
-            np.maximum(sup_mass, np.where(active, m, 0.0), out=sup_mass)
+            np.maximum(sup_mass[rows], np.where(active, m, 0.0), out=sup_mass[rows])
 
         result = evolve_ensemble(subset, base.n_max, eq, cfg,
                                  real_valued=base.real_valued,
-                                 on_record=on_record)
+                                 on_record=on_record, n_threads=n_threads)
         blowups = int(np.sum(result.blowup))
         ratios = sup_mass / np.maximum(mass0, 1e-300)
         max_mass_ratio = float(np.max(ratios))
@@ -625,7 +633,7 @@ def ldp_mc(
     epsilons,
     m_per_eps,
     seed: RandomSeed,
-    chunk: int = 4096,
+    n_threads: int = 1,
 ) -> LDPReport:
     """Estimate hit probabilities of the H^s ball under v0 + eps*phi.
 
@@ -636,7 +644,9 @@ def ldp_mc(
     epsilon (rarer events need more samples to stay above the hits
     floor).  Epsilons with zero hits are flagged too_rare and excluded
     from the trend diagnostic (Spearman correlation of the oracle gap
-    against epsilon; shrinking gap means positive rho).
+    against epsilon; shrinking gap means positive rho).  Samples are drawn
+    in fixed chunks of 4096 on up to n_threads threads; hit counts do not
+    depend on the thread count.
     """
     epsilons = tuple(float(e) for e in epsilons)
     if any(e <= 0 for e in epsilons):
@@ -663,18 +673,14 @@ def ldp_mc(
 
     points = []
     for e_idx, (eps, m_eps) in enumerate(zip(epsilons, m_counts)):
-        hits = 0
-        done = 0
-        c_idx = 0
-        while done < m_eps:
-            size = min(chunk, m_eps - done)
+        def count_hits(c_idx: int, start: int, stop: int) -> int:
             rng = generator(seed, lane=_LANE_LDP0 + e_idx, sample=c_idx)
-            phi = sample_matrix(base, size, rng)
+            phi = sample_matrix(base, stop - start, rng)
             u = vc[np.newaxis, :] + eps * phi
             dist_sq = np.abs(u - wc[np.newaxis, :]) ** 2 @ omega
-            hits += int(np.sum(dist_sq <= radius ** 2))
-            done += size
-            c_idx += 1
+            return int(np.sum(dist_sq <= radius ** 2))
+
+        hits = sum(map_chunks(count_hits, m_eps, n_threads, _LDP_CHUNK))
         p_hat = hits / m_eps
         ci_lo, ci_hi = wilson_interval(hits, m_eps)
         too_rare = hits == 0

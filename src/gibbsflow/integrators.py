@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .parallel import map_chunks
 from .spectral import (
     GridConfig,
     TorusField,
@@ -40,8 +41,8 @@ from .spectral import (
     from_half,
     grid_for,
     lp_integral,
-    lp_min_points,
     mean_square,
+    require_lp_points,
     synthesize,
     synthesize_real,
     to_physical,
@@ -237,26 +238,28 @@ class _KdvStepper:
         self.e_full = self.e_half ** 2
         self.deriv = eq.s * (1j * n) / (eq.p - 1)
         self.dt = dt
-        self._peak = None
 
-    def _nonlinear(self, h: np.ndarray) -> np.ndarray:
+    def _nonlinear(self, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(nonlinear term, per-row max u^2 on the grid)."""
         u = synthesize_real(h, self.grid.m_points)
-        self._peak = np.maximum(self._peak, np.max(u * u, axis=-1))
         w = u ** (self.eq.p - 1)
-        return self.deriv * analyze_real(w, self.k)
+        return self.deriv * analyze_real(w, self.k), np.max(u * u, axis=-1)
 
     def step(self, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        self._peak = np.zeros(h.shape[0])
+        """One step; returns (new half-spectrum, per-row max u^2 seen)."""
         dt, e1, e2 = self.dt, self.e_half, self.e_full
-        k1 = self._nonlinear(h)
-        k2 = np.conj(e1) * self._nonlinear(e1 * (h + 0.5 * dt * k1))
-        k3 = np.conj(e1) * self._nonlinear(e1 * (h + 0.5 * dt * k2))
-        k4 = np.conj(e2) * self._nonlinear(e2 * (h + dt * k3))
+        k1, p1 = self._nonlinear(h)
+        n2, p2 = self._nonlinear(e1 * (h + 0.5 * dt * k1))
+        k2 = np.conj(e1) * n2
+        n3, p3 = self._nonlinear(e1 * (h + 0.5 * dt * k2))
+        k3 = np.conj(e1) * n3
+        n4, p4 = self._nonlinear(e2 * (h + dt * k3))
+        k4 = np.conj(e2) * n4
         h_new = e2 * (h + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
         if self.eq.galerkin_projected:
             before = np.sum(np.abs(h[..., 1:]) ** 2, axis=-1)
             h_new[..., 1:] = _onto_mass_sphere(h_new[..., 1:], before)
-        return h_new, self._peak
+        return h_new, np.maximum(np.maximum(p1, p2), np.maximum(p3, p4))
 
 
 def evolve_ensemble(
@@ -266,13 +269,21 @@ def evolve_ensemble(
     cfg: SolverConfig,
     real_valued: bool = False,
     on_record=None,
+    n_threads: int = 1,
 ) -> EnsembleEvolution:
     """Evolve a batch of coefficient rows under the truncated flow.
 
     Rows that blow up (L-inf above 1e6 or non-finite) are frozen at their
     last valid state and flagged; this is a recorded outcome, not an
-    error.  ``on_record(t, full_coeffs, active)`` is called at the
-    recording cadence, including t=0 and the final time.
+    error.  The rows are integrated over the whole horizon in the fixed
+    chunks of ``parallel.chunk_ranges`` on up to ``n_threads`` threads and
+    merged in chunk order.  Rows never interact, so the result is
+    bit-identical for any thread count and to a single-batch run.
+
+    ``on_record(rows, t, full_coeffs, active)`` is called per chunk at the
+    recording cadence, including t=0 and the final time; ``rows`` is the
+    chunk's slice of the batch.  It may run on a worker thread and must
+    write only to those rows.
     """
     if eq.family == "gkdv" and not real_valued:
         raise ValueError("gkdv evolves real_valued fields only")
@@ -280,48 +291,51 @@ def evolve_ensemble(
     k_work = _working_truncation(n_max, eq, grid)
     n_steps, dt = _steps(cfg)
     _check_guard(eq, abs(dt), k_work)
-
-    batch = coeffs.shape[0]
-    full = np.zeros((batch, 2 * k_work + 1), dtype=np.complex128)
-    full[:, k_work - n_max: k_work + n_max + 1] = coeffs
-
     use_half = eq.family == "gkdv"
-    state = full[:, k_work:].copy() if use_half else full
     stepper = (_KdvStepper if use_half else _StrangStepper)(eq, grid, k_work, dt)
-
-    active = np.ones(batch, dtype=bool)
-    last_valid = np.full(batch, abs(cfg.t_final))
-    frozen = state.copy()
-
-    def emit(step_index: int):
-        if on_record is not None:
-            t = step_index * dt
-            cur = from_half(state) if use_half else state
-            on_record(t, cur, active.copy())
-
-    emit(0)
     record_every = cfg.record_every if cfg.record_every > 0 else n_steps
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        for step in range(1, n_steps + 1):
-            new_state, peak = stepper.step(state)
-            blown = active & (~np.isfinite(peak) | (peak > BLOWUP_LINF ** 2))
-            row_ok = np.all(np.isfinite(new_state), axis=-1)
-            blown |= active & ~row_ok
-            if np.any(blown):
-                last_valid[blown] = (step - 1) * abs(dt)
-                active &= ~blown
-            state = new_state
-            state[~active] = frozen[~active]
-            frozen = state
-            if step % record_every == 0 or step == n_steps:
-                emit(step)
 
-    final = from_half(state) if use_half else state
+    def evolve_chunk(_index: int, start: int, stop: int):
+        rows = slice(start, stop)
+        batch = stop - start
+        full = np.zeros((batch, 2 * k_work + 1), dtype=np.complex128)
+        full[:, k_work - n_max: k_work + n_max + 1] = coeffs[rows]
+        state = full[:, k_work:].copy() if use_half else full
+
+        active = np.ones(batch, dtype=bool)
+        last_valid = np.full(batch, abs(cfg.t_final))
+        frozen = state.copy()
+
+        def emit(step_index: int):
+            if on_record is not None:
+                cur = from_half(state) if use_half else state
+                on_record(rows, step_index * dt, cur, active.copy())
+
+        emit(0)
+        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+            for step in range(1, n_steps + 1):
+                new_state, peak = stepper.step(state)
+                blown = active & (~np.isfinite(peak) | (peak > BLOWUP_LINF ** 2))
+                row_ok = np.all(np.isfinite(new_state), axis=-1)
+                blown |= active & ~row_ok
+                if np.any(blown):
+                    last_valid[blown] = (step - 1) * abs(dt)
+                    active &= ~blown
+                state = new_state
+                state[~active] = frozen[~active]
+                frozen = state
+                if step % record_every == 0 or step == n_steps:
+                    emit(step)
+        return (from_half(state) if use_half else state), ~active, last_valid
+
+    # An empty batch has no chunks; it runs as one empty chunk.
+    parts = map_chunks(evolve_chunk, coeffs.shape[0], n_threads) or [evolve_chunk(0, 0, 0)]
+    final, blowup, last_valid = (np.concatenate(a) for a in zip(*parts))
     return EnsembleEvolution(
         coeffs=final,
         n_max=k_work,
         real_valued=real_valued,
-        blowup=~active,
+        blowup=blowup,
         last_valid_time=last_valid,
         dt_effective=dt,
     )
@@ -336,7 +350,7 @@ def evolve(f0: TorusField, eq: EquationSpec, cfg: SolverConfig) -> TrajectoryRec
 
     real = f0.real_valued and eq.family == "gkdv"
 
-    def on_record(t, full, active):
+    def on_record(_rows, t, full, active):
         times.append(t)
         k = (full.shape[-1] - 1) // 2
         row = full[0]
@@ -387,11 +401,7 @@ def hamiltonian(f: TorusField, eq: EquationSpec, grid: GridConfig | None = None)
     # gkdv: signed integral of u^p
     if not f.real_valued:
         raise ValueError("gkdv energy is defined for real_valued fields")
-    required = lp_min_points(f.n_max, eq.p)
-    if grid.m_points < required:
-        raise ValueError(
-            f"grid too small for u^{eq.p}: need m_points >= {required}"
-        )
+    require_lp_points(f.n_max, eq.p, grid)
     u = to_physical(f, grid).real
     signed = 2.0 * np.pi * float(np.mean(u ** eq.p))
     return kinetic + (s / (eq.p * (eq.p - 1))) * signed

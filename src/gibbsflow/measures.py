@@ -29,7 +29,14 @@ import numpy as np
 from .fields import GaussianFieldSpec, mode_std, sample_matrix
 from .parallel import map_chunks
 from .rng import RandomSeed, generator
-from .spectral import GridConfig, TorusField, grid_for, lp_min_points, synthesize, truncate
+from .spectral import (
+    GridConfig,
+    TorusField,
+    grid_for,
+    require_lp_points,
+    synthesize,
+    truncate,
+)
 
 __all__ = [
     "DichotomyVerdict",
@@ -253,12 +260,7 @@ def gibbs_log_weight_matrix(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Batched (log weight, cutoff indicator) for coefficient rows."""
     n_max = (coeffs.shape[-1] - 1) // 2
-    required = lp_min_points(n_max, spec.p)
-    if grid.m_points < required:
-        raise ValueError(
-            f"grid too small for |u|^{spec.p} at n_max={n_max}: "
-            f"need m_points >= {required}, got {grid.m_points}"
-        )
+    require_lp_points(n_max, spec.p, grid)
     u = synthesize(coeffs, n_max, grid.m_points)
     integral = 2.0 * np.pi * np.mean(np.abs(u) ** spec.p, axis=-1)
     sgn = -1.0 if spec.sign == "defocusing" else 1.0

@@ -2,8 +2,9 @@
 
 Work is split into fixed-size chunks whose boundaries depend only on the
 problem size, never on the worker count; results are merged in chunk
-order.  Chunk bodies draw from chunk-indexed random paths, so outputs are
-byte-identical for any number of threads.
+order.  Chunk bodies draw from chunk-indexed random paths or work on
+their own rows only, so outputs are byte-identical for any number of
+threads.
 """
 
 from __future__ import annotations

@@ -42,6 +42,7 @@ __all__ = [
     "pointwise_product",
     "grid_for",
     "lp_min_points",
+    "require_lp_points",
     "synthesize",
     "analyze",
     "synthesize_real",
@@ -178,6 +179,16 @@ def lp_min_points(n_max: int, p: float) -> int:
     return int(math.ceil(p)) * n_max + 1
 
 
+def require_lp_points(n_max: int, p: float, grid: GridConfig) -> None:
+    """Refuse a grid too coarse for an exact |u|^p quadrature at n_max."""
+    required = lp_min_points(n_max, p)
+    if grid.m_points < required:
+        raise ValueError(
+            f"grid too small for |u|^{p} at n_max={n_max}: "
+            f"need m_points >= {required}, got {grid.m_points}"
+        )
+
+
 def lp_integral(f: TorusField, p: float, grid: GridConfig) -> float:
     """Quadrature of int_T |u|^p dx on the collocation grid.
 
@@ -186,12 +197,7 @@ def lp_integral(f: TorusField, p: float, grid: GridConfig) -> float:
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    required = lp_min_points(f.n_max, p)
-    if grid.m_points < required:
-        raise ValueError(
-            f"grid too small for |u|^{p} at n_max={f.n_max}: "
-            f"need m_points >= {required}, got {grid.m_points}"
-        )
+    require_lp_points(f.n_max, p, grid)
     return float(2.0 * np.pi * np.mean(np.abs(to_physical(f, grid)) ** p))
 
 

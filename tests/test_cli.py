@@ -47,6 +47,28 @@ class TestHelp:
     def test_no_subcommand_exits_one(self):
         assert main([]) == 1
 
+    @pytest.mark.parametrize("sub", SUBCOMMANDS)
+    def test_threads_only_where_work_is_parallel(self, sub, capsys):
+        with pytest.raises(SystemExit):
+            main([sub, "--help"])
+        has_threads = "--threads" in capsys.readouterr().out
+        assert has_threads == (sub in ("invariance", "cm", "ldp"))
+
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_thread_count_below_one_exits_one(self, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["invariance", "--threads", value])
+        assert exc.value.code == 1
+        assert "thread count >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["cm", "--evolve", "4"],
+                                      ["invariance", "--thread", "2"]])
+    def test_option_prefix_exits_one(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
+
 
 class TestSampleCommand:
     def test_byte_identical_reruns(self, tmp_path):

@@ -269,6 +269,27 @@ class TestLdpMc:
         assert rep.points[-1].too_rare
         assert rep.points[-1].eps2_log == -math.inf
 
+    def test_chunked_hits_match_sequential_paths(self):
+        # 10000 samples per epsilon are chunks of 4096, 4096 and 1808; chunk
+        # i of epsilon e draws from path (lane 10 + e, sample i) on any
+        # number of threads, as the sequential loop below does.
+        from gibbsflow.fields import sample_matrix
+        from gibbsflow.rng import generator
+        base, v0, center = self.one_mode()
+        seed, eps_list = RandomSeed(15), (0.5, 0.35)
+        expected = []
+        for e_idx, eps in enumerate(eps_list):
+            hits = 0
+            for c_idx, size in enumerate((4096, 4096, 1808)):
+                phi = sample_matrix(base, size, generator(seed, lane=10 + e_idx,
+                                                          sample=c_idx))
+                hits += int(np.sum(np.abs(eps * phi[:, 0] - 1.0) ** 2 <= 0.3 ** 2))
+            expected.append(hits)
+        for n_threads in (1, 2):
+            rep = ldp_mc(v0, base, center, 0.3, 0.0, eps_list, 10000, seed,
+                         n_threads=n_threads)
+            assert [pt.hits for pt in rep.points] == expected
+
     def test_epsilons_must_decrease(self):
         base, v0, center = self.one_mode()
         with pytest.raises(ValueError, match="decreasing"):

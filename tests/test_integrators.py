@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from gibbsflow.fields import GaussianFieldSpec, sample
+from gibbsflow.fields import GaussianFieldSpec, sample, sample_ensemble
 from gibbsflow.integrators import (
     EquationSpec,
     SolverConfig,
@@ -290,3 +290,63 @@ class TestGridIndependence:
                                 real_valued=True).coeffs
                 for g in (grid_for(32, 3), GridConfig(128)))
         assert_allclose(a, b, rtol=0, atol=1e-13 * np.max(np.abs(b)))
+
+
+class TestChunkedEngine:
+    """600 rows run as the fixed 256-row chunks [0, 256), [256, 512) and
+    [512, 600); row 550, in the third chunk, blows up."""
+
+    BLOWN = 550
+
+    def _gkdv(self):
+        spec = GaussianFieldSpec("fwb", 16, alpha=1.0, real_valued=True)
+        rows = 0.3 * sample_ensemble(spec, 600, RandomSeed(11))
+        rows[self.BLOWN] = field_from_modes(16, {1: 2.0, -1: 2.0, 2: 1.4, -2: 1.4},
+                                            real_valued=True).coeffs
+        eq = EquationSpec("gkdv", p=5, sign="minus", galerkin_projected=True)
+        return rows, 16, eq, SolverConfig(dt=1e-3, t_final=0.05), True
+
+    def _wick(self):
+        rows = sample_ensemble(GaussianFieldSpec("fwb", 8, alpha=1.0), 600, RandomSeed(12))
+        rows[self.BLOWN, 9] = 1e7  # |u|^2 above the 1e12 blowup threshold
+        eq = EquationSpec("wick_nls", p=4, sign="plus", galerkin_projected=True)
+        return rows, 8, eq, SolverConfig(dt=1e-3, t_final=0.05), False
+
+    @pytest.mark.parametrize("case", ["_gkdv", "_wick"])
+    def test_threads_and_chunk_slices_agree(self, case):
+        rows, n_max, eq, cfg, real = getattr(self, case)()
+        one, two = (evolve_ensemble(rows, n_max, eq, cfg, real_valued=real, n_threads=n)
+                    for n in (1, 2))
+        parts = [evolve_ensemble(rows[a:b], n_max, eq, cfg, real_valued=real)
+                 for a, b in ((0, 256), (256, 512), (512, 600))]
+        reference = [np.concatenate([getattr(p, name) for p in parts])
+                     for name in ("coeffs", "blowup", "last_valid_time")]
+        for res in (one, two):
+            for name, ref in zip(("coeffs", "blowup", "last_valid_time"), reference):
+                assert np.array_equal(getattr(res, name), ref), name
+        assert np.flatnonzero(one.blowup).tolist() == [self.BLOWN]
+        assert 0.0 <= one.last_valid_time[self.BLOWN] < cfg.t_final
+
+    def test_on_record_sees_its_chunk(self):
+        rows, n_max, eq, cfg, real = self._wick()
+        seen = []
+
+        def on_record(chunk_rows, t, full, active):
+            if t == 0.0:
+                seen.append((chunk_rows.start, chunk_rows.stop,
+                             full.shape[0], active.size))
+
+        evolve_ensemble(rows, n_max, eq, cfg, on_record=on_record, n_threads=2)
+        assert sorted(seen) == [(0, 256, 256, 256), (256, 512, 256, 256),
+                                (512, 600, 88, 88)]
+
+    def test_cameron_martin_evolution_thread_invariant(self):
+        from gibbsflow.experiments import cameron_martin_experiment
+        from gibbsflow.presets import cm_preset
+        p = cm_preset("theorem-1", n_max=8)
+        reps = [cameron_martin_experiment(
+            p["v0"], p["base"], p["eq"], t_final=0.05, m_samples=400,
+            seed=RandomSeed(8), dt=p["dt"], evolve_samples=300, n_threads=n)
+            for n in (1, 2)]
+        assert reps[0].max_mass_ratio == reps[1].max_mass_ratio
+        assert reps[0].global_proxy_fraction == reps[1].global_proxy_fraction == 1.0
