@@ -71,18 +71,18 @@ def _thread_count(text: str) -> int:
     return value
 
 
-def _emit(args_dict: dict, payload: dict, out: str | None,
-          csv_columns=None, csv_rows=None) -> None:
-    payload = {"schema_version": SCHEMA_VERSION, **payload}
-    text = canonical_dumps(payload)
-    if out is None:
+def _emit(a: dict, payload: dict, csv_columns=None, csv_rows=None) -> None:
+    """Write the report to --out (plus its config sidecar) or stdout, and
+    the CSV table to --csv when the subcommand offers one."""
+    text = canonical_dumps({"schema_version": SCHEMA_VERSION, **payload})
+    if a["out"] is None:
         sys.stdout.write(text)
-        return
-    Path(out).write_text(text)
-    config = {"schema_version": SCHEMA_VERSION, "resolved_args": args_dict}
-    Path(str(out) + ".config.json").write_text(canonical_dumps(config))
-    if csv_rows is not None and args_dict.get("csv"):
-        write_csv(args_dict["csv"], csv_columns, csv_rows)
+    else:
+        Path(a["out"]).write_text(text)
+        config = {"schema_version": SCHEMA_VERSION, "resolved_args": a}
+        Path(a["out"] + ".config.json").write_text(canonical_dumps(config))
+    if csv_rows is not None and a["csv"]:
+        write_csv(a["csv"], csv_columns, csv_rows)
 
 
 def _seed(a: dict) -> RandomSeed:
@@ -102,7 +102,7 @@ def _field_spec_from_args(a: dict) -> GaussianFieldSpec:
 
 def _run_sample(a: dict) -> int:
     f = sample(_field_spec_from_args(a), _seed(a))
-    _emit(a, {"kind": "sample", "field": field_to_json(f)}, a["out"])
+    _emit(a, {"kind": "sample", "field": field_to_json(f)})
     return EXIT_OK
 
 
@@ -128,7 +128,7 @@ def _run_evolve(a: dict) -> int:
         "last_valid_time": traj.last_valid_time,
         "dt_effective": traj.dt_effective,
     }
-    _emit(a, payload, a["out"])
+    _emit(a, payload)
     return EXIT_FLAGGED if traj.blowup else EXIT_OK
 
 
@@ -145,7 +145,7 @@ def _run_invariance(a: dict) -> int:
         n_threads=a["threads"],
     )
     _emit(a, {"kind": "invariance", "preset": a["preset"], "report": to_jsonable(report)},
-          a["out"], INVARIANCE_CSV_COLUMNS, invariance_csv_rows(report))
+          INVARIANCE_CSV_COLUMNS, invariance_csv_rows(report))
     expected_rejection = a["preset"] == "negative-control"
     failed = report.any_rejection != expected_rejection or \
         (report.flagged and not expected_rejection)
@@ -166,7 +166,7 @@ def _run_cm(a: dict) -> int:
         n_threads=a["threads"],
     )
     _emit(a, {"kind": "cameron_martin", "preset": a["preset"],
-              "report": to_jsonable(report)}, a["out"])
+              "report": to_jsonable(report)})
     ok = report.identities_pass and report.blowup_count == 0
     return EXIT_OK if ok else EXIT_FLAGGED
 
@@ -176,8 +176,7 @@ def _run_dichotomy(a: dict) -> int:
         verdict = ms.kakutani_power_law(a["u_decay"], a["v_decay"], a["nmax"])
     else:
         verdict = ms.feldman_hajek_statistic(a["beta"], a["gamma"], a["s"], a["nmax"])
-    _emit(a, {"kind": "dichotomy", "mode": a["mode"], "report": to_jsonable(verdict)},
-          a["out"])
+    _emit(a, {"kind": "dichotomy", "mode": a["mode"], "report": to_jsonable(verdict)})
     return EXIT_OK
 
 
@@ -196,7 +195,7 @@ def _run_ldp(a: dict) -> int:
         m_counts = m_counts[0]
     report = ex.ldp_mc(v0, base, center_field, a["radius"], a["s"],
                        epsilons, m_counts, _seed(a), n_threads=a["threads"])
-    _emit(a, {"kind": "ldp", "report": to_jsonable(report)}, a["out"],
+    _emit(a, {"kind": "ldp", "report": to_jsonable(report)},
           LDP_CSV_COLUMNS, ldp_csv_rows(report))
     return EXIT_OK if report.trend_ok else EXIT_FLAGGED
 
@@ -211,7 +210,7 @@ def _run_entropy_check(a: dict) -> int:
         n_directions=a["directions"], seed=_seed(a),
     )
     _emit(a, {"kind": "entropy_check", "hamiltonian": a["hamiltonian"],
-              "report": to_jsonable(report)}, a["out"])
+              "report": to_jsonable(report)})
     ok = report.all_nonincreasing and report.strict_decrease
     return EXIT_OK if ok else EXIT_FLAGGED
 
@@ -250,11 +249,16 @@ def _build_parser() -> _Parser:
         return sub.add_parser(name, help=summary, allow_abbrev=False,
                               formatter_class=argparse.ArgumentDefaultsHelpFormatter)
 
-    def common(p, threads=False):
-        p.add_argument("--seed", type=int, default=0, help="base seed")
-        p.add_argument("--stream", type=int, default=0, help="stream index")
+    # Each subcommand offers only the options its handler reads: --seed
+    # and --stream where it draws random numbers, --csv where it has a
+    # table, --threads where it has parallel work.
+    def common(p, seed=True, csv=False, threads=False):
+        if seed:
+            p.add_argument("--seed", type=int, default=0, help="base seed")
+            p.add_argument("--stream", type=int, default=0, help="stream index")
         p.add_argument("--out", default=None, help="output JSON path (stdout if unset)")
-        p.add_argument("--csv", default=None, help="optional CSV output path")
+        if csv:
+            p.add_argument("--csv", default=None, help="optional CSV output path")
         if threads:
             p.add_argument("--threads", type=_thread_count, default=default_threads(),
                            help="worker threads (results identical for any count)")
@@ -280,7 +284,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--t", type=_finite_float, required=True, help="final time")
     p.add_argument("--record-every", dest="record_every", type=int, default=0)
     p.add_argument("--init", required=True, help="initial field JSON file")
-    common(p)
+    common(p, seed=False)
 
     p = subcommand("invariance", "two-ensemble invariance test")
     p.add_argument("--preset", choices=sorted(presets.INVARIANCE_PRESETS),
@@ -290,7 +294,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--t", type=_finite_float, default=None, help="override horizon")
     p.add_argument("--dt", type=_finite_float, default=None, help="override time step")
     p.add_argument("--alpha", type=_finite_float, default=0.01, help="rejection level")
-    common(p, threads=True)
+    common(p, csv=True, threads=True)
 
     p = subcommand("cm", "shift-identity and shifted-data experiment")
     p.add_argument("--preset", choices=sorted(presets.CM_PRESETS),
@@ -310,7 +314,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--gamma", type=_finite_float, default=2.0)
     p.add_argument("--s", type=_finite_float, default=0.0)
     p.add_argument("--nmax", type=int, default=100000)
-    common(p)
+    common(p, seed=False)
 
     p = subcommand("ldp", "small-noise hit-probability study")
     p.add_argument("--family", choices=["fwa", "fwb", "white"], default="fwb")
@@ -325,7 +329,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--epsilons", default="0.5,0.35,0.25")
     p.add_argument("--samples", default="200000",
                    help="per-epsilon sample count (single value or comma list)")
-    common(p, threads=True)
+    common(p, csv=True, threads=True)
 
     p = subcommand("entropy-check", "entropy maximization on a grid")
     p.add_argument("--hamiltonian", choices=["gaussian", "quartic"],
@@ -369,9 +373,10 @@ def _replay(parser: _Parser, path: str, out: str | None) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        # Building the parser reads GIBBSFLOW_THREADS, which may be bad.
+        parser = _build_parser()
+        args = parser.parse_args(argv)
         if args.config is not None:
             resolved = _replay(parser, args.config, args.top_out)
         elif args.subcommand is None:

@@ -30,6 +30,7 @@ from .rng import RandomSeed, generator
 from .spectral import GridConfig, TorusField, grid_for, truncate
 from .stats import (
     holm_adjust,
+    ks_exact_tail,
     ks_two_sample,
     spearman_rho,
     standard_error,
@@ -64,6 +65,7 @@ SCOPE_LABEL = "finite_truncation"
 _LANE_A = 0
 _LANE_B = 1
 _LANE_COMPARE = 2  # one bootstrap stream, shared by the whole panel
+_LANE_CALIBRATION = 3  # randomization of calibration_uniformity's p-values
 _LANE_LDP0 = 10
 _LANE_DEMO0 = 40
 
@@ -295,25 +297,42 @@ class CalibrationReport:
 
 
 def calibration_uniformity(
-    measure,
+    measure: GaussianFieldSpec,
     m_samples: int,
     repetitions: int,
     seed: RandomSeed,
     alpha: float = 0.01,
-    n_threads: int = 1,
 ) -> CalibrationReport:
     """Null calibration: pooled T=0 KS p-values must look uniform.
 
-    Each repetition draws two independent ensembles from a fresh stream
-    (consecutive stream indices) and pools the panel p-values; a one-sample
-    KS test against Uniform(0,1) at the given level validates the harness.
+    Each repetition draws two independent ensembles of m_samples rows from
+    a fresh stream (consecutive stream indices) and pools one p-value per
+    panel observable; a one-sample KS test against Uniform(0,1) at the
+    given level validates the harness.
+
+    The equal-size two-sample distance D lives on the lattice h/m, so its
+    exact p-value P(D >= h/m) is discrete and a correct harness would fail
+    a continuous uniformity test.  Each pooled value is therefore the
+    randomized exact p-value
+
+        P(D >= (h+1)/m) + U * (P(D >= h/m) - P(D >= (h+1)/m)),
+
+    which is exactly Uniform(0,1) under the null.  The U draws come from a
+    fixed lane of the repetition's stream.  Gibbs measures are refused:
+    their weighted comparison's bootstrap p-values are not on this lattice.
     """
-    pooled = []
+    if isinstance(measure, GibbsSpec):
+        raise ValueError("calibration_uniformity needs a Gaussian measure;"
+                         " bootstrap p-values of Gibbs ensembles are not"
+                         " lattice-valued")
+    hs, us = [], []
     for r in range(repetitions):
-        rep = invariance_experiment(
-            measure, None, 0.0, m_samples, seed.bumped(r), n_threads=n_threads
-        )
-        pooled.extend(o.p_value for o in rep.observables)
+        rep_seed = seed.bumped(r)
+        rep = invariance_experiment(measure, None, 0.0, m_samples, rep_seed)
+        hs.extend(round(o.statistic * m_samples) for o in rep.observables)
+        us.extend(generator(rep_seed, lane=_LANE_CALIBRATION).random(len(rep.observables)))
+    tail = {h: ks_exact_tail(h, m_samples) for h in set(hs) | {h + 1 for h in hs}}
+    pooled = [tail[h + 1] + u * (tail[h] - tail[h + 1]) for h, u in zip(hs, us)]
     stat, p = uniformity_ks(pooled)
     return CalibrationReport(
         repetitions=repetitions,

@@ -31,7 +31,6 @@ from .spectral import TorusField, truncate
 __all__ = [
     "GaussianFieldSpec",
     "mode_std",
-    "per_mode_std",
     "expected_sobolev_sq",
     "sample",
     "sample_matrix",
@@ -102,23 +101,18 @@ def mode_std(spec: GaussianFieldSpec) -> np.ndarray:
     return sig
 
 
-def per_mode_std(spec: GaussianFieldSpec, n: int) -> float:
-    """sigma_n for a single mode; raises if the mode is excluded."""
-    if abs(n) > spec.n_max:
-        raise ValueError(f"mode {n} outside truncation {spec.n_max}")
-    if n == 0 and spec.mean_zero:
-        raise ValueError(f"mode 0 is excluded for this spec (family {spec.family!r})")
-    return float(mode_std(spec)[n + spec.n_max])
-
-
 def expected_sobolev_sq(spec: GaussianFieldSpec, s: float) -> float:
     """Closed form E||phi||_{H^s}^2 = sum <n>^{2s} sigma_n^2 (all families)."""
     n = np.arange(-spec.n_max, spec.n_max + 1, dtype=np.float64)
     return float(np.sum((1.0 + n * n) ** s * mode_std(spec) ** 2))
 
 
-def _draw_matrix(spec: GaussianFieldSpec, m: int, rng: np.random.Generator) -> np.ndarray:
-    """m independent coefficient rows from a single generator."""
+def sample_matrix(spec: GaussianFieldSpec, m: int, rng: np.random.Generator) -> np.ndarray:
+    """m independent coefficient rows from one explicit generator.
+
+    The package's one Gaussian sampling kernel: every other sampler calls
+    it, and chunked callers pass their chunk's generator directly.
+    """
     n_max = spec.n_max
     sig = mode_std(spec)
     out = np.zeros((m, 2 * n_max + 1), dtype=np.complex128)
@@ -139,13 +133,8 @@ def _draw_matrix(spec: GaussianFieldSpec, m: int, rng: np.random.Generator) -> n
 
 def sample(spec: GaussianFieldSpec, seed: RandomSeed) -> TorusField:
     """One draw from the random series; pure function of (spec, seed)."""
-    row = _draw_matrix(spec, 1, generator(seed))[0]
+    row = sample_matrix(spec, 1, generator(seed))[0]
     return TorusField(spec.n_max, row, spec.real_valued)
-
-
-def sample_matrix(spec: GaussianFieldSpec, m: int, rng: np.random.Generator) -> np.ndarray:
-    """m coefficient rows from one explicit generator (chunked callers)."""
-    return _draw_matrix(spec, m, rng)
 
 
 def sample_ensemble(
@@ -158,7 +147,7 @@ def sample_ensemble(
     """
     out = np.empty((m, 2 * spec.n_max + 1), dtype=np.complex128)
     for i in range(m):
-        out[i] = _draw_matrix(spec, 1, generator(seed, lane=lane_index, sample=i))[0]
+        out[i] = sample_matrix(spec, 1, generator(seed, lane=lane_index, sample=i))[0]
     return out
 
 

@@ -47,7 +47,6 @@ __all__ = [
     "hellinger_mode",
     "kakutani_test",
     "kakutani_power_law",
-    "gibbs_log_weight",
     "gibbs_log_weight_matrix",
     "GibbsEnsemble",
     "gibbs_ensemble",
@@ -194,24 +193,21 @@ def kakutani_test(u_hat, v_hat, modes=None) -> DichotomyVerdict:
 
 
 def kakutani_power_law(
-    u_decay: float, v_decay: float, n_max: int = 100_000, dim: int = 1
+    u_decay: float, v_decay: float, n_max: int = 100_000
 ) -> DichotomyVerdict:
     """Closed-form verdict for |u_n| = |n|^-u_decay, |v_n| = |n|^-v_decay.
 
-    The statistic behaves like sum n^(2(u_decay - v_decay) + dim - 1), so
-    the measures are equivalent iff 2 (v_decay - u_decay) > dim.  Partial
-    sums up to n_max are reported for diagnostics.
+    On the circle the statistic is sum_{n != 0} n^(2(u_decay - v_decay)),
+    so the measures are equivalent iff 2 (v_decay - u_decay) > 1.  Partial
+    sums up to n_max (both signs of each |n|) are reported for diagnostics.
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     n = np.arange(1, n_max + 1, dtype=np.float64)
-    shell = 2.0 * n ** (dim - 1) if dim == 1 else None
-    if shell is None:
-        raise ValueError("only dim=1 partial sums are tabulated here")
-    cum = np.cumsum(shell * n ** (2.0 * (u_decay - v_decay)))
+    cum = np.cumsum(2.0 * n ** (2.0 * (u_decay - v_decay)))
     ns = _doubling_checkpoints(n_max)
     partial = tuple(float(cum[i - 1]) for i in ns)
-    equivalent = 2.0 * (v_decay - u_decay) > dim
+    equivalent = 2.0 * (v_decay - u_decay) > 1
     if equivalent:
         return DichotomyVerdict("equivalent", float(cum[-1]), ns, partial)
     return DichotomyVerdict("singular", math.inf, ns, partial,
@@ -258,7 +254,12 @@ class GibbsSpec:
 def gibbs_log_weight_matrix(
     coeffs: np.ndarray, spec: GibbsSpec, grid: GridConfig
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Batched (log weight, cutoff indicator) for coefficient rows."""
+    """Batched log density factor -/+ (beta/p) int |u|^p and cutoff
+    indicator for coefficient rows.
+
+    Defocusing weights are always <= 0 (density bounded by 1), which is
+    what licenses the rejection-sampling cross-check.
+    """
     n_max = (coeffs.shape[-1] - 1) // 2
     require_lp_points(n_max, spec.p, grid)
     u = synthesize(coeffs, n_max, grid.m_points)
@@ -271,19 +272,6 @@ def gibbs_log_weight_matrix(
     else:
         within = np.ones(coeffs.shape[0], dtype=bool)
     return log_w, within
-
-
-def gibbs_log_weight(
-    f: TorusField, spec: GibbsSpec, grid: GridConfig | None = None
-) -> tuple[float, bool]:
-    """Log density factor -/+ (beta/p) int |u|^p plus the cutoff indicator.
-
-    Defocusing weights are always <= 0 (density bounded by 1), which is
-    what licenses the rejection-sampling cross-check.
-    """
-    grid = grid or grid_for(spec.base.n_max, spec.p)
-    log_w, within = gibbs_log_weight_matrix(f.coeffs[np.newaxis, :], spec, grid)
-    return float(log_w[0]), bool(within[0])
 
 
 def normalized_weights(log_w: np.ndarray) -> tuple[np.ndarray, float]:
@@ -314,14 +302,6 @@ class GibbsEnsemble:
     @property
     def m_samples(self) -> int:
         return self.coeffs.shape[0]
-
-    def resample_unweighted(self, m_out: int, rng: np.random.Generator
-                            ) -> np.ndarray:
-        """Multinomial reduction to an unweighted ensemble of coefficient
-        rows.  Rows repeat with probability ~1/ESS; tests that assume iid
-        samples should compare weighted ensembles directly instead."""
-        from .stats import multinomial_resample
-        return self.coeffs[multinomial_resample(self.weights, m_out, rng)]
 
 
 ESS_FLOOR_FRACTION = 0.01

@@ -18,11 +18,18 @@ CHUNK = 256
 
 
 def default_threads() -> int:
+    """Thread count from GIBBSFLOW_THREADS (1 when unset).
+
+    A set value must be an integer >= 1; anything else raises ValueError.
+    """
     value = os.environ.get("GIBBSFLOW_THREADS", "1")
     try:
-        return max(1, int(value))
+        count = int(value)
     except ValueError:
-        return 1
+        count = 0
+    if count < 1:
+        raise ValueError(f"GIBBSFLOW_THREADS must be an integer >= 1, got {value!r}")
+    return count
 
 
 def chunk_ranges(n: int, chunk: int = CHUNK):

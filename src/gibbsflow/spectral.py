@@ -30,10 +30,8 @@ __all__ = [
     "GridConfig",
     "zero_field",
     "field_from_modes",
-    "mode",
     "sobolev_norm",
     "lp_integral",
-    "mean_value",
     "mean_square",
     "derivative",
     "truncate",
@@ -97,9 +95,6 @@ class TorusField:
         """Mode indices n = -N, ..., N aligned with ``coeffs``."""
         return np.arange(-self.n_max, self.n_max + 1)
 
-    def with_coeffs(self, coeffs: np.ndarray) -> "TorusField":
-        return TorusField(self.n_max, coeffs, self.real_valued)
-
 
 @dataclass(frozen=True)
 class GridConfig:
@@ -138,13 +133,6 @@ def field_from_modes(n_max: int, entries: dict, real_valued: bool = False) -> To
     return TorusField(n_max, c, real_valued)
 
 
-def mode(f: TorusField, n: int) -> complex:
-    """Coefficient c_n; zero for |n| > N."""
-    if abs(n) > f.n_max:
-        return 0.0 + 0.0j
-    return complex(f.coeffs[n + f.n_max])
-
-
 def sobolev_norm(f: TorusField, s: float, homogeneous: bool = False) -> float:
     """Weighted-l2 Sobolev norm of the coefficient vector.
 
@@ -157,11 +145,6 @@ def sobolev_norm(f: TorusField, s: float, homogeneous: bool = False) -> float:
         nz = n != 0
         return float(np.sqrt(np.sum(np.abs(n[nz]) ** (2 * s) * mags[nz])))
     return float(np.sqrt(np.sum((1.0 + n * n) ** s * mags)))
-
-
-def mean_value(f: TorusField) -> complex:
-    """Normalized mean (1/2pi) int u dx, i.e. the coefficient c_0."""
-    return complex(f.coeffs[f.n_max])
 
 
 def mean_square(f: TorusField) -> float:

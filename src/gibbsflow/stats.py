@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy import stats as sps
 
 __all__ = [
     "ks_two_sample",
+    "ks_exact_tail",
     "holm_adjust",
-    "multinomial_resample",
     "wilson_interval",
     "spearman_rho",
     "standard_error",
@@ -23,6 +25,26 @@ def ks_two_sample(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     return float(res.statistic), float(res.pvalue)
 
 
+def ks_exact_tail(h: int, m: int) -> float:
+    """Exact null tail P(D >= h/m) of the two-sample KS distance D between
+    two samples of m continuous values each.
+
+    D lives on the lattice j/m; the reflection principle for the pooled
+    ranks' lattice path gives
+
+        P(D >= h/m) = 2 sum_{k>=1} (-1)^(k-1) C(2m, m - k h) / C(2m, m),
+
+    summed here in exact integers, so only the final division rounds.
+    """
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if h <= 0:
+        return 1.0
+    num = sum((-1) ** (k - 1) * math.comb(2 * m, m - k * h)
+              for k in range(1, m // h + 1))
+    return 2 * num / math.comb(2 * m, m)
+
+
 def holm_adjust(p_values) -> np.ndarray:
     """Holm step-down adjusted p-values (reject when adjusted < alpha)."""
     p = np.asarray(p_values, dtype=np.float64)
@@ -34,16 +56,6 @@ def holm_adjust(p_values) -> np.ndarray:
         running = max(running, (m - rank) * p[idx])
         adjusted[idx] = min(1.0, running)
     return adjusted
-
-
-def multinomial_resample(weights: np.ndarray, m_out: int,
-                         rng: np.random.Generator) -> np.ndarray:
-    """Indices of a multinomial draw from normalized weights."""
-    w = np.asarray(weights, dtype=np.float64)
-    if abs(w.sum() - 1.0) > 1e-9:
-        raise ValueError("weights must be normalized")
-    counts = rng.multinomial(m_out, w)
-    return np.repeat(np.arange(w.size), counts)
 
 
 def wilson_interval(hits: int, n: int, z: float = 1.959963984540054

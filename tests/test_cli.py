@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gibbsflow.cli import main
+from gibbsflow.parallel import default_threads
 from gibbsflow.serialize import SCHEMA_VERSION
 from gibbsflow.spectral import field_from_modes, field_to_json
 
@@ -29,7 +30,7 @@ class TestHelp:
             main([sub, "--help"])
         assert exc.value.code == 0
         out = capsys.readouterr().out
-        assert "--seed" in out and "--out" in out
+        assert "--out" in out
         assert "default" in out  # ArgumentDefaultsHelpFormatter shows them
 
     def test_usage_error_exits_one(self, capsys):
@@ -53,6 +54,30 @@ class TestHelp:
             main([sub, "--help"])
         has_threads = "--threads" in capsys.readouterr().out
         assert has_threads == (sub in ("invariance", "cm", "ldp"))
+
+    @pytest.mark.parametrize("sub", SUBCOMMANDS)
+    def test_seed_only_where_random_numbers_are_drawn(self, sub, capsys):
+        with pytest.raises(SystemExit):
+            main([sub, "--help"])
+        out = capsys.readouterr().out
+        draws = sub in ("sample", "invariance", "cm", "ldp", "entropy-check")
+        assert ("--seed" in out) == draws
+        assert ("--stream" in out) == draws
+
+    @pytest.mark.parametrize("sub", SUBCOMMANDS)
+    def test_csv_only_where_a_table_is_written(self, sub, capsys):
+        with pytest.raises(SystemExit):
+            main([sub, "--help"])
+        has_csv = "--csv" in capsys.readouterr().out
+        assert has_csv == (sub in ("invariance", "ldp"))
+
+    @pytest.mark.parametrize("value", ["0", "-3", "abc"])
+    def test_bad_thread_variable_exits_one(self, value, monkeypatch, capsys):
+        monkeypatch.setenv("GIBBSFLOW_THREADS", value)
+        with pytest.raises(ValueError, match="GIBBSFLOW_THREADS"):
+            default_threads()
+        assert main(["dichotomy", "--mode", "kakutani", "--nmax", "10"]) == 1
+        assert "GIBBSFLOW_THREADS" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["0", "-2"])
     def test_thread_count_below_one_exits_one(self, value, capsys):
@@ -128,6 +153,27 @@ class TestSampleCommand:
     def test_config_missing_key_exits_one(self, tmp_path, capsys):
         err = self._replay_edited(tmp_path, capsys, lambda args: args.pop("seed"))
         assert "missing values: seed" in err
+
+    @pytest.mark.parametrize("argv, key", [
+        (["sample", "--nmax", "4"], "csv"),
+        (["dichotomy", "--mode", "kakutani", "--nmax", "10"], "seed"),
+        (["dichotomy", "--mode", "kakutani", "--nmax", "10"], "stream"),
+    ])
+    def test_config_removed_option_exits_one(self, tmp_path, capsys, argv, key):
+        # Sidecars written before --csv, --seed and --stream were limited
+        # to the subcommands that read them still hold those keys.
+        out = tmp_path / "out.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        sidecar = tmp_path / "out.json.config.json"
+        config = json.loads(sidecar.read_text())
+        assert key not in config["resolved_args"]
+        config["resolved_args"][key] = None if key == "csv" else 0
+        sidecar.write_text(json.dumps(config))
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(sidecar), "--out", str(tmp_path / "rerun.json")])
+        assert exc.value.code == 1
+        assert key in capsys.readouterr().err
 
     def test_stdout_mode(self, capsys):
         assert main(["sample", "--family", "white", "--nmax", "2",
@@ -237,6 +283,21 @@ class TestExperimentCommands:
         assert payload["report"]["oracle"] == pytest.approx(-0.245)
         header = (tmp_path / "ldp.csv").read_text().splitlines()[0]
         assert header == "epsilon,p_hat,ci_lo,ci_hi,eps2_log,oracle"
+
+    @pytest.mark.parametrize("argv, header", [
+        (["invariance", "--preset", "kdv-white-noise", "--nmax", "4",
+          "--samples", "100", "--t", "0.01", "--dt", "1e-3"],
+         "observable,statistic,p_value"),
+        (["ldp", "--family", "fwb", "--real", "--nmax", "0",
+          "--samples", "20000"],
+         "epsilon,p_hat,ci_lo,ci_hi,eps2_log,oracle"),
+    ])
+    def test_csv_without_out(self, tmp_path, capsys, argv, header):
+        csv = tmp_path / "table.csv"
+        main(argv + ["--csv", str(csv)])
+        assert json.loads(capsys.readouterr().out)["schema_version"] == SCHEMA_VERSION
+        assert csv.read_text().splitlines()[0] == header
+        assert list(tmp_path.iterdir()) == [csv]
 
     def test_entropy_check_run(self, tmp_path):
         out = tmp_path / "ent.json"

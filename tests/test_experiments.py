@@ -107,6 +107,29 @@ class TestInvarianceExperiment:
                 spec, None, 0.0, 300, RandomSeed(21)).observables]
         )
 
+    @pytest.mark.parametrize("broken", ["b_variance_1.1", "b_equals_a"])
+    def test_calibration_fails_a_broken_harness(self, broken, monkeypatch):
+        # The randomized p-values must not buy calibration with power:
+        # ensembles that differ, or that coincide, both fail the check.
+        import gibbsflow.experiments as ex
+
+        def sample_broken(spec, m, seed, lane_index=0):
+            if broken == "b_equals_a":
+                return sample_ensemble(spec, m, seed, 0)
+            rows = sample_ensemble(spec, m, seed, lane_index)
+            return rows * math.sqrt(1.1) if lane_index == 1 else rows
+
+        monkeypatch.setattr(ex, "sample_ensemble", sample_broken)
+        spec = GaussianFieldSpec("white", 8, real_valued=True)
+        rep = calibration_uniformity(spec, 300, 40, RandomSeed(21))
+        assert not rep.passed
+
+    def test_calibration_refuses_gibbs(self):
+        gibbs = GibbsSpec(p=4, sign="defocusing", beta=1.0,
+                          base=GaussianFieldSpec("fwb", 4, alpha=1.0))
+        with pytest.raises(ValueError, match="Gaussian measure"):
+            calibration_uniformity(gibbs, 300, 2, RandomSeed(0))
+
 
 class TestCameronMartinExperiment:
     def test_zero_shift_gives_unit_weights(self):

@@ -9,7 +9,6 @@ from gibbsflow.fields import (
     GrowthReport,
     expected_sobolev_sq,
     mode_std,
-    per_mode_std,
     sample,
     sample_ensemble,
     sample_matrix,
@@ -41,14 +40,12 @@ class TestSpecInvariants:
 
     def test_fwb_mode_zero(self):
         # sigma_0 = <0>^-1 = 1 for every alpha
-        assert per_mode_std(GaussianFieldSpec("fwb", 4, alpha=1.0), 0) == 1.0
-        assert per_mode_std(GaussianFieldSpec("fwb", 4, alpha=0.45), 0) == 1.0
+        assert mode_std(GaussianFieldSpec("fwb", 4, alpha=1.0))[4] == 1.0
+        assert mode_std(GaussianFieldSpec("fwb", 4, alpha=0.45))[4] == 1.0
 
-    def test_excluded_mode_raises(self):
-        with pytest.raises(ValueError, match="mode 0 is excluded"):
-            per_mode_std(GaussianFieldSpec("fwa", 4, alpha=1.0), 0)
-        with pytest.raises(ValueError, match="mode 0 is excluded"):
-            per_mode_std(GaussianFieldSpec("white", 4), 0)
+    def test_excluded_mode_is_zero(self):
+        assert mode_std(GaussianFieldSpec("fwa", 4, alpha=1.0))[4] == 0.0
+        assert mode_std(GaussianFieldSpec("white", 4))[4] == 0.0
 
     def test_general_requires_coeffs(self):
         with pytest.raises(ValueError, match="base_coeffs"):

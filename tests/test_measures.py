@@ -19,7 +19,7 @@ from gibbsflow.measures import (
     entropy_check_finite_dim,
     feldman_hajek_statistic,
     gibbs_ensemble,
-    gibbs_log_weight,
+    gibbs_log_weight_matrix,
     grid_entropy,
     hellinger_mode,
     kakutani_power_law,
@@ -174,16 +174,22 @@ class TestGibbsLogWeight:
         base = GaussianFieldSpec("fwb", n_max, alpha=1.0)
         return GibbsSpec(p=4, sign=sign, beta=1.0, base=base, cutoff_B=cutoff)
 
+    def log_weight(self, f, spec):
+        """(log weight, cutoff indicator) of one field, as a one-row batch."""
+        grid = grid_for(spec.base.n_max, spec.p)
+        lw, within = gibbs_log_weight_matrix(f.coeffs[np.newaxis, :], spec, grid)
+        return float(lw[0]), bool(within[0])
+
     def test_zero_field(self):
         spec = self.base_spec(cutoff=2.0)
-        lw, within = gibbs_log_weight(zero_field(4), spec)
+        lw, within = self.log_weight(zero_field(4), spec)
         assert lw == 0.0 and within
 
     def test_single_mode_matches_quadrature_oracle(self):
         spec = self.base_spec(n_max=1)
         f = field_from_modes(1, {1: 1.0})
         oracle = dense_quadrature_lp(f, 4)  # = 2*pi for a single unit mode
-        lw, _ = gibbs_log_weight(f, spec)
+        lw, _ = self.log_weight(f, spec)
         assert_allclose(lw, -0.25 * oracle, rtol=1e-12)
 
     def test_cutoff_indicator(self):
@@ -192,10 +198,10 @@ class TestGibbsLogWeight:
         # ||f||_L2 = sqrt(2 pi) |c_0|; put it just above the radius
         amp = (b + 0.1) / math.sqrt(2 * math.pi)
         f = field_from_modes(4, {0: amp})
-        _, within = gibbs_log_weight(f, spec)
+        _, within = self.log_weight(f, spec)
         assert not within
         amp_in = (b - 0.1) / math.sqrt(2 * math.pi)
-        _, within_in = gibbs_log_weight(field_from_modes(4, {0: amp_in}), spec)
+        _, within_in = self.log_weight(field_from_modes(4, {0: amp_in}), spec)
         assert within_in
 
     def test_defocusing_always_nonpositive(self):
@@ -203,15 +209,15 @@ class TestGibbsLogWeight:
         for i in range(20):
             c = sample_ensemble(spec.base, 1, RandomSeed(20, i))[0]
             from gibbsflow.spectral import TorusField
-            lw, _ = gibbs_log_weight(TorusField(4, c), spec)
+            lw, _ = self.log_weight(TorusField(4, c), spec)
             assert lw <= 0.0
 
     def test_focusing_flips_sign(self):
         f = field_from_modes(1, {1: 1.0})
         d = self.base_spec(n_max=1)
         foc = self.base_spec(n_max=1, cutoff=100.0, sign="focusing")
-        lw_d, _ = gibbs_log_weight(f, d)
-        lw_f, _ = gibbs_log_weight(f, foc)
+        lw_d, _ = self.log_weight(f, d)
+        lw_f, _ = self.log_weight(f, foc)
         assert_allclose(lw_f, -lw_d, rtol=1e-14)
 
 
@@ -233,7 +239,6 @@ class TestGibbsEnsemble:
         spec = self.spec(n_max=16)
         ens = gibbs_ensemble(spec, 2000, RandomSeed(3), method="snis")
         grid = grid_for(spec.base.n_max, spec.p)
-        from gibbsflow.measures import gibbs_log_weight_matrix
         lw, _ = gibbs_log_weight_matrix(ens.coeffs, spec, grid)
         quartic = -4.0 * lw  # int |u|^4 per sample
         weighted_mean = float(np.sum(ens.weights * quartic))
@@ -269,15 +274,6 @@ class TestGibbsEnsemble:
             ens = gibbs_ensemble(spec, 200, RandomSeed(6), method="snis")
         assert ens.flagged
         assert any("degeneracy" in str(w.message) for w in caught)
-
-    def test_resample_unweighted(self):
-        spec = self.spec(n_max=4)
-        ens = gibbs_ensemble(spec, 300, RandomSeed(8), method="snis")
-        rows = ens.resample_unweighted(500, generator(RandomSeed(9)))
-        assert rows.shape == (500, 9)
-        # every resampled row comes from the source ensemble
-        for r in rows[:5]:
-            assert any(np.array_equal(r, c) for c in ens.coeffs)
 
     def test_thread_count_irrelevant(self):
         spec = self.spec(n_max=4)

@@ -15,7 +15,6 @@ from gibbsflow.spectral import (
     grid_for,
     lp_integral,
     mean_square,
-    mean_value,
     pointwise_product,
     sobolev_norm,
     to_physical,
@@ -136,11 +135,6 @@ class TestLpIntegral:
 
 
 class TestMeanOps:
-    def test_mean_value(self):
-        assert mean_value(zero_field(2)) == 0.0
-        f = field_from_modes(3, {0: 3.0 + 1.0j, 2: 9.0})
-        assert mean_value(f) == 3.0 + 1.0j
-
     def test_mean_square_single_mode(self):
         f = field_from_modes(4, {1: 2.0 - 1.0j})
         assert_allclose(mean_square(f), 5.0, rtol=1e-15)

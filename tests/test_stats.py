@@ -1,10 +1,44 @@
 """Tests for the statistical machinery."""
 
+import warnings
+
 import numpy as np
 import pytest
+from scipy import stats as sps
 
 from gibbsflow.rng import RandomSeed, generator
-from gibbsflow.stats import ks_two_sample, weighted_ks_bootstrap, wilson_interval
+from gibbsflow.stats import (
+    ks_exact_tail,
+    ks_two_sample,
+    weighted_ks_bootstrap,
+    wilson_interval,
+)
+
+
+class TestKsExactTail:
+    @pytest.mark.parametrize("m", [10, 50, 300])
+    def test_matches_scipy_exact(self, m):
+        # y = x shifted by j + 1/2 ranks puts the distance at D = (j+1)/m,
+        # one sample pair for each lattice value.  Cases where scipy's exact
+        # routine gives up (it warns and falls back to asymp) are skipped.
+        x = np.arange(m, dtype=np.float64)
+        compared = 0
+        for j in range(m):
+            with warnings.catch_warnings(record=True) as fallback:
+                warnings.simplefilter("always")
+                res = sps.ks_2samp(x, x + j + 0.5, method="exact")
+            h = round(res.statistic * m)
+            assert h == j + 1
+            if fallback:
+                continue
+            assert ks_exact_tail(h, m) == pytest.approx(res.pvalue, rel=1e-12,
+                                                        abs=1e-15)
+            compared += 1
+        assert compared >= m - 2
+
+    def test_lattice_ends(self):
+        assert ks_exact_tail(0, 7) == ks_exact_tail(1, 7) == 1.0
+        assert ks_exact_tail(8, 7) == 0.0
 
 
 def _panel(seed, n_obs=4, na=90, nb=70):
