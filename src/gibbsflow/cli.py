@@ -35,7 +35,7 @@ from .serialize import (
     to_jsonable,
     write_csv,
 )
-from .spectral import TorusField, field_from_json, field_to_json
+from .spectral import TorusField, field_from_json, field_to_json, truncate
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -107,9 +107,12 @@ def _run_sample(a: dict) -> int:
 
 
 def _run_evolve(a: dict) -> int:
-    init = field_from_json(json.loads(Path(a["init"]).read_text()))
+    try:  # a bare field object or a `gibbsflow sample` report
+        doc = json.loads(Path(a["init"]).read_text())
+        init = field_from_json(doc["field"] if doc.get("kind") == "sample" else doc)
+    except (ValueError, KeyError, TypeError, AttributeError) as err:
+        raise ValueError(f"--init {a['init']}: not a field or a sample report ({err!r})") from None
     if a["nmax"] is not None:
-        from .spectral import truncate
         init = truncate(init, a["nmax"])
     eq = it.EquationSpec(
         family=a["eq"].replace("-", "_"), p=a["p"], sign=a["sign"],

@@ -198,7 +198,7 @@ def invariance_experiment(
     ais_levels: int = 96,
     ais_pcn_steps: int = 3,
     bootstrap_reps: int = 2000,
-    n_threads: int = 1,
+    n_threads: int | None = None,
 ) -> InvarianceReport:
     """Compare a fresh ensemble with an evolved one, observable by observable.
 
@@ -396,7 +396,7 @@ def cameron_martin_experiment(
     evolve_samples: int = 0,
     v0_decay: float | None = None,
     z_threshold: float = 4.0,
-    n_threads: int = 1,
+    n_threads: int | None = None,
 ) -> CMReport:
     """Verify the shift identity and (optionally) evolve the shifted data.
 
@@ -406,8 +406,8 @@ def cameron_martin_experiment(
     a subset of the shifted ensemble and records mass histories and blowup
     counts; "no blowup and sup_t mass within 10x initial" is reported as a
     global-existence proxy, not as a proof of anything.  The evolution
-    runs in row chunks on up to n_threads threads; the report does not
-    depend on the thread count.
+    runs in row chunks on up to n_threads threads (None: the default
+    count); the report does not depend on the thread count.
     """
     x = sample_ensemble(base, m_samples, seed, _LANE_A)
     y_noise = sample_ensemble(base, m_samples, seed, _LANE_B)
@@ -652,7 +652,7 @@ def ldp_mc(
     epsilons,
     m_per_eps,
     seed: RandomSeed,
-    n_threads: int = 1,
+    n_threads: int | None = None,
 ) -> LDPReport:
     """Estimate hit probabilities of the H^s ball under v0 + eps*phi.
 
@@ -664,8 +664,8 @@ def ldp_mc(
     floor).  Epsilons with zero hits are flagged too_rare and excluded
     from the trend diagnostic (Spearman correlation of the oracle gap
     against epsilon; shrinking gap means positive rho).  Samples are drawn
-    in fixed chunks of 4096 on up to n_threads threads; hit counts do not
-    depend on the thread count.
+    in fixed chunks of 4096 on up to n_threads threads (None: the default
+    count); hit counts do not depend on the thread count.
     """
     epsilons = tuple(float(e) for e in epsilons)
     if any(e <= 0 for e in epsilons):

@@ -14,8 +14,9 @@ c_{-n} = conj(c_n); c_0 is a real N(0, sigma_0^2) draw when the mean is
 included.  With this convention E|c_n|^2 = sigma_n^2 per mode for every
 family, real or complex.
 
-Draw order per stream is fixed (positive-mode block, then the mode-0
-scalar) so identical (spec, seed) pairs give bit-identical fields.
+Each row draws its positive-mode block, then its mode-0 scalar; row i of
+an ensemble on lane l is path (l, 0, i), drawn by one generator re-pointed
+from row to row (``rng.sample_paths``), so results are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import RandomSeed, generator
+from .parallel import chunk_ranges
+from .rng import RandomSeed, sample_paths
 from .spectral import TorusField, truncate
 
 __all__ = [
@@ -107,47 +109,46 @@ def expected_sobolev_sq(spec: GaussianFieldSpec, s: float) -> float:
     return float(np.sum((1.0 + n * n) ** s * mode_std(spec) ** 2))
 
 
-def sample_matrix(spec: GaussianFieldSpec, m: int, rng: np.random.Generator) -> np.ndarray:
-    """m independent coefficient rows from one explicit generator.
-
-    The package's one Gaussian sampling kernel: every other sampler calls
-    it, and chunked callers pass their chunk's generator directly.
-    """
-    n_max = spec.n_max
+def _assemble(spec: GaussianFieldSpec, g: np.ndarray, g0: np.ndarray) -> np.ndarray:
+    """Coefficient rows from normals g (m, 2, k), the real and imaginary parts
+    of a real field's N positive modes (mirrored by conjugation) or of all
+    2N+1 modes of a complex one, and g0 (m,), a real field's mode 0."""
     sig = mode_std(spec)
-    out = np.zeros((m, 2 * n_max + 1), dtype=np.complex128)
-    if spec.real_valued:
-        if n_max > 0:
-            g = rng.standard_normal((m, 2, n_max))
-            pos = (g[:, 0, :] + 1j * g[:, 1, :]) / np.sqrt(2.0)
-            pos = pos * sig[n_max + 1:]
-            out[:, n_max + 1:] = pos
-            out[:, :n_max] = np.conj(pos[:, ::-1])
-        g0 = rng.standard_normal(m)
-        out[:, n_max] = sig[n_max] * g0
-    else:
-        g = rng.standard_normal((m, 2, 2 * n_max + 1))
-        out = (g[:, 0, :] + 1j * g[:, 1, :]) / np.sqrt(2.0) * sig
-    return out
+    if not spec.real_valued:
+        return (g[:, 0, :] + 1j * g[:, 1, :]) / np.sqrt(2.0) * sig
+    c = (g[:, 0, :] + 1j * g[:, 1, :]) / np.sqrt(2.0) * sig[spec.n_max + 1:]
+    return np.concatenate([np.conj(c[:, ::-1]), (sig[spec.n_max] * g0)[:, None], c], axis=1)
+
+
+def sample_matrix(spec: GaussianFieldSpec, m: int, rng: np.random.Generator) -> np.ndarray:
+    """m independent coefficient rows from one explicit generator, as chunked
+    callers use it: all m positive-mode blocks, then the m mode-0 scalars."""
+    if not spec.real_valued:
+        return _assemble(spec, rng.standard_normal((m, 2, 2 * spec.n_max + 1)), None)
+    return _assemble(spec, rng.standard_normal((m, 2, spec.n_max)), rng.standard_normal(m))
 
 
 def sample(spec: GaussianFieldSpec, seed: RandomSeed) -> TorusField:
     """One draw from the random series; pure function of (spec, seed)."""
-    row = sample_matrix(spec, 1, generator(seed))[0]
-    return TorusField(spec.n_max, row, spec.real_valued)
+    return TorusField(spec.n_max, sample_ensemble(spec, 1, seed)[0], spec.real_valued)
 
 
 def sample_ensemble(
     spec: GaussianFieldSpec, m: int, seed: RandomSeed, lane_index: int = 0
 ) -> np.ndarray:
-    """m independent draws, one per-sample stream; rows ordered by stream.
+    """m independent draws; row i is path (lane_index, 0, i) of the stream.
 
-    Sample i draws from path (lane_index, 0, i) of the stream, so the
-    result is independent of chunking and thread count.
+    One re-pointed generator fills ``parallel.CHUNK`` rows of normals at a
+    time, assembled in one vectorised step; chunking never changes a draw.
     """
+    k = spec.n_max if spec.real_valued else 2 * spec.n_max + 1
     out = np.empty((m, 2 * spec.n_max + 1), dtype=np.complex128)
-    for i in range(m):
-        out[i] = sample_matrix(spec, 1, generator(seed, lane=lane_index, sample=i))[0]
+    paths = sample_paths(seed, lane_index, m)
+    for _, start, stop in chunk_ranges(m):
+        g = np.empty((stop - start, 2 * k + spec.real_valued))
+        for row in g:
+            next(paths).standard_normal(out=row)
+        out[start:stop] = _assemble(spec, g[:, :2 * k].reshape(stop - start, 2, k), g[:, -1])
     return out
 
 

@@ -269,15 +269,15 @@ def evolve_ensemble(
     cfg: SolverConfig,
     real_valued: bool = False,
     on_record=None,
-    n_threads: int = 1,
+    n_threads: int | None = None,
 ) -> EnsembleEvolution:
     """Evolve a batch of coefficient rows under the truncated flow.
 
     Rows that blow up (L-inf above 1e6 or non-finite) are frozen at their
     last valid state and flagged; this is a recorded outcome, not an
     error.  The rows are integrated over the whole horizon in the fixed
-    chunks of ``parallel.chunk_ranges`` on up to ``n_threads`` threads and
-    merged in chunk order.  Rows never interact, so the result is
+    chunks of ``parallel.chunk_ranges`` on up to ``n_threads`` threads
+    (None: ``parallel.default_threads()``) and merged in chunk order.  Rows never interact, so the result is
     bit-identical for any thread count and to a single-batch run.
 
     ``on_record(rows, t, full_coeffs, active)`` is called per chunk at the

@@ -18,11 +18,11 @@ CHUNK = 256
 
 
 def default_threads() -> int:
-    """Thread count from GIBBSFLOW_THREADS (1 when unset).
+    """Thread count from GIBBSFLOW_THREADS, or the usable cores when unset.
 
     A set value must be an integer >= 1; anything else raises ValueError.
     """
-    value = os.environ.get("GIBBSFLOW_THREADS", "1")
+    value = os.environ.get("GIBBSFLOW_THREADS", str(len(os.sched_getaffinity(0))))
     try:
         count = int(value)
     except ValueError:
@@ -40,9 +40,11 @@ def chunk_ranges(n: int, chunk: int = CHUNK):
     ]
 
 
-def map_chunks(fn, n: int, n_threads: int = 1, chunk: int = CHUNK):
-    """Run fn(chunk_index, start, stop) over the fixed plan; ordered results."""
+def map_chunks(fn, n: int, n_threads: int | None = 1, chunk: int = CHUNK):
+    """Run fn(chunk_index, start, stop) over the fixed plan on n_threads
+    threads (None: ``default_threads()``); ordered results."""
     plan = chunk_ranges(n, chunk)
+    n_threads = default_threads() if n_threads is None else n_threads
     if n_threads <= 1 or len(plan) <= 1:
         return [fn(*item) for item in plan]
     with ThreadPoolExecutor(max_workers=n_threads) as pool:

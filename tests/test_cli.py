@@ -1,12 +1,16 @@
 """Tests for the command-line interface."""
 
+import inspect
 import json
+import os
 
 import numpy as np
 import pytest
 
 from gibbsflow.cli import main
-from gibbsflow.parallel import default_threads
+from gibbsflow.experiments import cameron_martin_experiment, invariance_experiment, ldp_mc
+from gibbsflow.integrators import evolve_ensemble
+from gibbsflow.parallel import default_threads, map_chunks
 from gibbsflow.serialize import SCHEMA_VERSION
 from gibbsflow.spectral import field_from_modes, field_to_json
 
@@ -78,6 +82,23 @@ class TestHelp:
             default_threads()
         assert main(["dichotomy", "--mode", "kakutani", "--nmax", "10"]) == 1
         assert "GIBBSFLOW_THREADS" in capsys.readouterr().err
+
+    def test_unset_thread_variable_means_usable_cores(self, monkeypatch):
+        monkeypatch.delenv("GIBBSFLOW_THREADS", raising=False)
+        assert default_threads() == len(os.sched_getaffinity(0))
+
+    @pytest.mark.parametrize("fn", [invariance_experiment, cameron_martin_experiment,
+                                    ldp_mc, evolve_ensemble])
+    def test_experiments_default_to_default_threads(self, fn):
+        assert inspect.signature(fn).parameters["n_threads"].default is None
+
+    def test_map_chunks_none_reads_thread_variable(self, monkeypatch):
+        monkeypatch.setenv("GIBBSFLOW_THREADS", "2")
+        assert map_chunks(lambda i, a, b: (i, a, b), 600, None) == \
+            map_chunks(lambda i, a, b: (i, a, b), 600, 1)
+        monkeypatch.setenv("GIBBSFLOW_THREADS", "abc")
+        with pytest.raises(ValueError, match="GIBBSFLOW_THREADS"):
+            map_chunks(lambda i, a, b: i, 600, None)
 
     @pytest.mark.parametrize("value", ["0", "-2"])
     def test_thread_count_below_one_exits_one(self, value, capsys):
@@ -234,6 +255,31 @@ class TestEvolveCommand:
         assert payload["mass_series"][0] == pytest.approx(2 * np.pi * 0.25)
         drift = abs(payload["mass_series"][-1] - payload["mass_series"][0])
         assert drift < 1e-10
+
+    def test_readme_sample_then_evolve(self, tmp_path):
+        # The README's chain: evolve --init reads the report sample --out wrote.
+        field = tmp_path / "field.json"
+        assert main(["sample", "--family", "fwb", "--alpha", "1.0", "--nmax", "64",
+                     "--seed", "7", "--out", str(field)]) == 0
+        traj = tmp_path / "traj.json"
+        assert main(["evolve", "--eq", "wick-nls", "--sign", "plus", "--dt", "1e-4",
+                     "--t", "1.0", "--init", str(field), "--out", str(traj)]) == 0
+        payload = json.loads(traj.read_text())
+        start = payload["fields"][0]
+        drawn = json.loads(field.read_text())["field"]["coeffs"]
+        pad = start["n_max"] - 64  # the working band may be wider
+        assert start["coeffs"][pad:len(start["coeffs"]) - pad] == drawn
+        assert payload["blowup_flag"] is False
+
+    @pytest.mark.parametrize("text", ['{"kind": "trajectory"}', '{"kind": "sample"}',
+                                      '[1, 2]', '{"n_max": 1}', 'not json'])
+    def test_init_not_a_field_exits_one(self, tmp_path, capsys, text):
+        init = tmp_path / "other.json"
+        init.write_text(text)
+        assert main(["evolve", "--eq", "nls", "--dt", "1e-3", "--t", "0.1",
+                     "--init", str(init)]) == 1
+        err = capsys.readouterr().err
+        assert f"--init {init}: not a field or a sample report" in err
 
     def test_missing_init_exits_one(self, tmp_path):
         assert main(["evolve", "--eq", "nls", "--dt", "1e-3", "--t", "0.1",

@@ -124,6 +124,58 @@ class TestSampling:
             assert abs(np.mean(sq) - expected_sobolev_sq(spec, 0.3)) < 4 * se
 
 
+def per_row_reference(spec, m, seed, lane):
+    """Row i drawn alone from a fresh generator at path (lane, 0, i)."""
+    rows = [sample_matrix(spec, 1, generator(seed, lane=lane, sample=i))[0]
+            for i in range(m)]
+    return np.array(rows, dtype=np.complex128).reshape(m, 2 * spec.n_max + 1)
+
+
+class TestEnsemblePaths:
+    """sample_ensemble's one re-pointed generator against one fresh
+    generator per row: the bytes must agree exactly."""
+
+    SPECS = {
+        "white-real": GaussianFieldSpec("white", 16, real_valued=True),
+        "fwb-real-mode0": GaussianFieldSpec("fwb", 8, alpha=1.0, real_valued=True),
+        "fwb-complex": GaussianFieldSpec("fwb", 8, alpha=0.45),
+        "real-n0": GaussianFieldSpec("fwb", 0, alpha=1.0, real_valued=True),
+        "complex-n0": GaussianFieldSpec("fwb", 0, alpha=1.0),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    @pytest.mark.parametrize("lane", [0, 5])
+    def test_equals_per_row_reference(self, name, lane):
+        # 300 rows cross the 256-row assembly block boundary.
+        spec = self.SPECS[name]
+        seed = RandomSeed(2026, 3)
+        got = sample_ensemble(spec, 300, seed, lane)
+        want = per_row_reference(spec, 300, seed, lane)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_zero_rows(self):
+        spec = self.SPECS["fwb-real-mode0"]
+        assert sample_ensemble(spec, 0, RandomSeed(1)).shape == (0, 17)
+
+    def test_sample_is_the_one_row_ensemble(self):
+        for spec in self.SPECS.values():
+            one = sample(spec, RandomSeed(9, 4)).coeffs
+            assert one.tobytes() == per_row_reference(spec, 1, RandomSeed(9, 4), 0).tobytes()
+
+    def test_one_generator_per_ensemble(self, monkeypatch):
+        import gibbsflow.rng as rng
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return generator(*args, **kwargs)
+
+        monkeypatch.setattr(rng, "generator", counting)
+        sample_ensemble(self.SPECS["white-real"], 600, RandomSeed(3), 2)
+        assert len(calls) == 1
+
+
 class TestShifts:
     def test_zero_shift_is_plain_sample(self):
         spec = GaussianFieldSpec("fwb", 8, alpha=1.0)
