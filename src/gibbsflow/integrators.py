@@ -22,6 +22,13 @@ is re-truncated to the initial band |n| <= N every evaluation and each
 step is projected back onto its mass sphere, so the discrete flow
 conserves mass to roundoff -- the structural properties the invariance
 experiments rely on.
+
+Transforms are matrix products, not FFTs: at these band-limited sizes a
+GEMM against the pruned DFT matrix of ``spectral.band_matrices`` is faster
+than an FFT round trip, and the diagonal linear propagator, derivative and
+1/M scaling of each stage are folded into the matrices, built once per
+``evolve_ensemble`` call.  Each chunk of rows binds the stepper to work
+buffers allocated once, so a step allocates almost nothing.
 """
 
 from __future__ import annotations
@@ -36,15 +43,12 @@ from .parallel import map_chunks
 from .spectral import (
     GridConfig,
     TorusField,
-    analyze,
-    analyze_real,
+    band_matrices,
     from_half,
     grid_for,
     lp_integral,
     mean_square,
     require_lp_points,
-    synthesize,
-    synthesize_real,
     to_physical,
 )
 
@@ -72,6 +76,10 @@ BLOWUP_LINF = 1.0e6
 # covers the advective nonlinearity).
 STRANG_DT_N2_BOUND = 1.0
 AIRY_DT_N3_BOUND = 8.0
+# Rows per evolve chunk.  A step multiplies a whole chunk by the transform
+# matrices; at 256 rows a GEMM is large enough for OpenBLAS to thread it,
+# which oversubscribes the cores that the chunk threads already fill.
+_EVOLVE_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -182,84 +190,154 @@ def _check_guard(eq: EquationSpec, dt: float, k_work: int) -> None:
         )
 
 
-def _onto_mass_sphere(c: np.ndarray, mass: np.ndarray) -> np.ndarray:
-    """Rescale each row so sum |c_n|^2 equals ``mass`` (zero rows stay)."""
-    after = np.sum(np.abs(c) ** 2, axis=-1)
-    scale = np.ones_like(after)
+def _row_mass(c: np.ndarray, sq: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """sum |c_n|^2 per row, through ``sq``, a float buffer of c's shape."""
+    np.abs(c, out=sq)
+    np.square(sq, out=sq)
+    return np.sum(sq, axis=-1, out=out)
+
+
+def _onto_mass_sphere(c: np.ndarray, mass: np.ndarray, sq: np.ndarray) -> None:
+    """Rescale each row of ``c`` in place so sum |c_n|^2 equals ``mass``
+    (zero rows stay); ``sq`` is a float buffer of c's shape."""
+    after = _row_mass(c, sq)
     ok = after > 0.0
+    scale = np.ones_like(after)
     scale[ok] = np.sqrt(mass[ok] / after[ok])
-    return c * scale[:, np.newaxis]
+    c *= scale[:, np.newaxis]
 
 
 class _StrangStepper:
-    """Batched Strang splitting for nls / wick_nls on complex coefficients."""
+    """Batched Strang splitting for nls / wick_nls on complex coefficients.
+
+    The half-step linear phase is folded into both transform matrices, so a
+    step is one complex GEMM to the grid, the pointwise rotation in place
+    and one complex GEMM back.
+    """
 
     def __init__(self, eq: EquationSpec, grid: GridConfig, k_work: int, dt: float):
         self.eq = eq
-        self.grid = grid
         self.k = k_work
+        self.m = grid.m_points
         n = np.arange(-k_work, k_work + 1, dtype=np.float64)
-        self.phase_half = np.exp(1j * n ** 2 * (dt / 2.0))
+        phase_half = np.exp(1j * n ** 2 * (dt / 2.0))
+        self.synthesis, self.analysis = band_matrices(
+            k_work, self.m, False, pre=phase_half, post=phase_half)
         self.dt = dt
         self.exponent = (eq.p - 2) / 2.0
 
-    def step(self, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """One step; returns (new coeffs, per-row max |u|^2 seen)."""
-        eq = self.eq
-        c = c * self.phase_half
-        u = synthesize(c, self.k, self.grid.m_points)
-        absq = np.abs(u) ** 2
-        peak = np.max(absq, axis=-1)
-        ms = np.sum(np.abs(c) ** 2, axis=-1)
-        if eq.family == "wick_nls":
-            theta = absq - 2.0 * ms[:, np.newaxis]
-        elif self.exponent == 1.0:
-            theta = absq
-        else:
-            theta = absq ** self.exponent
-        u = u * np.exp(1j * (eq.s * self.dt) * theta)
-        c = analyze(u, self.k)
-        if eq.galerkin_projected:
-            c = _onto_mass_sphere(c, ms)
-        c = c * self.phase_half
-        return c, peak
+    def bind(self, rows: int):
+        """``step(c, out) -> peak`` for chunks of ``rows`` rows: writes the
+        stepped coefficients to ``out`` and returns the per-row max |u|^2
+        seen; its work buffers are allocated here, once."""
+        eq, k = self.eq, self.k
+        u = np.empty((rows, self.m), dtype=np.complex128)
+        rot = np.empty_like(u)
+        theta = np.empty((rows, self.m))
+        sq = np.empty((rows, 2 * k + 1))
+        peak = np.empty(rows)
+        ms = np.empty(rows)
+        angle = eq.s * self.dt
+
+        def step(c: np.ndarray, out: np.ndarray) -> np.ndarray:
+            _row_mass(c, sq, ms)
+            np.matmul(c, self.synthesis, out=u)
+            np.abs(u, out=theta)
+            np.square(theta, out=theta)
+            np.max(theta, axis=-1, out=peak)
+            if eq.family == "wick_nls":
+                np.subtract(theta, 2.0 * ms[:, np.newaxis], out=theta)
+            elif self.exponent != 1.0:
+                np.power(theta, self.exponent, out=theta)
+            np.multiply(theta, angle, out=theta)
+            np.cos(theta, out=rot.real)
+            np.sin(theta, out=rot.imag)
+            np.multiply(u, rot, out=u)
+            np.matmul(u, self.analysis, out=out)
+            if eq.galerkin_projected:
+                _onto_mass_sphere(out, ms, sq)
+            return peak
+
+        return step
 
 
 class _KdvStepper:
-    """Batched integrating-factor RK4 for gkdv on the real half-spectrum."""
+    """Batched integrating-factor RK4 for gkdv on the real half-spectrum.
+
+    Each of the three stage kinds (no factor, e^{L dt/2}, e^{L dt}) owns a
+    real synthesis/analysis matrix pair with the integrating factor and the
+    conservative derivative folded in, so a stage is a GEMM to the grid,
+    the pointwise power and a GEMM back into the stage slope.
+    """
 
     def __init__(self, eq: EquationSpec, grid: GridConfig, k_work: int, dt: float):
         self.eq = eq
-        self.grid = grid
         self.k = k_work
+        self.m = grid.m_points
         n = np.arange(0, k_work + 1, dtype=np.float64)
         lin = 1j * n ** 3
-        self.e_half = np.exp(lin * (dt / 2.0))
-        self.e_full = self.e_half ** 2
-        self.deriv = eq.s * (1j * n) / (eq.p - 1)
+        e_half = np.exp(lin * (dt / 2.0))
+        self.e_full = e_half ** 2
+        deriv = eq.s * (1j * n) / (eq.p - 1)
+        self.stages = [
+            band_matrices(k_work, self.m, True, post=deriv),
+            band_matrices(k_work, self.m, True, pre=e_half, post=np.conj(e_half) * deriv),
+            band_matrices(k_work, self.m, True, pre=self.e_full,
+                          post=np.conj(self.e_full) * deriv),
+        ]
         self.dt = dt
 
-    def _nonlinear(self, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(nonlinear term, per-row max u^2 on the grid)."""
-        u = synthesize_real(h, self.grid.m_points)
-        w = u ** (self.eq.p - 1)
-        return self.deriv * analyze_real(w, self.k), np.max(u * u, axis=-1)
+    def bind(self, rows: int):
+        """``step(h, out) -> peak`` for chunks of ``rows`` rows: writes the
+        stepped half-spectrum to ``out`` and returns the per-row max u^2
+        seen; its work buffers are allocated here, once."""
+        k, power, dt = self.k, self.eq.p - 1, self.dt
+        u = np.empty((rows, self.m))
+        w = np.empty_like(u)
+        y = np.empty((rows, k + 1), dtype=np.complex128)
+        slope = np.empty_like(y)
+        acc = np.empty_like(y)
+        slope_f = slope.view(np.float64)
+        sq = np.empty((rows, k))
+        peak = np.empty(rows)
+        stage_peak = np.empty(rows)
+        before = np.empty(rows)
+        plain, half, full = self.stages
+        # (stage matrices, dt fraction of the previous slope in the stage
+        # input, weight of the stage slope in the RK4 sum)
+        later = ((half, 0.5 * dt, 2.0), (half, 0.5 * dt, 2.0), (full, dt, 1.0))
 
-    def step(self, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """One step; returns (new half-spectrum, per-row max u^2 seen)."""
-        dt, e1, e2 = self.dt, self.e_half, self.e_full
-        k1, p1 = self._nonlinear(h)
-        n2, p2 = self._nonlinear(e1 * (h + 0.5 * dt * k1))
-        k2 = np.conj(e1) * n2
-        n3, p3 = self._nonlinear(e1 * (h + 0.5 * dt * k2))
-        k3 = np.conj(e1) * n3
-        n4, p4 = self._nonlinear(e2 * (h + dt * k3))
-        k4 = np.conj(e2) * n4
-        h_new = e2 * (h + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-        if self.eq.galerkin_projected:
-            before = np.sum(np.abs(h[..., 1:]) ** 2, axis=-1)
-            h_new[..., 1:] = _onto_mass_sphere(h_new[..., 1:], before)
-        return h_new, np.maximum(np.maximum(p1, p2), np.maximum(p3, p4))
+        def nonlinear(x: np.ndarray, synthesis: np.ndarray, analysis: np.ndarray) -> None:
+            np.matmul(x.view(np.float64), synthesis, out=u)
+            np.square(u, out=w)
+            np.max(w, axis=-1, out=stage_peak)
+            if power != 2:
+                np.power(u, power, out=w)
+            np.matmul(w, analysis, out=slope_f)
+
+        def step(h: np.ndarray, out: np.ndarray) -> np.ndarray:
+            nonlinear(h, *plain)
+            np.copyto(peak, stage_peak)
+            np.copyto(acc, slope)
+            for (synthesis, analysis), fraction, weight in later:
+                np.multiply(slope, fraction, out=y)
+                np.add(y, h, out=y)
+                nonlinear(y, synthesis, analysis)
+                np.maximum(peak, stage_peak, out=peak)
+                if weight == 1.0:
+                    np.add(acc, slope, out=acc)
+                else:
+                    np.multiply(slope, weight, out=y)
+                    np.add(acc, y, out=acc)
+            np.multiply(acc, dt / 6.0, out=acc)
+            np.add(acc, h, out=acc)
+            np.multiply(acc, self.e_full, out=out)
+            if self.eq.galerkin_projected:
+                _row_mass(h[:, 1:], sq, before)
+                _onto_mass_sphere(out[:, 1:], before, sq)
+            return peak
+
+        return step
 
 
 def evolve_ensemble(
@@ -275,10 +353,13 @@ def evolve_ensemble(
 
     Rows that blow up (L-inf above 1e6 or non-finite) are frozen at their
     last valid state and flagged; this is a recorded outcome, not an
-    error.  The rows are integrated over the whole horizon in the fixed
-    chunks of ``parallel.chunk_ranges`` on up to ``n_threads`` threads
-    (None: ``parallel.default_threads()``) and merged in chunk order.  Rows never interact, so the result is
-    bit-identical for any thread count and to a single-batch run.
+    error.  The rows are integrated over the whole horizon in fixed
+    ``_EVOLVE_CHUNK``-row chunks (``parallel.chunk_ranges``) on up to
+    ``n_threads`` threads (None: ``parallel.default_threads()``) and merged
+    in chunk order.  Rows never interact and the chunk plan depends only
+    on the row count, so the result is bit-identical for any thread count;
+    a row's last bits may depend on the size of the chunk it is stepped in,
+    because each step is a matrix product over the chunk.
 
     ``on_record(rows, t, full_coeffs, active)`` is called per chunk at the
     recording cadence, including t=0 and the final time; ``rows`` is the
@@ -301,35 +382,38 @@ def evolve_ensemble(
         full = np.zeros((batch, 2 * k_work + 1), dtype=np.complex128)
         full[:, k_work - n_max: k_work + n_max + 1] = coeffs[rows]
         state = full[:, k_work:].copy() if use_half else full
+        spare = np.empty_like(state)
+        step = stepper.bind(batch)
 
         active = np.ones(batch, dtype=bool)
         last_valid = np.full(batch, abs(cfg.t_final))
-        frozen = state.copy()
 
         def emit(step_index: int):
             if on_record is not None:
-                cur = from_half(state) if use_half else state
+                cur = from_half(state) if use_half else state.copy()
                 on_record(rows, step_index * dt, cur, active.copy())
 
         emit(0)
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            for step in range(1, n_steps + 1):
-                new_state, peak = stepper.step(state)
+            for i in range(1, n_steps + 1):
+                peak = step(state, spare)
                 blown = active & (~np.isfinite(peak) | (peak > BLOWUP_LINF ** 2))
-                row_ok = np.all(np.isfinite(new_state), axis=-1)
+                row_ok = np.all(np.isfinite(spare), axis=-1)
                 blown |= active & ~row_ok
                 if np.any(blown):
-                    last_valid[blown] = (step - 1) * abs(dt)
+                    last_valid[blown] = (i - 1) * abs(dt)
                     active &= ~blown
-                state = new_state
-                state[~active] = frozen[~active]
-                frozen = state
-                if step % record_every == 0 or step == n_steps:
-                    emit(step)
+                if not active.all():
+                    # Frozen rows keep their last valid state.
+                    spare[~active] = state[~active]
+                state, spare = spare, state
+                if i % record_every == 0 or i == n_steps:
+                    emit(i)
         return (from_half(state) if use_half else state), ~active, last_valid
 
     # An empty batch has no chunks; it runs as one empty chunk.
-    parts = map_chunks(evolve_chunk, coeffs.shape[0], n_threads) or [evolve_chunk(0, 0, 0)]
+    parts = (map_chunks(evolve_chunk, coeffs.shape[0], n_threads, _EVOLVE_CHUNK)
+             or [evolve_chunk(0, 0, 0)])
     final, blowup, last_valid = (np.concatenate(a) for a in zip(*parts))
     return EnsembleEvolution(
         coeffs=final,

@@ -59,9 +59,11 @@ def sample_paths(seed: RandomSeed, lane: int, n: int):
     """Yield one Generator re-pointed to path (lane, 0, i) for each i < n, so it
     draws as ``generator(seed, lane, sample=i)`` would; use it before the next."""
     bits = (rng := generator(seed, lane)).bit_generator
+    # One state dict serves every row: setting it copies the counter, key
+    # and an empty buffer into the generator, so only the counter changes.
+    state = bits.state
+    state.update(buffer_pos=4, has_uint32=0, uinteger=0)
     for i in range(n):
-        state = bits.state
         state["state"]["counter"][:] = (0, i, 0, lane)
-        state.update(buffer_pos=4, has_uint32=0, uinteger=0)
         bits.state = state
         yield rng

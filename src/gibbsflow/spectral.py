@@ -43,8 +43,8 @@ __all__ = [
     "require_lp_points",
     "synthesize",
     "analyze",
-    "synthesize_real",
     "analyze_real",
+    "band_matrices",
     "from_half",
     "field_to_json",
     "field_from_json",
@@ -233,16 +233,45 @@ def analyze(values: np.ndarray, n_max: int) -> np.ndarray:
     return spec[..., idx]
 
 
-def synthesize_real(half: np.ndarray, m_points: int) -> np.ndarray:
-    """Real grid values of real fields given by half-spectrum rows c_0..c_N."""
-    _require_points(m_points, half.shape[-1] - 1)
-    return np.fft.irfft(half * m_points, n=m_points, axis=-1)
-
-
 def analyze_real(values: np.ndarray, n_max: int) -> np.ndarray:
     """Half-spectrum rows c_0..c_N of batched real grid values."""
     _require_points(values.shape[-1], n_max)
     return np.fft.rfft(values, axis=-1)[..., : n_max + 1] / values.shape[-1]
+
+
+def band_matrices(k: int, m_points: int, real: bool, pre=None, post=None):
+    """(synthesis, analysis) matrices of the band |n| <= k on the M-point grid.
+
+    Complex rows c_-k..c_k: ``c @ synthesis`` is ``synthesize(pre * c, k, M)``
+    and ``u @ analysis`` is ``post * analyze(u, k)``.  Real fields use
+    half-spectrum rows c_0..c_k multiplied through their float64 view
+    [Re c_0, Im c_0, Re c_1, ...]: ``h.view(float64) @ synthesis`` is the
+    real grid function of the field whose half spectrum is ``pre * h``, and
+    ``(w @ analysis).view(complex128)`` is ``post * analyze_real(w, k)``.
+    ``pre`` and ``post`` are per-mode factors (default 1), so a diagonal
+    mode multiply before or after a transform costs nothing extra.  At the
+    band-limited sizes used here one GEMM beats an FFT round trip plus its
+    zero-pad, slice and scaling (Boyd, *Chebyshev and Fourier Spectral
+    Methods*, 2001, ch. 10).
+    """
+    _require_points(m_points, k)
+    n = np.arange(0 if real else -k, k + 1)
+    # Exact integer angles: n*j is reduced mod M before any rounding.
+    turns = np.outer(n, np.arange(m_points)) % m_points
+    wave = np.exp((2j * np.pi / m_points) * turns)
+    pre = np.ones(n.size) if pre is None else np.asarray(pre)
+    post = np.ones(n.size) if post is None else np.asarray(post)
+    synthesis = pre[:, np.newaxis] * wave
+    analysis = (np.conj(wave) * (post[:, np.newaxis] / m_points)).T
+    if not real:
+        return np.ascontiguousarray(synthesis), np.ascontiguousarray(analysis)
+    # u = Re sum_n w_n (pre h)_n e^{inx}, w_0 = 1 and w_n = 2 for n >= 1;
+    # as with irfft, only the real part of (pre h)_0 reaches the grid.
+    synthesis[1:] *= 2.0
+    synthesis = np.stack([synthesis.real, -synthesis.imag], axis=1)
+    analysis = np.stack([analysis.real, analysis.imag], axis=-1)
+    return (np.ascontiguousarray(synthesis.reshape(2 * n.size, m_points)),
+            np.ascontiguousarray(analysis.reshape(m_points, 2 * n.size)))
 
 
 def from_half(half: np.ndarray) -> np.ndarray:

@@ -3,14 +3,24 @@
 Everything here recomputes quantities by a different route than the code
 under test: dense quadrature instead of exact collocation, direct O(N^2)
 convolution instead of padded FFTs, rejection sampling instead of
-importance weighting, and a general-purpose constrained optimizer instead
-of the per-mode Lagrange formula.
+importance weighting, a general-purpose constrained optimizer instead
+of the per-mode Lagrange formula, and FFT round-trip steppers instead of
+the matrix-product steppers of ``gibbsflow.integrators``.
 """
 
 import numpy as np
 from scipy.optimize import minimize
 
-from gibbsflow.spectral import TorusField
+from gibbsflow.integrators import EquationSpec, _working_truncation
+from gibbsflow.spectral import (
+    GridConfig,
+    TorusField,
+    _require_points,
+    analyze,
+    analyze_real,
+    from_half,
+    synthesize,
+)
 
 
 def dense_quadrature_lp(f: TorusField, p: float, m: int = 16384) -> float:
@@ -119,3 +129,115 @@ def slsqp_ball_minimum(center, radius, s, v0, weights=None):
     if not np.isfinite(best):
         raise RuntimeError("SLSQP produced no feasible point")
     return best
+
+
+# ---------------------------------------------------------------------------
+# Reference steppers: one FFT round trip per transform and a fresh array
+# per operation.  ``fft_stepper(eq, grid, k, dt).step(state)`` returns
+# (new state, per-row peak).
+# ---------------------------------------------------------------------------
+
+
+def synthesize_real(half: np.ndarray, m_points: int) -> np.ndarray:
+    """Real grid values of real fields given by half-spectrum rows c_0..c_N."""
+    _require_points(m_points, half.shape[-1] - 1)
+    return np.fft.irfft(half * m_points, n=m_points, axis=-1)
+
+
+def _onto_mass_sphere(c: np.ndarray, mass: np.ndarray) -> np.ndarray:
+    """Rescale each row so sum |c_n|^2 equals ``mass`` (zero rows stay)."""
+    after = np.sum(np.abs(c) ** 2, axis=-1)
+    scale = np.ones_like(after)
+    ok = after > 0.0
+    scale[ok] = np.sqrt(mass[ok] / after[ok])
+    return c * scale[:, np.newaxis]
+
+
+class _StrangStepper:
+    """Batched Strang splitting for nls / wick_nls on complex coefficients."""
+
+    def __init__(self, eq: EquationSpec, grid: GridConfig, k_work: int, dt: float):
+        self.eq = eq
+        self.grid = grid
+        self.k = k_work
+        n = np.arange(-k_work, k_work + 1, dtype=np.float64)
+        self.phase_half = np.exp(1j * n ** 2 * (dt / 2.0))
+        self.dt = dt
+        self.exponent = (eq.p - 2) / 2.0
+
+    def step(self, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """One step; returns (new coeffs, per-row max |u|^2 seen)."""
+        eq = self.eq
+        c = c * self.phase_half
+        u = synthesize(c, self.k, self.grid.m_points)
+        absq = np.abs(u) ** 2
+        peak = np.max(absq, axis=-1)
+        ms = np.sum(np.abs(c) ** 2, axis=-1)
+        if eq.family == "wick_nls":
+            theta = absq - 2.0 * ms[:, np.newaxis]
+        elif self.exponent == 1.0:
+            theta = absq
+        else:
+            theta = absq ** self.exponent
+        u = u * np.exp(1j * (eq.s * self.dt) * theta)
+        c = analyze(u, self.k)
+        if eq.galerkin_projected:
+            c = _onto_mass_sphere(c, ms)
+        c = c * self.phase_half
+        return c, peak
+
+
+class _KdvStepper:
+    """Batched integrating-factor RK4 for gkdv on the real half-spectrum."""
+
+    def __init__(self, eq: EquationSpec, grid: GridConfig, k_work: int, dt: float):
+        self.eq = eq
+        self.grid = grid
+        self.k = k_work
+        n = np.arange(0, k_work + 1, dtype=np.float64)
+        lin = 1j * n ** 3
+        self.e_half = np.exp(lin * (dt / 2.0))
+        self.e_full = self.e_half ** 2
+        self.deriv = eq.s * (1j * n) / (eq.p - 1)
+        self.dt = dt
+
+    def _nonlinear(self, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(nonlinear term, per-row max u^2 on the grid)."""
+        u = synthesize_real(h, self.grid.m_points)
+        w = u ** (self.eq.p - 1)
+        return self.deriv * analyze_real(w, self.k), np.max(u * u, axis=-1)
+
+    def step(self, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """One step; returns (new half-spectrum, per-row max u^2 seen)."""
+        dt, e1, e2 = self.dt, self.e_half, self.e_full
+        k1, p1 = self._nonlinear(h)
+        n2, p2 = self._nonlinear(e1 * (h + 0.5 * dt * k1))
+        k2 = np.conj(e1) * n2
+        n3, p3 = self._nonlinear(e1 * (h + 0.5 * dt * k2))
+        k3 = np.conj(e1) * n3
+        n4, p4 = self._nonlinear(e2 * (h + dt * k3))
+        k4 = np.conj(e2) * n4
+        h_new = e2 * (h + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+        if self.eq.galerkin_projected:
+            before = np.sum(np.abs(h[..., 1:]) ** 2, axis=-1)
+            h_new[..., 1:] = _onto_mass_sphere(h_new[..., 1:], before)
+        return h_new, np.maximum(np.maximum(p1, p2), np.maximum(p3, p4))
+
+
+def fft_stepper(eq: EquationSpec, grid: GridConfig, k_work: int, dt: float):
+    """The FFT reference stepper for ``eq``'s family."""
+    return (_KdvStepper if eq.family == "gkdv" else _StrangStepper)(eq, grid, k_work, dt)
+
+
+def fft_evolve(coeffs, n_max, eq, grid, dt, n_steps, real_valued=False):
+    """Full working-band rows after ``n_steps`` reference steps of size dt
+    (no blowup handling: the data must stay finite)."""
+    k = _working_truncation(n_max, eq, grid)
+    state = np.zeros((coeffs.shape[0], 2 * k + 1), dtype=np.complex128)
+    state[:, k - n_max: k + n_max + 1] = coeffs
+    if real_valued:
+        state = state[:, k:].copy()
+    stepper = fft_stepper(eq, grid, k, dt)
+    for _ in range(n_steps):
+        state, _peak = stepper.step(state)
+    return from_half(state) if real_valued else state

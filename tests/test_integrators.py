@@ -19,7 +19,7 @@ from gibbsflow.integrators import (
 from gibbsflow.rng import RandomSeed
 from gibbsflow.spectral import TorusField, field_from_modes, grid_for, sobolev_norm, zero_field
 
-from helpers import dense_quadrature_lp
+from helpers import dense_quadrature_lp, fft_evolve
 
 
 def smooth_complex_field(n_max=16, amp=0.5, seed=0):
@@ -254,6 +254,23 @@ class TestBlowupHandling:
         assert list(res.blowup) == [False, True]
         assert np.all(np.isfinite(res.coeffs))
 
+    def test_blown_row_keeps_its_last_valid_state(self):
+        good = field_from_modes(16, {1: 0.5, -1: 0.5}, real_valued=True).coeffs
+        bad = field_from_modes(16, {1: 45.0, -1: 45.0, 2: 31.0, -2: 31.0},
+                               real_valued=True).coeffs
+        eq = EquationSpec("gkdv", p=5, sign="minus", galerkin_projected=True)
+        seen = {}
+
+        def on_record(_rows, t, full, _active):
+            seen[t] = full.copy()
+
+        res = evolve_ensemble(np.stack([good, bad]), 16, eq,
+                              SolverConfig(dt=1e-3, t_final=0.5, record_every=1),
+                              real_valued=True, on_record=on_record)
+        assert res.blowup[1] and res.last_valid_time[1] < 0.5
+        assert np.array_equal(res.coeffs[1], seen[res.last_valid_time[1]][1])
+        assert np.array_equal(res.coeffs[0], seen[max(seen)][0])
+
 
 class TestGuards:
     def test_strang_step_guard(self):
@@ -292,9 +309,41 @@ class TestGridIndependence:
         assert_allclose(a, b, rtol=0, atol=1e-13 * np.max(np.abs(b)))
 
 
+class TestMatrixSteppers:
+    """The GEMM steppers against the FFT round-trip reference steppers of
+    ``helpers``: roundoff apart after one step and after 1000."""
+
+    # (equation, initial measure, amplitude, dt); the last case is an
+    # unprojected run on the capacity band with the phase |u|^4.
+    CASES = {
+        "gkdv-p3": (EquationSpec("gkdv", p=3, sign="plus", galerkin_projected=True),
+                    GaussianFieldSpec("white", 32, real_valued=True), 0.5, 1e-4),
+        "gkdv-p5": (EquationSpec("gkdv", p=5, sign="minus", galerkin_projected=True),
+                    GaussianFieldSpec("fwb", 16, alpha=1.0, real_valued=True), 0.5, 1e-3),
+        "nls": (EquationSpec("nls", p=4, sign="plus", galerkin_projected=True),
+                GaussianFieldSpec("fwb", 32, alpha=1.0), 1.0, 2.0 ** -11),
+        "wick": (EquationSpec("wick_nls", p=4, sign="plus", galerkin_projected=True),
+                 GaussianFieldSpec("fwb", 16, alpha=1.0), 1.0, 2e-3),
+        "nls-p6-unprojected": (EquationSpec("nls", p=6, sign="minus"),
+                               GaussianFieldSpec("fwb", 8, alpha=1.0), 0.5, 1e-3),
+    }
+
+    @pytest.mark.parametrize("steps,tol", [(1, 1e-14), (1000, 1e-11)])
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_matches_fft_reference(self, name, steps, tol):
+        eq, spec, amp, dt = self.CASES[name]
+        rows = amp * sample_ensemble(spec, 16, RandomSeed(3))
+        cfg = SolverConfig(dt=dt, t_final=steps * dt)
+        got = evolve_ensemble(rows, spec.n_max, eq, cfg, real_valued=spec.real_valued)
+        want = fft_evolve(rows, spec.n_max, eq, grid_for(spec.n_max, eq.p), dt, steps,
+                          spec.real_valued)
+        assert not np.any(got.blowup)
+        assert_allclose(got.coeffs, want, rtol=0, atol=tol * np.max(np.abs(want)))
+
+
 class TestChunkedEngine:
-    """600 rows run as the fixed 256-row chunks [0, 256), [256, 512) and
-    [512, 600); row 550, in the third chunk, blows up."""
+    """600 rows run as the fixed 128-row chunks [0, 128), [128, 256), ...,
+    [384, 512) and [512, 600); row 550, in the last chunk, blows up."""
 
     BLOWN = 550
 
@@ -337,8 +386,42 @@ class TestChunkedEngine:
                              full.shape[0], active.size))
 
         evolve_ensemble(rows, n_max, eq, cfg, on_record=on_record, n_threads=2)
-        assert sorted(seen) == [(0, 256, 256, 256), (256, 512, 256, 256),
+        assert sorted(seen) == [(0, 128, 128, 128), (128, 256, 128, 128),
+                                (256, 384, 128, 128), (384, 512, 128, 128),
                                 (512, 600, 88, 88)]
+
+    def test_blas_threads_do_not_move_bits(self):
+        # A child with OpenBLAS held to one thread and a child left to its
+        # default thread count must evolve the same bytes.  The gkdv chunks
+        # multiply (128 x 34) by (34 x 81) matrices, large enough for
+        # OpenBLAS to split a product over its threads.
+        import hashlib
+        import os
+        import subprocess
+        import sys
+        script = (
+            "import hashlib, sys\n"
+            "sys.path[:0] = sys.argv[1:]\n"
+            "from test_integrators import TestChunkedEngine\n"
+            "from gibbsflow.integrators import evolve_ensemble\n"
+            "case = TestChunkedEngine()\n"
+            "for name in ('_gkdv', '_wick'):\n"
+            "    rows, n_max, eq, cfg, real = getattr(case, name)()\n"
+            "    res = evolve_ensemble(rows, n_max, eq, cfg, real_valued=real, n_threads=2)\n"
+            "    print(hashlib.sha256(res.coeffs.tobytes()).hexdigest())\n"
+        )
+        here = os.path.dirname(os.path.abspath(__file__))
+        src = os.path.join(os.path.dirname(here), "src")
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        digests = [subprocess.run([sys.executable, "-c", script, here, src],
+                                  env=e, capture_output=True, text=True, check=True,
+                                  timeout=300).stdout
+                   for e in (env, dict(env, OPENBLAS_NUM_THREADS="1"))]
+        assert digests[0] == digests[1] and len(digests[0].split()) == 2
+        rows, n_max, eq, cfg, real = self._gkdv()
+        here_digest = hashlib.sha256(
+            evolve_ensemble(rows, n_max, eq, cfg, real_valued=real).coeffs.tobytes()).hexdigest()
+        assert digests[0].split()[0] == here_digest
 
     def test_cameron_martin_evolution_thread_invariant(self):
         from gibbsflow.experiments import cameron_martin_experiment

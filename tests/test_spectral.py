@@ -7,16 +7,21 @@ from numpy.testing import assert_allclose
 from gibbsflow.spectral import (
     GridConfig,
     TorusField,
+    analyze,
+    analyze_real,
+    band_matrices,
     derivative,
     field_from_json,
     field_from_modes,
     field_to_json,
+    from_half,
     from_physical,
     grid_for,
     lp_integral,
     mean_square,
     pointwise_product,
     sobolev_norm,
+    synthesize,
     to_physical,
     truncate,
     zero_field,
@@ -281,3 +286,59 @@ class TestGridConfig:
         assert grid_for(32, 3).m_points == 100  # KdV
         assert grid_for(16, 4).m_points == 72  # Wick-NLS
         assert grid_for(32, 4).m_points == 135  # NLS and Wick-NLS
+
+
+class TestBandMatrices:
+    """The GEMM transforms against the FFT ``synthesize``/``analyze`` pair,
+    with per-mode factors folded in on both sides."""
+
+    # (M, band k): the data band of a projected run and the capacity band
+    # (M - 1) // p of an unprojected one on each grid the solvers use.
+    BANDS = [(72, 16), (72, 17), (100, 32), (100, 33), (128, 32), (128, 42),
+             (135, 32), (135, 33)]
+
+    @staticmethod
+    def _factors(rng, size):
+        pre = np.exp(1j * rng.uniform(0, 2 * np.pi, size))
+        post = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        return pre, post
+
+    @pytest.mark.parametrize("m,k", BANDS)
+    def test_complex_matches_fft(self, m, k):
+        rng = np.random.default_rng(m + k)
+        c = rng.standard_normal((5, 2 * k + 1)) + 1j * rng.standard_normal((5, 2 * k + 1))
+        u = rng.standard_normal((5, m)) + 1j * rng.standard_normal((5, m))
+        pre, post = self._factors(rng, 2 * k + 1)
+        synthesis, analysis = band_matrices(k, m, False, pre=pre, post=post)
+        want_u = synthesize(pre * c, k, m)
+        want_c = post * analyze(u, k)
+        assert_allclose(c @ synthesis, want_u, rtol=0, atol=1e-13 * np.max(np.abs(want_u)))
+        assert_allclose(u @ analysis, want_c, rtol=0, atol=1e-13 * np.max(np.abs(want_c)))
+
+    @pytest.mark.parametrize("m,k", BANDS)
+    def test_real_half_spectrum_matches_fft(self, m, k):
+        rng = np.random.default_rng(m * k)
+        h = rng.standard_normal((5, k + 1)) + 1j * rng.standard_normal((5, k + 1))
+        w = rng.standard_normal((5, m))
+        pre, post = self._factors(rng, k + 1)
+        synthesis, analysis = band_matrices(k, m, True, pre=pre, post=post)
+        # Like irfft, the grid sees only the real part of the mean mode.
+        want_u = synthesize(from_half(pre * h), k, m).real
+        want_h = post * analyze_real(w, k)
+        assert_allclose(h.view(np.float64) @ synthesis, want_u,
+                        rtol=0, atol=1e-13 * np.max(np.abs(want_u)))
+        got_h = (w @ analysis).view(np.complex128)
+        assert_allclose(got_h, want_h, rtol=0, atol=1e-13 * np.max(np.abs(want_h)))
+
+    def test_default_factors_are_one(self):
+        rng = np.random.default_rng(3)
+        u = rng.standard_normal((2, 100))
+        synthesis, analysis = band_matrices(32, 100, True)
+        h = (u @ analysis).view(np.complex128)
+        assert_allclose(h, analyze_real(u, 32), rtol=0, atol=1e-14)
+        assert synthesis.shape == (66, 100) and analysis.shape == (100, 66)
+        assert synthesis.flags.c_contiguous and analysis.flags.c_contiguous
+
+    def test_refuses_unresolved_band(self):
+        with pytest.raises(ValueError, match="too small"):
+            band_matrices(32, 65, False)
