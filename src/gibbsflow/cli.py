@@ -137,9 +137,9 @@ def _run_evolve(a: dict) -> int:
 
 def _run_invariance(a: dict) -> int:
     p = presets.invariance_preset(a["preset"], a["nmax"])
-    m = a["samples"] or p["m_samples"]
+    m = p["m_samples"] if a["samples"] is None else a["samples"]
     t_final = p["t_final"] if a["t"] is None else a["t"]
-    dt = a["dt"] or p["dt"]
+    dt = p["dt"] if a["dt"] is None else a["dt"]
     report = ex.invariance_experiment(
         p["measure"], p["eq"], t_final, m, _seed(a),
         dt=dt, alpha=a["alpha"],
@@ -160,9 +160,9 @@ def _run_cm(a: dict) -> int:
     report = ex.cameron_martin_experiment(
         p["v0"], p["base"], p["eq"],
         t_final=p["t_final"] if a["t"] is None else a["t"],
-        m_samples=a["samples"] or p["m_samples"],
+        m_samples=p["m_samples"] if a["samples"] is None else a["samples"],
         seed=_seed(a),
-        dt=a["dt"] or p["dt"],
+        dt=p["dt"] if a["dt"] is None else a["dt"],
         evolve_samples=(p["evolve_samples"] if a["evolve_samples"] is None
                         else a["evolve_samples"]),
         v0_decay=p.get("v0_decay"),
@@ -186,6 +186,8 @@ def _run_dichotomy(a: dict) -> int:
 def _run_ldp(a: dict) -> int:
     base = _field_spec_from_args(a)
     n = a["nmax"]
+    if abs(a["center_mode"]) > n:
+        raise ValueError(f"--center-mode {a['center_mode']} is outside the band |n| <= {n}")
     center = np.zeros(2 * n + 1, dtype=np.complex128)
     center[a["center_mode"] + n] = a["center_value"]
     if a["real"] and a["center_mode"] != 0:
@@ -205,6 +207,8 @@ def _run_ldp(a: dict) -> int:
 
 def _run_entropy_check(a: dict) -> int:
     cells = a["cells"]
+    if cells < 1:
+        raise ValueError(f"--cells must be >= 1, got {cells}")
     span = a["span"]
     q = np.linspace(-span, span, cells, endpoint=False) + span / cells
     h = q ** 2 / 2.0 if a["hamiltonian"] == "gaussian" else q ** 4

@@ -211,6 +211,8 @@ def invariance_experiment(
     ensemble (ESS is reported so the power loss is visible).  With
     t_final = 0 the run is a null calibration and needs no equation.
     """
+    if m_samples < 2:
+        raise ValueError(f"m_samples must be >= 2, got {m_samples}")
     base = _base_spec(measure)
     if t_final != 0.0:
         if eq is None:
@@ -402,13 +404,16 @@ def cameron_martin_experiment(
 
     Part (a): with w = exp(log shift density at v0), checks E[w] = 1,
     E[w^2] = exp(||v0||_H^2), and E_shifted[F] = E_base[F w] for the panel
-    functionals, all within z_threshold standard errors.  Part (b) evolves
+    functionals, all within z_threshold standard errors (plug-in, except
+    the exact null one for E[w^2]).  Needs m_samples >= 2.  Part (b) evolves
     a subset of the shifted ensemble and records mass histories and blowup
     counts; "no blowup and sup_t mass within 10x initial" is reported as a
     global-existence proxy, not as a proof of anything.  The evolution
     runs in row chunks on up to n_threads threads (None: the default
     count); the report does not depend on the thread count.
     """
+    if m_samples < 2:
+        raise ValueError(f"m_samples must be >= 2, got {m_samples}")
     x = sample_ensemble(base, m_samples, seed, _LANE_A)
     y_noise = sample_ensemble(base, m_samples, seed, _LANE_B)
     v0_emb = truncate(v0, base.n_max)
@@ -422,7 +427,9 @@ def cameron_martin_experiment(
     w2 = w * w
     w2_mean = float(np.mean(w2))
     w2_expected = float(np.exp(norm_sq))
-    w2_se = standard_error(w2)
+    # Exact null SE: log w ~ N(-s/2, s), so Var(w^2) = e^{6s} - e^{2s}.  The
+    # plug-in SE of the heavy-tailed w^2 shrinks when its tail goes unsampled.
+    w2_se = math.sqrt((math.exp(6.0 * norm_sq) - math.exp(2.0 * norm_sq)) / m_samples)
 
     checks = []
     panel = [(name, fn) for name, fn in observable_panel(base.n_max, base.real_valued)
@@ -456,8 +463,8 @@ def cameron_martin_experiment(
     nl_median = None
     nl_max = None
     if eq is not None and t_final > 0.0 and evolve_samples > 0:
-        if dt is None:
-            raise ValueError("dt is required for the evolution part")
+        if dt is None or dt <= 0:
+            raise ValueError("dt > 0 is required for the evolution part")
         subset = y[:evolve_samples]
         grid_run = grid or grid_for(base.n_max, eq.p)
         n_steps = max(1, int(round(t_final / dt)))
@@ -678,6 +685,8 @@ def ldp_mc(
         m_counts = [int(m) for m in m_per_eps]
         if len(m_counts) != len(epsilons):
             raise ValueError("m_per_eps must match the number of epsilons")
+    if any(m < 1 for m in m_counts):
+        raise ValueError("m_per_eps must be >= 1")
     n_max = base.n_max
     weights, pinned = base_rate_weights(base)
     vc = _embed(v0, n_max)

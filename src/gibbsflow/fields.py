@@ -14,9 +14,10 @@ c_{-n} = conj(c_n); c_0 is a real N(0, sigma_0^2) draw when the mean is
 included.  With this convention E|c_n|^2 = sigma_n^2 per mode for every
 family, real or complex.
 
-Each row draws its positive-mode block, then its mode-0 scalar; row i of
-an ensemble on lane l is path (l, 0, i), drawn by one generator re-pointed
-from row to row (``rng.sample_paths``), so results are bit-reproducible.
+Every draw is one ``sample_matrix`` call: all of its rows' mode blocks,
+then a real field's mode-0 scalars.  An ensemble on lane l draws chunk c
+of the fixed ``parallel.chunk_ranges`` plan from path (l, 0, c), so
+results are bit-reproducible and one row is the first row of chunk 0.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .parallel import chunk_ranges
-from .rng import RandomSeed, sample_paths
+from .rng import RandomSeed, generator
 from .spectral import TorusField, truncate
 
 __all__ = [
@@ -109,23 +110,19 @@ def expected_sobolev_sq(spec: GaussianFieldSpec, s: float) -> float:
     return float(np.sum((1.0 + n * n) ** s * mode_std(spec) ** 2))
 
 
-def _assemble(spec: GaussianFieldSpec, g: np.ndarray, g0: np.ndarray) -> np.ndarray:
-    """Coefficient rows from normals g (m, 2, k), the real and imaginary parts
-    of a real field's N positive modes (mirrored by conjugation) or of all
-    2N+1 modes of a complex one, and g0 (m,), a real field's mode 0."""
+def sample_matrix(spec: GaussianFieldSpec, m: int, rng: np.random.Generator) -> np.ndarray:
+    """m independent coefficient rows from one generator: normals g (m, 2, k),
+    the real and imaginary parts of a real field's N positive modes
+    (mirrored by conjugation) or of all 2N+1 modes of a complex one, then a
+    real field's m mode-0 scalars."""
     sig = mode_std(spec)
     if not spec.real_valued:
+        g = rng.standard_normal((m, 2, 2 * spec.n_max + 1))
         return (g[:, 0, :] + 1j * g[:, 1, :]) / np.sqrt(2.0) * sig
+    g = rng.standard_normal((m, 2, spec.n_max))
     c = (g[:, 0, :] + 1j * g[:, 1, :]) / np.sqrt(2.0) * sig[spec.n_max + 1:]
-    return np.concatenate([np.conj(c[:, ::-1]), (sig[spec.n_max] * g0)[:, None], c], axis=1)
-
-
-def sample_matrix(spec: GaussianFieldSpec, m: int, rng: np.random.Generator) -> np.ndarray:
-    """m independent coefficient rows from one explicit generator, as chunked
-    callers use it: all m positive-mode blocks, then the m mode-0 scalars."""
-    if not spec.real_valued:
-        return _assemble(spec, rng.standard_normal((m, 2, 2 * spec.n_max + 1)), None)
-    return _assemble(spec, rng.standard_normal((m, 2, spec.n_max)), rng.standard_normal(m))
+    c0 = sig[spec.n_max] * rng.standard_normal(m)
+    return np.concatenate([np.conj(c[:, ::-1]), c0[:, None], c], axis=1)
 
 
 def sample(spec: GaussianFieldSpec, seed: RandomSeed) -> TorusField:
@@ -136,19 +133,12 @@ def sample(spec: GaussianFieldSpec, seed: RandomSeed) -> TorusField:
 def sample_ensemble(
     spec: GaussianFieldSpec, m: int, seed: RandomSeed, lane_index: int = 0
 ) -> np.ndarray:
-    """m independent draws; row i is path (lane_index, 0, i) of the stream.
-
-    One re-pointed generator fills ``parallel.CHUNK`` rows of normals at a
-    time, assembled in one vectorised step; chunking never changes a draw.
-    """
-    k = spec.n_max if spec.real_valued else 2 * spec.n_max + 1
+    """m independent draws; chunk c of ``parallel.chunk_ranges(m)`` is
+    ``sample_matrix`` on path (lane_index, 0, c) of the stream."""
     out = np.empty((m, 2 * spec.n_max + 1), dtype=np.complex128)
-    paths = sample_paths(seed, lane_index, m)
-    for _, start, stop in chunk_ranges(m):
-        g = np.empty((stop - start, 2 * k + spec.real_valued))
-        for row in g:
-            next(paths).standard_normal(out=row)
-        out[start:stop] = _assemble(spec, g[:, :2 * k].reshape(stop - start, 2, k), g[:, -1])
+    for c, start, stop in chunk_ranges(m):
+        out[start:stop] = sample_matrix(spec, stop - start,
+                                        generator(seed, lane_index, sample=c))
     return out
 
 

@@ -362,7 +362,7 @@ def gibbs_ensemble(
     pcn_steps: int = 3,
     pcn_step_size: float = 0.5,
     lane_index: int = 0,
-    n_threads: int = 1,
+    n_threads: int | None = None,
 ) -> GibbsEnsemble:
     """Weighted ensemble targeting the truncated Gibbs measure.
 
@@ -371,8 +371,9 @@ def gibbs_ensemble(
     "ais" tempers the weight through intermediate levels with pCN
     rejuvenation, which keeps the importance identity exact while pushing
     the effective sample size toward m.  Fixed-size chunks draw from
-    chunk-indexed random paths, so results do not depend on thread count
-    or chunk order.
+    chunk-indexed random paths on up to n_threads threads (None: the
+    default count), so results do not depend on thread count or chunk
+    order.
     """
     if m_samples < 100:
         raise ValueError("m_samples must be >= 100")

@@ -2,9 +2,10 @@
 
 Work is split into fixed-size chunks whose boundaries depend only on the
 problem size, never on the worker count; results are merged in chunk
-order.  Chunk bodies draw from chunk-indexed random paths or work on
-their own rows only, so outputs are byte-identical for any number of
-threads.
+order.  The plan also addresses random draws: chunk c of an ensemble is
+drawn from path (lane, sub, c) (``fields.sample_ensemble``, Gibbs
+ensembles, ``ldp_mc``), and other chunk bodies work on their own rows
+only, so outputs are byte-identical for any number of threads.
 """
 
 from __future__ import annotations

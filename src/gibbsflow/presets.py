@@ -45,6 +45,13 @@ def smooth_shift_field(
     return TorusField(n_max, c, real_valued)
 
 
+def _check_n_max(n_max: int) -> int:
+    # The presets' step sizes divide by n_max.
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    return n_max
+
+
 def _kdv_white_noise(n_max: int) -> dict:
     return {
         "measure": GaussianFieldSpec("white", n_max, real_valued=True),
@@ -96,9 +103,10 @@ def invariance_preset(name: str, n_max: int | None = None) -> dict:
         raise ValueError(
             f"unknown invariance preset {name!r}; known: {sorted(INVARIANCE_PRESETS)}"
         )
-    default_n = {"kdv-white-noise": 32, "wick-nls-gibbs": 16,
+    if n_max is None:
+        n_max = {"kdv-white-noise": 32, "wick-nls-gibbs": 16,
                  "negative-control": 16}[name]
-    return INVARIANCE_PRESETS[name](n_max or default_n)
+    return INVARIANCE_PRESETS[name](_check_n_max(n_max))
 
 
 def _theorem_1(n_max: int) -> dict:
@@ -156,4 +164,4 @@ def cm_preset(name: str, n_max: int | None = None) -> dict:
         raise ValueError(
             f"unknown cm preset {name!r}; known: {sorted(CM_PRESETS)}"
         )
-    return CM_PRESETS[name](n_max or 32)
+    return CM_PRESETS[name](_check_n_max(32 if n_max is None else n_max))

@@ -8,8 +8,7 @@ order, or how many draws other paths consume.
 
 Experiments use fixed lane assignments (ensemble A vs B, resampling,
 annealing chains), sub for a component within a lane, and sample for the
-per-sample or per-chunk index.  Paths (lane, 0, i) differ only in the
-counter, so ``sample_paths`` serves them all from one re-pointed Generator.
+index of a chunk in the fixed ``parallel.chunk_ranges`` plan.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["RandomSeed", "generator", "sample_paths"]
+__all__ = ["RandomSeed", "generator"]
 
 
 @dataclass(frozen=True)
@@ -53,17 +52,3 @@ def generator(
         [0, sample % 2 ** 64, sub % 2 ** 64, lane % 2 ** 64], dtype=np.uint64
     )
     return np.random.Generator(np.random.Philox(key=key, counter=counter))
-
-
-def sample_paths(seed: RandomSeed, lane: int, n: int):
-    """Yield one Generator re-pointed to path (lane, 0, i) for each i < n, so it
-    draws as ``generator(seed, lane, sample=i)`` would; use it before the next."""
-    bits = (rng := generator(seed, lane)).bit_generator
-    # One state dict serves every row: setting it copies the counter, key
-    # and an empty buffer into the generator, so only the counter changes.
-    state = bits.state
-    state.update(buffer_pos=4, has_uint32=0, uinteger=0)
-    for i in range(n):
-        state["state"]["counter"][:] = (0, i, 0, lane)
-        bits.state = state
-        yield rng

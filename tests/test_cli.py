@@ -10,6 +10,7 @@ import pytest
 from gibbsflow.cli import main
 from gibbsflow.experiments import cameron_martin_experiment, invariance_experiment, ldp_mc
 from gibbsflow.integrators import evolve_ensemble
+from gibbsflow.measures import gibbs_ensemble
 from gibbsflow.parallel import default_threads, map_chunks
 from gibbsflow.serialize import SCHEMA_VERSION
 from gibbsflow.spectral import field_from_modes, field_to_json
@@ -88,7 +89,7 @@ class TestHelp:
         assert default_threads() == len(os.sched_getaffinity(0))
 
     @pytest.mark.parametrize("fn", [invariance_experiment, cameron_martin_experiment,
-                                    ldp_mc, evolve_ensemble])
+                                    ldp_mc, evolve_ensemble, gibbs_ensemble])
     def test_experiments_default_to_default_threads(self, fn):
         assert inspect.signature(fn).parameters["n_threads"].default is None
 
@@ -344,6 +345,25 @@ class TestExperimentCommands:
         assert json.loads(capsys.readouterr().out)["schema_version"] == SCHEMA_VERSION
         assert csv.read_text().splitlines()[0] == header
         assert list(tmp_path.iterdir()) == [csv]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["cm", "--samples", "0"], "m_samples must be >= 2"),
+        (["cm", "--samples", "1", "--evolve-samples", "0"], "m_samples must be >= 2"),
+        (["cm", "--nmax", "0"], "n_max must be >= 1"),
+        (["invariance", "--nmax", "0"], "n_max must be >= 1"),
+        (["invariance", "--samples", "0"], "m_samples must be >= 2"),
+        (["cm", "--nmax", "4", "--samples", "100", "--dt", "0"], "dt > 0"),
+        (["ldp", "--samples", "0"], "m_per_eps must be >= 1"),
+        (["entropy-check", "--cells", "0"], "--cells must be >= 1"),
+        (["ldp", "--center-mode", "5", "--nmax", "2"], "outside the band"),
+        (["ldp", "--center-mode", "-5", "--nmax", "2"], "outside the band"),
+    ])
+    def test_bad_input_exits_one(self, argv, message, capsys):
+        # 0 is a value, not "unset": it must not fall back to the preset.
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("gibbsflow: error:") and message in err
+        assert err.count("\n") == 1
 
     def test_entropy_check_run(self, tmp_path):
         out = tmp_path / "ent.json"

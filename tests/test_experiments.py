@@ -164,6 +164,23 @@ class TestCameronMartinExperiment:
         for a, b in zip(ses, ses[1:]):
             assert 1.5 < a / b < 2.7  # expect 2.0 for 4x the samples
 
+    def test_second_moment_uses_exact_null_se(self):
+        # Under the null log w ~ N(-s/2, s), so Var(w^2) = e^{6s} - e^{2s}.
+        base = GaussianFieldSpec("fwb", 8, alpha=1.0)
+        rep = cameron_martin_experiment(smooth_shift_field(8, 0.5), base,
+                                        m_samples=1000, seed=RandomSeed(4))
+        s = rep.shift_norm_sq
+        se = math.sqrt((math.exp(6 * s) - math.exp(2 * s)) / 1000)
+        assert rep.weight_second_moment_expected == math.exp(s)
+        assert rep.weight_second_moment_z == pytest.approx(
+            abs(rep.weight_second_moment - math.exp(s)) / se, rel=1e-12)
+
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_needs_two_samples(self, m):
+        base = GaussianFieldSpec("fwb", 4, alpha=1.0)
+        with pytest.raises(ValueError, match="m_samples must be >= 2"):
+            cameron_martin_experiment(smooth_shift_field(4, 0.5), base, m_samples=m)
+
     def test_evolution_part_records_proxies(self):
         p = cm_preset("theorem-3", n_max=16)
         rep = cameron_martin_experiment(

@@ -1,5 +1,7 @@
 """Tests for the random-field samplers."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -124,16 +126,17 @@ class TestSampling:
             assert abs(np.mean(sq) - expected_sobolev_sq(spec, 0.3)) < 4 * se
 
 
-def per_row_reference(spec, m, seed, lane):
-    """Row i drawn alone from a fresh generator at path (lane, 0, i)."""
-    rows = [sample_matrix(spec, 1, generator(seed, lane=lane, sample=i))[0]
-            for i in range(m)]
-    return np.array(rows, dtype=np.complex128).reshape(m, 2 * spec.n_max + 1)
+def per_chunk_reference(spec, m, seed, lane):
+    """Chunk c of the 256-row plan drawn alone by ``sample_matrix`` from a
+    fresh generator at path (lane, 0, c)."""
+    chunks = [sample_matrix(spec, min(256, m - start), generator(seed, lane=lane, sample=c))
+              for c, start in enumerate(range(0, m, 256))]
+    return np.concatenate(chunks) if chunks else np.empty((0, 2 * spec.n_max + 1), complex)
 
 
 class TestEnsemblePaths:
-    """sample_ensemble's one re-pointed generator against one fresh
-    generator per row: the bytes must agree exactly."""
+    """sample_ensemble against one fresh generator per 256-row chunk: the
+    bytes must agree exactly, row for row."""
 
     SPECS = {
         "white-real": GaussianFieldSpec("white", 16, real_valued=True),
@@ -146,12 +149,12 @@ class TestEnsemblePaths:
     @pytest.mark.parametrize("name", sorted(SPECS))
     @pytest.mark.parametrize("lane", [0, 5])
     def test_equals_per_row_reference(self, name, lane):
-        # 300 rows cross the 256-row assembly block boundary.
+        # 300 rows are two chunks: rows 256..299 come from path (lane, 0, 1).
         spec = self.SPECS[name]
         seed = RandomSeed(2026, 3)
         got = sample_ensemble(spec, 300, seed, lane)
-        want = per_row_reference(spec, 300, seed, lane)
-        assert got.shape == want.shape
+        want = per_chunk_reference(spec, 300, seed, lane)
+        assert got.shape == want.shape == (300, 2 * spec.n_max + 1)
         assert got.tobytes() == want.tobytes()
 
     def test_zero_rows(self):
@@ -161,19 +164,36 @@ class TestEnsemblePaths:
     def test_sample_is_the_one_row_ensemble(self):
         for spec in self.SPECS.values():
             one = sample(spec, RandomSeed(9, 4)).coeffs
-            assert one.tobytes() == per_row_reference(spec, 1, RandomSeed(9, 4), 0).tobytes()
+            assert one.tobytes() == per_chunk_reference(spec, 1, RandomSeed(9, 4), 0).tobytes()
 
-    def test_one_generator_per_ensemble(self, monkeypatch):
-        import gibbsflow.rng as rng
+    @pytest.mark.parametrize("spec, seed, digest", [
+        (GaussianFieldSpec("fwb", 16, alpha=0.45), RandomSeed(3, 2),
+         "b51bd269e011af7efde791d863409423f06499c4413476f7b132afce51d812aa"),
+        (GaussianFieldSpec("fwb", 8, alpha=1.0, real_valued=True), RandomSeed(7),
+         "9c49c6af9d0c193f99ab0e520e21adc349cc9dacd5f614ffdd793cc618d98394"),
+    ], ids=["complex", "real"])
+    def test_sample_bytes_pinned(self, spec, seed, digest):
+        # A single draw is row 0 of chunk 0 on path (0, 0, 0); the digests
+        # pin the bytes of its coefficients.
+        assert hashlib.sha256(sample(spec, seed).coeffs.tobytes()).hexdigest() == digest
+
+    def test_one_generator_per_chunk(self, monkeypatch):
+        import gibbsflow.fields as fields
         calls = []
 
         def counting(*args, **kwargs):
             calls.append(args)
             return generator(*args, **kwargs)
 
-        monkeypatch.setattr(rng, "generator", counting)
+        monkeypatch.setattr(fields, "generator", counting)
         sample_ensemble(self.SPECS["white-real"], 600, RandomSeed(3), 2)
-        assert len(calls) == 1
+        assert len(calls) == 3  # 600 rows: chunks of 256, 256 and 88
+
+    def test_negative_lane_rejected(self):
+        with pytest.raises(ValueError, match=">= 0"):
+            generator(RandomSeed(0), lane=-1)
+        with pytest.raises(ValueError, match=">= 0"):
+            sample_ensemble(self.SPECS["white-real"], 2, RandomSeed(0), -1)
 
 
 class TestShifts:
@@ -280,17 +300,16 @@ class TestThresholdProbe:
         assert list(rep.median_norms) == sorted(rep.median_norms)
         assert rep.tail_slope >= GrowthReport.SLOPE_THRESHOLD
 
-    def test_rows_come_from_per_sample_paths(self):
-        # Row i is the draw on path (lane 0, sample i), as in sample_ensemble.
+    def test_rows_come_from_per_chunk_paths(self):
+        # The 7 rows are chunk 0 of the plan, drawn on path (lane 0, sample 0)
+        # as in sample_ensemble.
         spec = GaussianFieldSpec("fwb", 3, alpha=0.5, real_valued=True)
         rep = sobolev_threshold_probe(spec, 0.3, n_grid=(5, 10, 20), samples=7,
                                       seed=RandomSeed(4, 2))
         top = GaussianFieldSpec("fwb", 20, alpha=0.5, real_valued=True)
         n = np.arange(-20, 21)
-        power = np.array([
-            (1.0 + n * n) ** 0.3
-            * np.abs(sample_matrix(top, 1, generator(RandomSeed(4, 2), sample=i))[0]) ** 2
-            for i in range(7)])
+        power = (1.0 + n * n) ** 0.3 * np.abs(
+            per_chunk_reference(top, 7, RandomSeed(4, 2), 0)) ** 2
         medians = [np.sqrt(np.median(np.sum(power[:, np.abs(n) <= k], axis=1)))
                    for k in (5, 10, 20)]
         assert rep.median_norms == tuple(medians)
