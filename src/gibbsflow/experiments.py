@@ -30,7 +30,7 @@ from .rng import RandomSeed, generator
 from .spectral import GridConfig, TorusField, grid_for, truncate
 from .stats import (
     holm_adjust,
-    ks_exact_tail,
+    ks_exact_tails,
     ks_two_sample,
     spearman_rho,
     standard_error,
@@ -255,12 +255,14 @@ def invariance_experiment(
         names.append(name)
         xs_a.append(xa)
         xs_b.append(xb)
-    if weighted and names:
+    if not names:
+        tests = []
+    elif weighted:
         tests = weighted_ks_bootstrap(np.array(xs_a), wa, np.array(xs_b), wb,
                                       generator(seed, lane=_LANE_COMPARE),
                                       reps=bootstrap_reps)
     else:
-        tests = [ks_two_sample(xa, xb) for xa, xb in zip(xs_a, xs_b)]
+        tests = ks_two_sample(np.array(xs_a), np.array(xs_b))
 
     adjusted = holm_adjust([p for _, p in tests])
     observables = tuple(
@@ -333,7 +335,8 @@ def calibration_uniformity(
         rep = invariance_experiment(measure, None, 0.0, m_samples, rep_seed)
         hs.extend(round(o.statistic * m_samples) for o in rep.observables)
         us.extend(generator(rep_seed, lane=_LANE_CALIBRATION).random(len(rep.observables)))
-    tail = {h: ks_exact_tail(h, m_samples) for h in set(hs) | {h + 1 for h in hs}}
+    lattice = sorted(set(hs) | {h + 1 for h in hs})
+    tail = dict(zip(lattice, ks_exact_tails(lattice, m_samples)))
     pooled = [tail[h + 1] + u * (tail[h] - tail[h + 1]) for h, u in zip(hs, us)]
     stat, p = uniformity_ks(pooled)
     return CalibrationReport(
@@ -406,14 +409,17 @@ def cameron_martin_experiment(
     E[w^2] = exp(||v0||_H^2), and E_shifted[F] = E_base[F w] for the panel
     functionals, all within z_threshold standard errors (plug-in, except
     the exact null one for E[w^2]).  Needs m_samples >= 2.  Part (b) evolves
-    a subset of the shifted ensemble and records mass histories and blowup
-    counts; "no blowup and sup_t mass within 10x initial" is reported as a
-    global-existence proxy, not as a proof of anything.  The evolution
+    the first evolve_samples rows of the shifted ensemble (0: no part (b))
+    and records mass histories and blowup counts; "no blowup and sup_t
+    mass within 10x initial" is reported as a global-existence proxy, not
+    as a proof of anything.  The evolution
     runs in row chunks on up to n_threads threads (None: the default
     count); the report does not depend on the thread count.
     """
     if m_samples < 2:
         raise ValueError(f"m_samples must be >= 2, got {m_samples}")
+    if evolve_samples < 0:
+        raise ValueError(f"evolve_samples must be >= 0, got {evolve_samples}")
     x = sample_ensemble(base, m_samples, seed, _LANE_A)
     y_noise = sample_ensemble(base, m_samples, seed, _LANE_B)
     v0_emb = truncate(v0, base.n_max)

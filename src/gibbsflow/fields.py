@@ -23,6 +23,7 @@ results are bit-reproducible and one row is the first row of chunk 0.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,8 +64,12 @@ class GaussianFieldSpec:
             raise ValueError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
         if self.n_max < 0:
             raise ValueError("n_max must be >= 0")
-        if self.family in ("fwa", "fwb") and self.alpha is None:
-            raise ValueError(f"family {self.family!r} requires alpha")
+        if self.family in ("fwa", "fwb"):
+            if self.alpha is None:
+                raise ValueError(f"family {self.family!r} requires alpha")
+            if not (math.isfinite(self.alpha) and self.alpha >= 0):
+                raise ValueError(f"family {self.family!r} needs a finite alpha >= 0,"
+                                 f" got {self.alpha}")
         if self.family == "general":
             if self.base_coeffs is None:
                 raise ValueError("family 'general' requires base_coeffs")
@@ -110,19 +115,34 @@ def expected_sobolev_sq(spec: GaussianFieldSpec, s: float) -> float:
     return float(np.sum((1.0 + n * n) ** s * mode_std(spec) ** 2))
 
 
-def sample_matrix(spec: GaussianFieldSpec, m: int, rng: np.random.Generator) -> np.ndarray:
+def sample_matrix(spec: GaussianFieldSpec, m: int, rng: np.random.Generator,
+                  out: np.ndarray | None = None,
+                  normals: np.ndarray | None = None) -> np.ndarray:
     """m independent coefficient rows from one generator: normals g (m, 2, k),
-    the real and imaginary parts of a real field's N positive modes
-    (mirrored by conjugation) or of all 2N+1 modes of a complex one, then a
-    real field's m mode-0 scalars."""
+    the real and imaginary parts of a real field's k = N positive modes
+    (mirrored by conjugation) or of all k = 2N+1 modes of a complex one,
+    then a real field's m mode-0 scalars.
+
+    The rows go to ``out`` (m, 2N+1) complex and the normals to ``normals``
+    (m, 2, k) float when given, to fresh arrays otherwise.
+    """
+    n = spec.n_max
     sig = mode_std(spec)
-    if not spec.real_valued:
-        g = rng.standard_normal((m, 2, 2 * spec.n_max + 1))
-        return (g[:, 0, :] + 1j * g[:, 1, :]) / np.sqrt(2.0) * sig
-    g = rng.standard_normal((m, 2, spec.n_max))
-    c = (g[:, 0, :] + 1j * g[:, 1, :]) / np.sqrt(2.0) * sig[spec.n_max + 1:]
-    c0 = sig[spec.n_max] * rng.standard_normal(m)
-    return np.concatenate([np.conj(c[:, ::-1]), c0[:, None], c], axis=1)
+    k = n if spec.real_valued else 2 * n + 1
+    if out is None:
+        out = np.empty((m, 2 * n + 1), dtype=np.complex128)
+    if normals is None:
+        normals = np.empty((m, 2, k))
+    rng.standard_normal(out=normals)
+    c, sig_c = (out[:, n + 1:], sig[n + 1:]) if spec.real_valued else (out, sig)
+    np.multiply(1j, normals[:, 1, :], out=c)
+    np.add(normals[:, 0, :], c, out=c)
+    c /= np.sqrt(2.0)
+    c *= sig_c
+    if spec.real_valued:
+        np.conjugate(c[:, ::-1], out=out[:, :n])
+        out[:, n] = sig[n] * rng.standard_normal(m)
+    return out
 
 
 def sample(spec: GaussianFieldSpec, seed: RandomSeed) -> TorusField:

@@ -252,18 +252,26 @@ class GibbsSpec:
 
 
 def gibbs_log_weight_matrix(
-    coeffs: np.ndarray, spec: GibbsSpec, grid: GridConfig
+    coeffs: np.ndarray,
+    spec: GibbsSpec,
+    grid: GridConfig,
+    work: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Batched log density factor -/+ (beta/p) int |u|^p and cutoff
     indicator for coefficient rows.
 
     Defocusing weights are always <= 0 (density bounded by 1), which is
-    what licenses the rejection-sampling cross-check.
+    what licenses the rejection-sampling cross-check.  ``work``, a pair of
+    (rows, M) complex and float buffers, holds the grid values u and |u|^p
+    in place of fresh arrays.
     """
     n_max = (coeffs.shape[-1] - 1) // 2
     require_lp_points(n_max, spec.p, grid)
-    u = synthesize(coeffs, n_max, grid.m_points)
-    integral = 2.0 * np.pi * np.mean(np.abs(u) ** spec.p, axis=-1)
+    u_buf, power_buf = (None, None) if work is None else work
+    u = synthesize(coeffs, n_max, grid.m_points, out=u_buf)
+    power = np.abs(u, out=power_buf)
+    np.power(power, spec.p, out=power)
+    integral = 2.0 * np.pi * np.mean(power, axis=-1)
     sgn = -1.0 if spec.sign == "defocusing" else 1.0
     log_w = sgn * (spec.beta / spec.p) * integral
     if spec.cutoff_B is not None:
@@ -323,12 +331,24 @@ def _ais_chunk(
     lam ramped quadratically from 0 to 1 (fine steps where the weight
     variance is largest); pCN moves keep each tempered level invariant, so
     the accumulated increments are exact importance weights for the target.
+    The sweep's work buffers are bound once per chunk, as in
+    ``integrators``: freeing and re-making a few hundred KB per pCN step
+    costs page faults.
     """
-    sgn = -1.0 if spec.sign == "defocusing" else 1.0
+    width = 2 * spec.base.n_max + 1
+    k = spec.base.n_max if spec.base.real_valued else width
+    work = (np.empty((m, grid.m_points), dtype=np.complex128),
+            np.empty((m, grid.m_points)))
+    prop = np.empty((m, width), dtype=np.complex128)
+    step = np.empty_like(prop)
+    normals = np.empty((m, 2, k))
+    uniforms = np.empty(m)
+    gain = np.empty(m)
+    accept = np.empty(m, dtype=bool)
+    finite = np.empty(m, dtype=bool)
 
     def potential(c):
-        lw, within = gibbs_log_weight_matrix(c, spec, grid)
-        lw = lw.copy()
+        lw, within = gibbs_log_weight_matrix(c, spec, grid, work)
         lw[~within] = -np.inf
         return lw
 
@@ -337,18 +357,24 @@ def _ais_chunk(
     log_w = np.zeros(m)
     lam_prev = 0.0
     root = math.sqrt(1.0 - pcn_step_size ** 2)
-    for k in range(1, levels + 1):
-        lam = (k / levels) ** 2
+    for level in range(1, levels + 1):
+        lam = (level / levels) ** 2
         log_w += (lam - lam_prev) * log_v
         lam_prev = lam
         for _ in range(pcn_steps):
-            prop = root * c + pcn_step_size * sample_matrix(spec.base, m, rng)
+            np.multiply(root, c, out=prop)
+            sample_matrix(spec.base, m, rng, out=step, normals=normals)
+            np.multiply(pcn_step_size, step, out=step)
+            np.add(prop, step, out=prop)
             log_v_prop = potential(prop)
+            np.log(rng.random(out=uniforms), out=uniforms)
             with np.errstate(invalid="ignore"):
-                accept = np.log(rng.random(m)) < lam * (log_v_prop - log_v)
-            accept &= np.isfinite(log_v_prop)
-            c[accept] = prop[accept]
-            log_v[accept] = log_v_prop[accept]
+                np.subtract(log_v_prop, log_v, out=gain)
+                np.multiply(lam, gain, out=gain)
+                np.less(uniforms, gain, out=accept)
+            accept &= np.isfinite(log_v_prop, out=finite)
+            np.copyto(c, prop, where=accept[:, np.newaxis])
+            np.copyto(log_v, log_v_prop, where=accept)
     return c, log_w
 
 
@@ -564,6 +590,8 @@ def entropy_check_finite_dim(
 
     rng = generator(seed)
     if directions is None:
+        if n_directions < 1:
+            raise ValueError(f"n_directions must be >= 1, got {n_directions}")
         directions = [rng.standard_normal(h.shape) * f_star for _ in range(n_directions)]
 
     notes = []

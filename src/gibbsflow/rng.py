@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random  # noqa: F401 -- loaded with the module, not on first draw
 
 __all__ = ["RandomSeed", "generator"]
 

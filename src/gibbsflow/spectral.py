@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import next_fast_len
+import numpy.fft  # noqa: F401 -- loaded with the module, not on first transform
 
 __all__ = [
     "TorusField",
@@ -112,11 +112,21 @@ class GridConfig:
 
 
 def grid_for(n_max: int, degree: float) -> GridConfig:
-    """The one grid rule: the smallest 5-smooth M that resolves the band
-    |n| <= N (M >= 2N+2) and makes degree-``degree`` products of it
-    alias-free (M >= degree*N + 1, see ``lp_min_points``)."""
-    need = max(lp_min_points(n_max, degree), 2 * n_max + 2)
-    return GridConfig(next_fast_len(need, real=True))
+    """The one grid rule: the smallest 5-smooth M (no prime factor above 5,
+    so every FFT of it is fast) that resolves the band |n| <= N
+    (M >= 2N+2) and makes degree-``degree`` products of it alias-free
+    (M >= degree*N + 1, see ``lp_min_points``)."""
+    m = max(lp_min_points(n_max, degree), 2 * n_max + 2)
+    while not _five_smooth(m):
+        m += 1
+    return GridConfig(m)
+
+
+def _five_smooth(m: int) -> bool:
+    for p in (2, 3, 5):
+        while m % p == 0:
+            m //= p
+    return m == 1
 
 
 def zero_field(n_max: int, real_valued: bool = False) -> TorusField:
@@ -212,16 +222,23 @@ def _require_points(m_points: int, n_max: int) -> None:
         )
 
 
-def synthesize(coeffs: np.ndarray, n_max: int, m_points: int) -> np.ndarray:
+def synthesize(coeffs: np.ndarray, n_max: int, m_points: int,
+               out: np.ndarray | None = None) -> np.ndarray:
     """Evaluate batched coefficient rows on the M-point grid (complex values).
 
-    coeffs has shape (batch, 2N+1); requires M >= 2N+2.
+    coeffs has shape (batch, 2N+1); requires M >= 2N+2.  The zero-padded
+    spectrum is built in ``out`` (batch, M) complex, or in a fresh array,
+    and transformed in place.
     """
     _require_points(m_points, n_max)
-    buf = np.zeros(coeffs.shape[:-1] + (m_points,), dtype=np.complex128)
-    idx = np.arange(-n_max, n_max + 1) % m_points
-    buf[..., idx] = coeffs
-    return np.fft.ifft(buf, axis=-1) * m_points
+    if out is None:
+        out = np.empty(coeffs.shape[:-1] + (m_points,), dtype=np.complex128)
+    out[..., :n_max + 1] = coeffs[..., n_max:]
+    out[..., n_max + 1:m_points - n_max] = 0.0
+    out[..., m_points - n_max:] = coeffs[..., :n_max]
+    np.fft.ifft(out, axis=-1, out=out)
+    out *= m_points
+    return out
 
 
 def analyze(values: np.ndarray, n_max: int) -> np.ndarray:

@@ -5,11 +5,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import stats as sps
 
 __all__ = [
     "ks_two_sample",
-    "ks_exact_tail",
+    "ks_exact_tails",
     "holm_adjust",
     "wilson_interval",
     "spearman_rho",
@@ -19,30 +18,60 @@ __all__ = [
 ]
 
 
-def ks_two_sample(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """Two-sample Kolmogorov-Smirnov distance and asymptotic p-value."""
-    res = sps.ks_2samp(np.asarray(x), np.asarray(y), method="asymp")
-    return float(res.statistic), float(res.pvalue)
+def ks_two_sample(xs_a: np.ndarray, xs_b: np.ndarray) -> list[tuple[float, float]]:
+    """Two-sample Kolmogorov-Smirnov distance and exact p-value, per observable.
+
+    ``xs_a`` and ``xs_b`` (n_obs, m) hold one row per panel observable,
+    evaluated on two ensembles of m members each.  Returns
+    [(statistic, p)] in panel order.  With equal sizes the distance lives
+    on the lattice h/m; h is the largest gap between the two samples'
+    counts at or below a pooled point (so ties are handled as by the
+    ECDFs), and p is the exact null tail P(D >= h/m) of ``ks_exact_tails``,
+    evaluated for the whole panel in one pass.
+    """
+    xs_a = np.asarray(xs_a, dtype=np.float64)
+    xs_b = np.asarray(xs_b, dtype=np.float64)
+    if xs_a.ndim != 2 or xs_a.shape != xs_b.shape:
+        raise ValueError(f"need two (n_obs, m) panels of equal size, got"
+                         f" shapes {xs_a.shape} and {xs_b.shape}")
+    m = xs_a.shape[1]
+    hs = []
+    for xa, xb in zip(xs_a, xs_b):
+        sa, sb = np.sort(xa), np.sort(xb)
+        both = np.concatenate([sa, sb])  # runs of sorted queries search fast
+        gap = (np.searchsorted(sa, both, side="right")
+               - np.searchsorted(sb, both, side="right"))
+        hs.append(int(np.max(np.abs(gap))))
+    return [(h / m, p) for h, p in zip(hs, ks_exact_tails(hs, m))]
 
 
-def ks_exact_tail(h: int, m: int) -> float:
-    """Exact null tail P(D >= h/m) of the two-sample KS distance D between
-    two samples of m continuous values each.
+def ks_exact_tails(hs, m: int) -> list[float]:
+    """Exact null tails P(D >= h/m), for each h in ``hs``, of the two-sample
+    KS distance D between two samples of m continuous values each.
 
     D lives on the lattice j/m; the reflection principle for the pooled
     ranks' lattice path gives
 
         P(D >= h/m) = 2 sum_{k>=1} (-1)^(k-1) C(2m, m - k h) / C(2m, m),
 
-    summed here in exact integers, so only the final division rounds.
+    summed here in exact integers, so only the final division rounds.  One
+    pass of the recurrence C(2m, m-j-1) = C(2m, m-j) (m-j) / (m+j+1), exact
+    at every step, yields each C(2m, m - j) that any of the sums needs.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    if h <= 0:
-        return 1.0
-    num = sum((-1) ** (k - 1) * math.comb(2 * m, m - k * h)
-              for k in range(1, m // h + 1))
-    return 2 * num / math.comb(2 * m, m)
+    hs = [int(h) for h in hs]
+    terms = {}  # j -> [(h, (-1)^(k-1))] for every h with j = k*h <= m
+    for h in {h for h in hs if h > 0}:
+        for j in range(h, m + 1, h):
+            terms.setdefault(j, []).append((h, 1 if j // h % 2 else -1))
+    num = dict.fromkeys(hs, 0)
+    central = binom = math.comb(2 * m, m)
+    for j in range(1, max(terms, default=0) + 1):
+        binom = binom * (m - j + 1) // (m + j)  # C(2m, m - j)
+        for h, sign in terms.get(j, ()):
+            num[h] += sign * binom
+    return [1.0 if h <= 0 else 2 * num[h] / central for h in hs]
 
 
 def holm_adjust(p_values) -> np.ndarray:
@@ -72,6 +101,8 @@ def wilson_interval(hits: int, n: int, z: float = 1.959963984540054
 
 def spearman_rho(x, y) -> float:
     """Spearman rank correlation (nan for degenerate inputs)."""
+    from scipy import stats as sps
+
     res = sps.spearmanr(np.asarray(x), np.asarray(y))
     return float(res.statistic)
 
@@ -85,6 +116,8 @@ def standard_error(x: np.ndarray) -> float:
 
 def uniformity_ks(p_values) -> tuple[float, float]:
     """One-sample KS test of p-values against Uniform(0, 1)."""
+    from scipy import stats as sps
+
     res = sps.kstest(np.asarray(p_values), "uniform")
     return float(res.statistic), float(res.pvalue)
 

@@ -3,6 +3,8 @@
 import inspect
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -18,6 +20,37 @@ from gibbsflow.spectral import field_from_modes, field_to_json
 
 SUBCOMMANDS = ["sample", "evolve", "invariance", "cm", "dichotomy", "ldp",
                "entropy-check"]
+
+
+class TestStartsWithoutScipy:
+    def test_no_scipy_module_loaded(self):
+        # A fresh interpreter: importing the CLI, --help and a small
+        # equal-size invariance run must not load any scipy module.
+        script = (
+            "import contextlib, io, json, sys\n"
+            "sys.path[:0] = sys.argv[1:]\n"
+            "def loaded():\n"
+            "    return sorted(k for k in sys.modules if k.startswith('scipy'))\n"
+            "seen = {}\n"
+            "import gibbsflow.cli as cli\n"
+            "seen['import'] = loaded()\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    try:\n"
+            "        cli.main(['--help'])\n"
+            "    except SystemExit:\n"
+            "        pass\n"
+            "    seen['help'] = loaded()\n"
+            "    seen['rc'] = cli.main(['invariance', '--preset', 'kdv-white-noise',\n"
+            "                           '--nmax', '4', '--samples', '50'])\n"
+            "seen['invariance'] = loaded()\n"
+            "print(json.dumps(seen))\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                           "src")
+        out = subprocess.run([sys.executable, "-c", script, src], capture_output=True,
+                             text=True, check=True, timeout=300).stdout
+        seen = json.loads(out.splitlines()[-1])
+        assert seen == {"import": [], "help": [], "rc": 0, "invariance": []}
 
 
 class TestHelp:
@@ -357,6 +390,12 @@ class TestExperimentCommands:
         (["entropy-check", "--cells", "0"], "--cells must be >= 1"),
         (["ldp", "--center-mode", "5", "--nmax", "2"], "outside the band"),
         (["ldp", "--center-mode", "-5", "--nmax", "2"], "outside the band"),
+        (["entropy-check", "--directions", "0", "--cells", "64"],
+         "n_directions must be >= 1"),
+        (["cm", "--nmax", "4", "--samples", "100", "--evolve-samples", "-3"],
+         "evolve_samples must be >= 0"),
+        (["sample", "--family", "fwb", "--alpha", "-1", "--nmax", "2"],
+         "finite alpha >= 0"),
     ])
     def test_bad_input_exits_one(self, argv, message, capsys):
         # 0 is a value, not "unset": it must not fall back to the preset.

@@ -132,6 +132,12 @@ class TestInvarianceExperiment:
 
 
 class TestCameronMartinExperiment:
+    def test_negative_evolve_samples_rejected(self):
+        base = GaussianFieldSpec("fwb", 4, alpha=1.0)
+        with pytest.raises(ValueError, match="evolve_samples must be >= 0"):
+            cameron_martin_experiment(zero_field(4), base, m_samples=100,
+                                      seed=RandomSeed(2), evolve_samples=-3)
+
     def test_zero_shift_gives_unit_weights(self):
         base = GaussianFieldSpec("fwb", 8, alpha=1.0)
         rep = cameron_martin_experiment(zero_field(8), base, m_samples=2000,

@@ -29,6 +29,14 @@ class TestSpecInvariants:
         with pytest.raises(ValueError, match="requires alpha"):
             GaussianFieldSpec("fwa", 4)
 
+    @pytest.mark.parametrize("family", ["fwa", "fwb"])
+    @pytest.mark.parametrize("alpha", [-1.0, float("nan"), float("inf")])
+    def test_alpha_finite_nonnegative(self, family, alpha):
+        with pytest.raises(ValueError, match="finite alpha >= 0"):
+            GaussianFieldSpec(family, 4, alpha=alpha)
+        assert mode_std(GaussianFieldSpec(family, 4, alpha=0.0))[5] == (
+            1.0 if family == "fwa" else 2 ** -0.5)
+
     def test_mean_zero_forced(self):
         assert GaussianFieldSpec("white", 4).mean_zero
         assert GaussianFieldSpec("fwa", 4, alpha=1.0).mean_zero

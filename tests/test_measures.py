@@ -1,5 +1,6 @@
 """Tests for densities, weights, and dichotomy criteria."""
 
+import hashlib
 import math
 import warnings
 
@@ -275,6 +276,42 @@ class TestGibbsEnsemble:
         assert ens.flagged
         assert any("degeneracy" in str(w.message) for w in caught)
 
+    # sha256 of the coeffs and log_weights bytes of a 300-row ensemble (two
+    # chunks, 256 + 44 rows), pinned before the AIS sweep reused its work
+    # buffers: a defocusing complex base, a focusing one whose L2 cutoff
+    # excludes rows, a real base with odd p, and the SNIS path.
+    PINNED = {
+        "defocusing-complex": (
+            GibbsSpec(p=4, sign="defocusing", beta=1.0,
+                      base=GaussianFieldSpec("fwb", 8, alpha=1.0)), "ais",
+            "dfe612a90536712815a8b5918240f9cc07e6744d12f4bc16045768e7ae674a57",
+            "ba21c1ac50286b2174f992a128746c869b0df8b48b555a66c7a5eed7a993a3fd"),
+        "focusing-cutoff": (
+            GibbsSpec(p=4, sign="focusing", beta=0.1, cutoff_B=4.5,
+                      base=GaussianFieldSpec("fwb", 8, alpha=1.0)), "ais",
+            "e21a8c11edcac112f493a6e1fc7eefb6df0aa8dd77273e600bfae1f38ae924b8",
+            "9170491df207b179bce16f446e3505ec7c7ce90278677c96aabc43b1c3e8fadb"),
+        "defocusing-real": (
+            GibbsSpec(p=3, sign="defocusing", beta=2.0,
+                      base=GaussianFieldSpec("fwa", 8, alpha=0.75, real_valued=True)),
+            "ais",
+            "6da621951cf66d0166e94d8566a99f400ca38c432ed7f947a80a0e5d0d72d64d",
+            "b29ca5982b250e22b22457a6d9cf866fd4be0f6c3ab6d9e94a21d63a0c0c3252"),
+        "snis": (
+            GibbsSpec(p=4, sign="defocusing", beta=1.0,
+                      base=GaussianFieldSpec("fwb", 8, alpha=1.0)), "snis",
+            "a23c29683f9222f4b06faf47fe57cb018a411a550a02a62c4e3dd3290542e724",
+            "90705bc1eb98d1f5e1ee0fc4bbdc95520117340128cbf6f47a4db25022c9d112"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(PINNED))
+    def test_ensemble_bytes_pinned(self, case):
+        spec, method, coeffs_digest, log_w_digest = self.PINNED[case]
+        ens = gibbs_ensemble(spec, 300, RandomSeed(11, 2), method=method,
+                             levels=12, pcn_steps=2, lane_index=1)
+        assert hashlib.sha256(ens.coeffs.tobytes()).hexdigest() == coeffs_digest
+        assert hashlib.sha256(ens.log_weights.tobytes()).hexdigest() == log_w_digest
+
     def test_thread_count_irrelevant(self):
         spec = self.spec(n_max=4)
         a = gibbs_ensemble(spec, 600, RandomSeed(7), levels=20, pcn_steps=1,
@@ -394,6 +431,12 @@ class TestEntropyCheck:
                                        seed=RandomSeed(2))
         assert rep.directions_tested == 20
         assert rep.strict_decrease and rep.min_entropy_drop > 0.0
+
+    @pytest.mark.parametrize("count", [0, -2])
+    def test_needs_a_direction(self, count):
+        q, vol = self.grid(cells=64)
+        with pytest.raises(ValueError, match="n_directions must be >= 1"):
+            entropy_check_finite_dim(q ** 2 / 2.0, 1.0, vol, n_directions=count)
 
     def test_positivity_violation_skipped_with_note(self):
         q, vol = self.grid(cells=512)

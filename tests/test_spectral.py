@@ -1,5 +1,7 @@
 """Tests for the Fourier-side field representation."""
 
+import bisect
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -286,6 +288,18 @@ class TestGridConfig:
         assert grid_for(32, 3).m_points == 100  # KdV
         assert grid_for(16, 4).m_points == 72  # Wick-NLS
         assert grid_for(32, 4).m_points == 135  # NLS and Wick-NLS
+
+    def test_grid_for_against_enumerated_5_smooth_sizes(self):
+        # Oracle: every 2^a 3^b 5^c up to 2*5000, listed by their exponents.
+        limit = 10_000
+        smooth = sorted(2 ** a * 3 ** b * 5 ** c
+                        for a in range(14) for b in range(9) for c in range(6)
+                        if 2 ** a * 3 ** b * 5 ** c <= limit)
+        # grid_for(1, d) needs M >= max(d + 1, 4); grid_for(0, d) needs 2.
+        cases = [(0, 1, 2)] + [(1, need - 1, need) for need in range(4, 5001)]
+        for n_max, degree, need in cases:
+            want = smooth[bisect.bisect_left(smooth, need)]
+            assert grid_for(n_max, degree).m_points == want, need
 
 
 class TestBandMatrices:

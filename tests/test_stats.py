@@ -1,5 +1,6 @@
 """Tests for the statistical machinery."""
 
+import math
 import warnings
 
 import numpy as np
@@ -8,7 +9,7 @@ from scipy import stats as sps
 
 from gibbsflow.rng import RandomSeed, generator
 from gibbsflow.stats import (
-    ks_exact_tail,
+    ks_exact_tails,
     ks_two_sample,
     weighted_ks_bootstrap,
     wilson_interval,
@@ -31,14 +32,58 @@ class TestKsExactTail:
             assert h == j + 1
             if fallback:
                 continue
-            assert ks_exact_tail(h, m) == pytest.approx(res.pvalue, rel=1e-12,
-                                                        abs=1e-15)
+            assert ks_exact_tails([h], m)[0] == pytest.approx(res.pvalue, rel=1e-12,
+                                                              abs=1e-15)
             compared += 1
         assert compared >= m - 2
 
     def test_lattice_ends(self):
-        assert ks_exact_tail(0, 7) == ks_exact_tail(1, 7) == 1.0
-        assert ks_exact_tail(8, 7) == 0.0
+        assert ks_exact_tails([0, 1, 8], 7) == [1.0, 1.0, 0.0]
+
+    @pytest.mark.parametrize("m", [7, 300, 2000])
+    def test_one_pass_equals_per_term_sum(self, m):
+        # The reflection sum with each C(2m, m - k h) from math.comb, one
+        # tail at a time: the batched recurrence must give the same floats.
+        def per_term(h):
+            if h <= 0:
+                return 1.0
+            num = sum((-1) ** (k - 1) * math.comb(2 * m, m - k * h)
+                      for k in range(1, m // h + 1))
+            return 2 * num / math.comb(2 * m, m)
+
+        hs = list(range(-1, m + 3))
+        assert ks_exact_tails(hs, m) == [per_term(h) for h in hs]
+
+    def test_repeated_and_unordered_h(self):
+        p5, p2 = ks_exact_tails([5], 30) + ks_exact_tails([2], 30)
+        assert ks_exact_tails([5, 2, 5, 0], 30) == [p5, p2, p5, 1.0]
+
+
+class TestKsTwoSample:
+    def test_matches_scipy_statistic_and_exact_tail(self):
+        rng = np.random.default_rng(11)
+        xs_a = rng.normal(size=(5, 120))
+        xs_b = rng.normal(size=(5, 120)) + np.linspace(0.0, 0.6, 5)[:, None]
+        res = ks_two_sample(xs_a, xs_b)
+        assert len(res) == 5
+        for (stat, p), xa, xb in zip(res, xs_a, xs_b):
+            h = round(stat * 120)
+            assert stat == h / 120
+            assert stat == pytest.approx(sps.ks_2samp(xa, xb).statistic, abs=1e-12)
+            assert p == ks_exact_tails([h], 120)[0]
+
+    def test_ties_follow_the_ecdfs(self):
+        # Integer data: ties within and across the samples.
+        rng = np.random.default_rng(12)
+        xs_a = rng.integers(0, 6, size=(3, 40)).astype(float)
+        xs_b = rng.integers(1, 7, size=(3, 40)).astype(float)
+        for (stat, _), xa, xb in zip(ks_two_sample(xs_a, xs_b), xs_a, xs_b):
+            assert stat == pytest.approx(sps.ks_2samp(xa, xb).statistic, abs=1e-12)
+
+    @pytest.mark.parametrize("shape_b", [(2, 9), (3, 10), (10,)])
+    def test_unequal_shapes_raise(self, shape_b):
+        with pytest.raises(ValueError, match="equal size"):
+            ks_two_sample(np.zeros((2, 10)), np.zeros(shape_b))
 
 
 def _panel(seed, n_obs=4, na=90, nb=70):
@@ -56,7 +101,7 @@ class TestWeightedKsBootstrap:
                                     np.random.default_rng(2), reps=50)
         assert len(res) == xs_a.shape[0]
         for (stat, _), xa, xb in zip(res, xs_a, xs_b):
-            assert stat == pytest.approx(ks_two_sample(xa, xb)[0], abs=1e-12)
+            assert stat == pytest.approx(sps.ks_2samp(xa, xb).statistic, abs=1e-12)
 
     def test_panel_row_equals_single_observable_call(self):
         # Every observable sees the same resamples: a panel row is the
