@@ -27,8 +27,9 @@ Transforms are matrix products, not FFTs: at these band-limited sizes a
 GEMM against the pruned DFT matrix of ``spectral.band_matrices`` is faster
 than an FFT round trip, and the diagonal linear propagator, derivative and
 1/M scaling of each stage are folded into the matrices, built once per
-``evolve_ensemble`` call.  Each chunk of rows binds the stepper to work
-buffers allocated once, so a step allocates almost nothing.
+``evolve_ensemble`` call.  Each chunk of rows binds the stepper once to
+work buffers and to batched products over fixed-size row blocks
+(``_batched_matmul``), so a step allocates almost nothing.
 """
 
 from __future__ import annotations
@@ -76,10 +77,12 @@ BLOWUP_LINF = 1.0e6
 # covers the advective nonlinearity).
 STRANG_DT_N2_BOUND = 1.0
 AIRY_DT_N3_BOUND = 8.0
-# Rows per evolve chunk.  A step multiplies a whole chunk by the transform
-# matrices; at 256 rows a GEMM is large enough for OpenBLAS to thread it,
-# which oversubscribes the cores that the chunk threads already fill.
-_EVOLVE_CHUNK = 128
+# Rows per evolve chunk: a step's ~30 numpy calls cost the same at any
+# size.  1024 rows were no faster and raised kdv-white-noise's peak memory.
+_EVOLVE_CHUNK = 512
+# Multiply-adds per block of ``_batched_matmul``: 1.65e5 to 1e6 ran KdV
+# equally fast, and from 5.6e5 a 64-row (65 x 135) product is one block.
+_GEMM_BLOCK_MACS = 600_000
 
 
 @dataclass(frozen=True)
@@ -207,6 +210,27 @@ def _onto_mass_sphere(c: np.ndarray, mass: np.ndarray, sq: np.ndarray) -> None:
     c *= scale[:, np.newaxis]
 
 
+def _batched_matmul(x: np.ndarray, out: np.ndarray):
+    """``product(m)`` writing ``x @ m`` into ``out`` (contiguous chunk
+    buffers) as one batched ``np.matmul`` over blocks of B = max(1,
+    _GEMM_BLOCK_MACS // (K N)) rows for a (K x N) ``m``, plus one product
+    for the remainder; the views are bound here, once.  OpenBLAS threads a
+    whole-chunk GEMM on top of the chunk threads, which made 512-row chunks
+    twice as slow on two cores; the blocks run as fast as unthreaded BLAS."""
+    (rows, k), n = x.shape, out.shape[1]
+    block = max(1, _GEMM_BLOCK_MACS // (k * n))
+    split = rows - rows % block
+    pairs = [(a, o) for a, o in ((x[:split].reshape(-1, block, k),
+                                  out[:split].reshape(-1, block, n)),
+                                 (x[split:], out[split:])) if len(a)]
+
+    def product(m: np.ndarray) -> None:
+        for a, o in pairs:
+            np.matmul(a, m, out=o)
+
+    return product
+
+
 class _StrangStepper:
     """Batched Strang splitting for nls / wick_nls on complex coefficients.
 
@@ -226,11 +250,12 @@ class _StrangStepper:
         self.dt = dt
         self.exponent = (eq.p - 2) / 2.0
 
-    def bind(self, rows: int):
-        """``step(c, out) -> peak`` for chunks of ``rows`` rows: writes the
-        stepped coefficients to ``out`` and returns the per-row max |u|^2
-        seen; its work buffers are allocated here, once."""
-        eq, k = self.eq, self.k
+    def bind(self, a: np.ndarray, b: np.ndarray):
+        """``step(c, out) -> peak`` for a chunk whose state lives in ``a``
+        and ``b`` (``c, out`` is ``a, b`` or ``b, a``): writes the stepped
+        coefficients to ``out`` and returns the per-row max |u|^2 seen; its
+        work buffers and products are bound here, once."""
+        eq, k, rows = self.eq, self.k, a.shape[0]
         u = np.empty((rows, self.m), dtype=np.complex128)
         rot = np.empty_like(u)
         theta = np.empty((rows, self.m))
@@ -238,10 +263,14 @@ class _StrangStepper:
         peak = np.empty(rows)
         ms = np.empty(rows)
         angle = eq.s * self.dt
+        # (to the grid, back from it) for c = a and for c = b
+        products = [(_batched_matmul(c, u), _batched_matmul(u, out))
+                    for c, out in ((a, b), (b, a))]
 
         def step(c: np.ndarray, out: np.ndarray) -> np.ndarray:
+            to_grid, from_grid = products[c is b]
             _row_mass(c, sq, ms)
-            np.matmul(c, self.synthesis, out=u)
+            to_grid(self.synthesis)
             np.abs(u, out=theta)
             np.square(theta, out=theta)
             np.max(theta, axis=-1, out=peak)
@@ -253,7 +282,7 @@ class _StrangStepper:
             np.cos(theta, out=rot.real)
             np.sin(theta, out=rot.imag)
             np.multiply(u, rot, out=u)
-            np.matmul(u, self.analysis, out=out)
+            from_grid(self.analysis)
             if eq.galerkin_projected:
                 _onto_mass_sphere(out, ms, sq)
             return peak
@@ -287,17 +316,15 @@ class _KdvStepper:
         ]
         self.dt = dt
 
-    def bind(self, rows: int):
-        """``step(h, out) -> peak`` for chunks of ``rows`` rows: writes the
-        stepped half-spectrum to ``out`` and returns the per-row max u^2
-        seen; its work buffers are allocated here, once."""
-        k, power, dt = self.k, self.eq.p - 1, self.dt
+    def bind(self, a: np.ndarray, b: np.ndarray):
+        """``step(h, out) -> peak`` for a chunk whose state lives in ``a``
+        and ``b`` (``h, out`` is ``a, b`` or ``b, a``): writes the stepped
+        half-spectrum to ``out`` and returns the per-row max u^2 seen; its
+        work buffers and products are bound here, once."""
+        k, power, dt, rows = self.k, self.eq.p - 1, self.dt, a.shape[0]
         u = np.empty((rows, self.m))
-        w = np.empty_like(u)
         y = np.empty((rows, k + 1), dtype=np.complex128)
         slope = np.empty_like(y)
-        acc = np.empty_like(y)
-        slope_f = slope.view(np.float64)
         sq = np.empty((rows, k))
         peak = np.empty(rows)
         stage_peak = np.empty(rows)
@@ -306,32 +333,40 @@ class _KdvStepper:
         # (stage matrices, dt fraction of the previous slope in the stage
         # input, weight of the stage slope in the RK4 sum)
         later = ((half, 0.5 * dt, 2.0), (half, 0.5 * dt, 2.0), (full, dt, 1.0))
+        from_a, from_b, from_y = (_batched_matmul(x.view(np.float64), u)
+                                  for x in (a, b, y))
+        to_slope = _batched_matmul(u, slope.view(np.float64))
 
-        def nonlinear(x: np.ndarray, synthesis: np.ndarray, analysis: np.ndarray) -> None:
-            np.matmul(x.view(np.float64), synthesis, out=u)
-            np.square(u, out=w)
-            np.max(w, axis=-1, out=stage_peak)
-            if power != 2:
-                np.power(u, power, out=w)
-            np.matmul(w, analysis, out=slope_f)
+        def nonlinear(to_grid, synthesis: np.ndarray, analysis: np.ndarray) -> None:
+            to_grid(synthesis)
+            if power == 2:
+                np.square(u, out=u)
+                np.max(u, axis=-1, out=stage_peak)
+            else:
+                # max u^2 is (max |u|)^2 exactly, as rounding is monotone.
+                np.max(u, axis=-1, out=stage_peak)
+                np.maximum(stage_peak, -np.min(u, axis=-1), out=stage_peak)
+                np.square(stage_peak, out=stage_peak)
+                np.power(u, power, out=u)
+            to_slope(analysis)
 
         def step(h: np.ndarray, out: np.ndarray) -> np.ndarray:
-            nonlinear(h, *plain)
+            nonlinear(from_b if h is b else from_a, *plain)
             np.copyto(peak, stage_peak)
-            np.copyto(acc, slope)
+            np.copyto(out, slope)  # out accumulates the RK4 sum
             for (synthesis, analysis), fraction, weight in later:
                 np.multiply(slope, fraction, out=y)
                 np.add(y, h, out=y)
-                nonlinear(y, synthesis, analysis)
+                nonlinear(from_y, synthesis, analysis)
                 np.maximum(peak, stage_peak, out=peak)
                 if weight == 1.0:
-                    np.add(acc, slope, out=acc)
+                    np.add(out, slope, out=out)
                 else:
                     np.multiply(slope, weight, out=y)
-                    np.add(acc, y, out=acc)
-            np.multiply(acc, dt / 6.0, out=acc)
-            np.add(acc, h, out=acc)
-            np.multiply(acc, self.e_full, out=out)
+                    np.add(out, y, out=out)
+            np.multiply(out, dt / 6.0, out=out)
+            np.add(out, h, out=out)
+            np.multiply(out, self.e_full, out=out)
             if self.eq.galerkin_projected:
                 _row_mass(h[:, 1:], sq, before)
                 _onto_mass_sphere(out[:, 1:], before, sq)
@@ -358,8 +393,9 @@ def evolve_ensemble(
     ``n_threads`` threads (None: ``parallel.default_threads()``) and merged
     in chunk order.  Rows never interact and the chunk plan depends only
     on the row count, so the result is bit-identical for any thread count;
-    a row's last bits may depend on the size of the chunk it is stepped in,
-    because each step is a matrix product over the chunk.
+    a row's last bits may depend on the chunk and the block it is stepped
+    in, because each step is a batched matrix product over the chunk's row
+    blocks, whose size depends only on the matrix shape.
 
     ``on_record(rows, t, full_coeffs, active)`` is called per chunk at the
     recording cadence, including t=0 and the final time; ``rows`` is the
@@ -379,11 +415,14 @@ def evolve_ensemble(
     def evolve_chunk(_index: int, start: int, stop: int):
         rows = slice(start, stop)
         batch = stop - start
-        full = np.zeros((batch, 2 * k_work + 1), dtype=np.complex128)
-        full[:, k_work - n_max: k_work + n_max + 1] = coeffs[rows]
-        state = full[:, k_work:].copy() if use_half else full
+        if use_half:
+            state = np.zeros((batch, k_work + 1), dtype=np.complex128)
+            state[:, :n_max + 1] = coeffs[rows, n_max:]
+        else:
+            state = np.zeros((batch, 2 * k_work + 1), dtype=np.complex128)
+            state[:, k_work - n_max: k_work + n_max + 1] = coeffs[rows]
         spare = np.empty_like(state)
-        step = stepper.bind(batch)
+        step = stepper.bind(state, spare)
 
         active = np.ones(batch, dtype=bool)
         last_valid = np.full(batch, abs(cfg.t_final))

@@ -6,8 +6,10 @@ from numpy.testing import assert_allclose
 
 from gibbsflow.fields import GaussianFieldSpec, sample, sample_ensemble
 from gibbsflow.integrators import (
+    _GEMM_BLOCK_MACS,
     EquationSpec,
     SolverConfig,
+    _batched_matmul,
     evolve,
     evolve_ensemble,
     gauge_check,
@@ -341,9 +343,55 @@ class TestMatrixSteppers:
         assert_allclose(got.coeffs, want, rtol=0, atol=tol * np.max(np.abs(want)))
 
 
+class TestBatchedMatmul:
+    """The steppers' blocked product against a plain ``np.matmul``, on the
+    (K x N) transform shapes of the benchmark workloads: real KdV at N=32
+    and complex Schroedinger at N=32 and N=16."""
+
+    SHAPES = [((66, 100), np.float64), ((100, 66), np.float64),
+              ((65, 135), np.complex128), ((33, 72), np.complex128)]
+
+    @staticmethod
+    def _draw(rng, shape, dtype):
+        z = rng.standard_normal(shape)
+        return z + 1j * rng.standard_normal(shape) if dtype is np.complex128 else z
+
+    @pytest.mark.parametrize("shape,dtype", SHAPES)
+    def test_matches_matmul_in_bound_buffers(self, shape, dtype):
+        k, n = shape
+        block = max(1, _GEMM_BLOCK_MACS // (k * n))
+        rng = np.random.default_rng(0)
+        m = self._draw(rng, shape, dtype)
+        for rows in sorted({1, block - 1, block, block + 1, 3 * block + 7, 512} - {0}):
+            # Real products run on float views of complex buffers, as the
+            # KdV stepper's do; the result must land in the caller's buffer.
+            if dtype is np.float64:
+                x_own = np.empty((rows, k // 2), dtype=np.complex128)
+                out_own = np.zeros((rows, n // 2), dtype=np.complex128)
+                x, out = x_own.view(np.float64), out_own.view(np.float64)
+            else:
+                x_own = x = np.empty((rows, k), dtype=dtype)
+                out_own = out = np.zeros((rows, n), dtype=dtype)
+            product = _batched_matmul(x, out)
+            split = rows - rows % block
+            for _ in range(2):  # refilled after binding: no copy of x was taken
+                x[...] = self._draw(rng, (rows, k), dtype)
+                product(m)
+                ref = np.matmul(x, m)
+                got = out_own.view(out.dtype)
+                assert_allclose(got, ref, rtol=0, atol=1e-13 * np.max(np.abs(ref)))
+                # The split is B-row blocks plus the remainder, B from the
+                # shape alone: the same bits as that plan issued by hand.
+                plan = [np.matmul(x[split:], m)]
+                if split:
+                    plan.insert(0, np.matmul(x[:split].reshape(-1, block, k), m)
+                                .reshape(split, n))
+                assert np.array_equal(got, np.concatenate(plan)), rows
+
+
 class TestChunkedEngine:
-    """600 rows run as the fixed 128-row chunks [0, 128), [128, 256), ...,
-    [384, 512) and [512, 600); row 550, in the last chunk, blows up."""
+    """600 rows run as the fixed 512-row chunks [0, 512) and [512, 600);
+    row 550, in the last chunk, blows up."""
 
     BLOWN = 550
 
@@ -367,7 +415,7 @@ class TestChunkedEngine:
         one, two = (evolve_ensemble(rows, n_max, eq, cfg, real_valued=real, n_threads=n)
                     for n in (1, 2))
         parts = [evolve_ensemble(rows[a:b], n_max, eq, cfg, real_valued=real)
-                 for a, b in ((0, 256), (256, 512), (512, 600))]
+                 for a, b in ((0, 512), (512, 600))]
         reference = [np.concatenate([getattr(p, name) for p in parts])
                      for name in ("coeffs", "blowup", "last_valid_time")]
         for res in (one, two):
@@ -386,15 +434,13 @@ class TestChunkedEngine:
                              full.shape[0], active.size))
 
         evolve_ensemble(rows, n_max, eq, cfg, on_record=on_record, n_threads=2)
-        assert sorted(seen) == [(0, 128, 128, 128), (128, 256, 128, 128),
-                                (256, 384, 128, 128), (384, 512, 128, 128),
-                                (512, 600, 88, 88)]
+        assert sorted(seen) == [(0, 512, 512, 512), (512, 600, 88, 88)]
 
     def test_blas_threads_do_not_move_bits(self):
         # A child with OpenBLAS held to one thread and a child left to its
         # default thread count must evolve the same bytes.  The gkdv chunks
-        # multiply (128 x 34) by (34 x 81) matrices, large enough for
-        # OpenBLAS to split a product over its threads.
+        # multiply blocks of (217 x 34) by (34 x 81) matrices, large enough
+        # for OpenBLAS to split a product over its threads.
         import hashlib
         import os
         import subprocess
@@ -424,12 +470,13 @@ class TestChunkedEngine:
         assert digests[0].split()[0] == here_digest
 
     def test_cameron_martin_evolution_thread_invariant(self):
+        # 700 evolved rows: two chunks, so two threads run them at once.
         from gibbsflow.experiments import cameron_martin_experiment
         from gibbsflow.presets import cm_preset
         p = cm_preset("theorem-1", n_max=8)
         reps = [cameron_martin_experiment(
-            p["v0"], p["base"], p["eq"], t_final=0.05, m_samples=400,
-            seed=RandomSeed(8), dt=p["dt"], evolve_samples=300, n_threads=n)
+            p["v0"], p["base"], p["eq"], t_final=0.05, m_samples=800,
+            seed=RandomSeed(8), dt=p["dt"], evolve_samples=700, n_threads=n)
             for n in (1, 2)]
         assert reps[0].max_mass_ratio == reps[1].max_mass_ratio
         assert reps[0].global_proxy_fraction == reps[1].global_proxy_fraction == 1.0
