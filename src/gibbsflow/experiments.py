@@ -389,6 +389,24 @@ class CMReport:
     scope: str = SCOPE_LABEL
 
 
+def _shift_pair_rows(base, shift, m, seed, lanes, rows_of, n_threads=1):
+    """Per-row values of m noise rows x and m shifted rows y = shift + noise.
+
+    Chunk c of the ``parallel.chunk_ranges(m)`` plan draws x_c and y_c's
+    noise as ``sample_ensemble`` does, on paths (lanes[0], 0, c) and
+    (lanes[1], 0, c).  rows_of(x_c, y_c, start) returns a tuple of arrays
+    over the chunk's rows, joined in plan order; they must be copies, as a
+    view (say a column's real part) would keep the whole chunk alive.
+    """
+    def chunk(c, start, stop):
+        x = sample_matrix(base, stop - start, generator(seed, lanes[0], sample=c))
+        y = sample_matrix(base, stop - start, generator(seed, lanes[1], sample=c))
+        y += shift
+        return rows_of(x, y, start)
+
+    return [np.concatenate(col) for col in zip(*map_chunks(chunk, m, n_threads))]
+
+
 def cameron_martin_experiment(
     v0: TorusField,
     base: GaussianFieldSpec,
@@ -408,24 +426,33 @@ def cameron_martin_experiment(
     Part (a): with w = exp(log shift density at v0), checks E[w] = 1,
     E[w^2] = exp(||v0||_H^2), and E_shifted[F] = E_base[F w] for the panel
     functionals, all within z_threshold standard errors (plug-in, except
-    the exact null one for E[w^2]).  Needs m_samples >= 2.  Part (b) evolves
-    the first evolve_samples rows of the shifted ensemble (0: no part (b))
-    and records mass histories and blowup counts; "no blowup and sup_t
-    mass within 10x initial" is reported as a global-existence proxy, not
-    as a proof of anything.  The evolution
-    runs in row chunks on up to n_threads threads (None: the default
-    count); the report does not depend on the thread count.
+    the exact null one for E[w^2]), drawing and reducing both ensembles in
+    256-row chunks, so neither is held whole.  Needs m_samples >= 2.  Part
+    (b) evolves the first evolve_samples <= m_samples shifted rows (0: no
+    part (b)) and records mass histories and blowup counts; "no blowup and
+    sup_t mass within 10x initial" is reported as a global-existence proxy,
+    not as a proof of anything.  Both parts run in row chunks on up to
+    n_threads threads (None: the default count); the report does not
+    depend on the thread count.
     """
     if m_samples < 2:
         raise ValueError(f"m_samples must be >= 2, got {m_samples}")
-    if evolve_samples < 0:
-        raise ValueError(f"evolve_samples must be >= 0, got {evolve_samples}")
-    x = sample_ensemble(base, m_samples, seed, _LANE_A)
-    y_noise = sample_ensemble(base, m_samples, seed, _LANE_B)
-    v0_emb = truncate(v0, base.n_max)
-    y = v0_emb.coeffs[np.newaxis, :] + y_noise
+    if not 0 <= evolve_samples <= m_samples:
+        raise ValueError(f"evolve_samples must be >= 0 and <= m_samples = {m_samples},"
+                         f" got {evolve_samples}")
+    panel = [(name, fn) for name, fn in observable_panel(base.n_max, base.real_valued)
+             if name.startswith("re_c")]
+    panel.append(("l2_mass", lambda c: 2.0 * np.pi * np.sum(np.abs(c) ** 2, axis=1)))
+    n_evolve = evolve_samples if eq is not None and t_final > 0.0 else 0
 
-    log_w = cameron_martin_log_density_matrix(v0, x, base)
+    def rows_of(x, y, start):
+        return (cameron_martin_log_density_matrix(v0, x, base),
+                *(np.array(fn(c)) for c in (x, y) for _, fn in panel),
+                y[:max(0, n_evolve - start)].copy())
+
+    log_w, *values, subset = _shift_pair_rows(
+        base, truncate(v0, base.n_max).coeffs, m_samples, seed, (_LANE_A, _LANE_B),
+        rows_of, n_threads)
     w = np.exp(log_w)
     w_mean = float(np.mean(w))
     w_se = standard_error(w)
@@ -438,15 +465,7 @@ def cameron_martin_experiment(
     w2_se = math.sqrt((math.exp(6.0 * norm_sq) - math.exp(2.0 * norm_sq)) / m_samples)
 
     checks = []
-    panel = [(name, fn) for name, fn in observable_panel(base.n_max, base.real_valued)
-             if name.startswith("re_c")]
-
-    def mass_sq(c):
-        return 2.0 * np.pi * np.sum(np.abs(c) ** 2, axis=1)
-
-    panel.append(("l2_mass", mass_sq))
-    for name, fn in panel:
-        fx, fy = fn(x), fn(y)
+    for (name, _), fx, fy in zip(panel, values, values[len(panel):]):
         direct = float(np.mean(fy))
         direct_se = standard_error(fy)
         weighted_vals = fx * w
@@ -468,10 +487,9 @@ def cameron_martin_experiment(
     max_mass_ratio = None
     nl_median = None
     nl_max = None
-    if eq is not None and t_final > 0.0 and evolve_samples > 0:
+    if n_evolve > 0:
         if dt is None or dt <= 0:
             raise ValueError("dt > 0 is required for the evolution part")
-        subset = y[:evolve_samples]
         grid_run = grid or grid_for(base.n_max, eq.p)
         n_steps = max(1, int(round(t_final / dt)))
         cfg = SolverConfig(dt=dt, t_final=t_final, grid=grid_run,
@@ -790,13 +808,15 @@ def distinguishability_demo(
 ) -> DistinguishabilityReport:
     """Link the product-measure verdict to statistical distinguishability.
 
-    For each truncation, draws noise-only and shifted ensembles, scores
-    each sample by its shift log-density (the per-mode contributions whose
-    tail sum is the dichotomy statistic), fits a threshold on a training
-    half, and reports held-out accuracy.  Singular pairs drive accuracy
-    toward 1 as the truncation grows; equivalent pairs plateau below 1;
-    v = 0 stays at chance.
+    For each truncation, draws noise-only and shifted ensembles in 256-row
+    chunks, scores each sample by its shift log-density (the per-mode
+    contributions whose tail sum is the dichotomy statistic), fits a
+    threshold on a training half, and reports held-out accuracy.  Singular
+    pairs drive accuracy toward 1 as the truncation grows; equivalent
+    pairs plateau below 1; v = 0 stays at chance.  Needs m_samples >= 2.
     """
+    if m_samples < 2:
+        raise ValueError(f"m_samples must be >= 2, got {m_samples}")
     points = []
     for j, n_max in enumerate(n_values):
         n = np.arange(-n_max, n_max + 1, dtype=np.float64)
@@ -810,12 +830,10 @@ def distinguishability_demo(
             v_coeffs[nz] = v_amplitude * np.abs(n[nz]) ** (-v_decay)
         v_field = TorusField(n_max, v_coeffs)
 
-        x0 = sample_ensemble(base, m_samples, seed, _LANE_DEMO0 + 2 * j)
-        x1 = v_coeffs[np.newaxis, :] + sample_ensemble(
-            base, m_samples, seed, _LANE_DEMO0 + 2 * j + 1
-        )
-        llr0 = cameron_martin_log_density_matrix(v_field, x0, base)
-        llr1 = cameron_martin_log_density_matrix(v_field, x1, base)
+        llr0, llr1 = _shift_pair_rows(
+            base, v_coeffs, m_samples, seed, (_LANE_DEMO0 + 2 * j, _LANE_DEMO0 + 2 * j + 1),
+            lambda x0, x1, start: (cameron_martin_log_density_matrix(v_field, x0, base),
+                                   cameron_martin_log_density_matrix(v_field, x1, base)))
 
         half = m_samples // 2
         thr = 0.5 * (np.median(llr0[:half]) + np.median(llr1[:half]))

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import hashlib
 import inspect
 import json
 import os
@@ -352,6 +353,26 @@ class TestExperimentCommands:
         payload = json.loads(out.read_text())
         assert payload["report"]["identities_pass"] is True
 
+    # sha256 of the cm reports at N=8: 1000 samples are four 256-row draw
+    # chunks, and 600 evolved rows are two 512-row evolve chunks, so 8
+    # threads run both kinds of chunk at once.  Pinned before part (a)
+    # streamed its chunks.
+    CM_PINNED = {
+        "theorem-1": "78f9f834f8e8ef86a127424b0b4be7a8969b10e9b9e3a4479341d4f7d52431f1",
+        "theorem-2": "33f7168ed11314553dbb7c61202267e2995b2a0345fc662682b3fc6f06fce287",
+        "theorem-3": "6c23c00c6cd64873b522338a247713309c6704524b90dc9ccdb1d16b9341bbeb",
+    }
+
+    @pytest.mark.parametrize("preset", sorted(CM_PINNED))
+    def test_cm_report_pinned_for_any_thread_count(self, preset, tmp_path):
+        for threads in ("1", "8"):
+            out = tmp_path / f"cm-{threads}.json"
+            code = main(["cm", "--preset", preset, "--nmax", "8", "--samples", "1000",
+                         "--t", "0.05", "--evolve-samples", "600", "--seed", "12",
+                         "--threads", threads, "--out", str(out)])
+            assert code == 0
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == self.CM_PINNED[preset]
+
     def test_ldp_run(self, tmp_path):
         out = tmp_path / "ldp.json"
         code = main(["ldp", "--family", "fwb", "--real", "--nmax", "0",
@@ -396,6 +417,8 @@ class TestExperimentCommands:
          "evolve_samples must be >= 0"),
         (["sample", "--family", "fwb", "--alpha", "-1", "--nmax", "2"],
          "finite alpha >= 0"),
+        (["cm", "--samples", "100", "--evolve-samples", "500"],
+         "evolve_samples must be >= 0 and <= m_samples = 100, got 500"),
     ])
     def test_bad_input_exits_one(self, argv, message, capsys):
         # 0 is a value, not "unset": it must not fall back to the preset.

@@ -1,6 +1,8 @@
 """Tests for the experiment drivers."""
 
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -137,6 +139,27 @@ class TestCameronMartinExperiment:
         with pytest.raises(ValueError, match="evolve_samples must be >= 0"):
             cameron_martin_experiment(zero_field(4), base, m_samples=100,
                                       seed=RandomSeed(2), evolve_samples=-3)
+
+    def test_more_evolve_samples_than_samples_rejected(self):
+        p = cm_preset("theorem-1", n_max=4)
+        with pytest.raises(ValueError, match="<= m_samples = 100, got 500"):
+            cameron_martin_experiment(p["v0"], p["base"], p["eq"], t_final=0.05,
+                                      m_samples=100, seed=RandomSeed(2), dt=p["dt"],
+                                      evolve_samples=500)
+
+    def test_traced_peak_below_one_ensemble(self):
+        # Part (a) keeps per-row values only: its traced peak stays below
+        # the bytes of one whole m x (2N+1) complex ensemble (19.8 MiB).
+        p = cm_preset("theorem-1")
+        m = 20000
+        tracemalloc.start()
+        try:
+            cameron_martin_experiment(p["v0"], p["base"], m_samples=m,
+                                      seed=RandomSeed(1), n_threads=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < m * (2 * 32 + 1) * 16
 
     def test_zero_shift_gives_unit_weights(self):
         base = GaussianFieldSpec("fwb", 8, alpha=1.0)
@@ -364,6 +387,20 @@ class TestDistinguishability:
         rep = distinguishability_demo(1.0, None, (16, 64), 400, RandomSeed(15))
         for pt in rep.points:
             assert pt.accuracy == 0.5
+
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_needs_two_samples(self, m):
+        with pytest.raises(ValueError, match="m_samples must be >= 2"):
+            distinguishability_demo(1.0, 2.0, (8,), m, RandomSeed(15))
+
+    def test_values_pinned(self):
+        # sha256 of the [accuracy, threshold] pairs; 600 samples are three
+        # 256-row chunks.  Pinned before the demo streamed its chunks.
+        rep = distinguishability_demo(1.0, 2.0, (8, 32), 600, RandomSeed(17),
+                                      v_amplitude=0.5)
+        vals = np.array([[pt.accuracy, pt.threshold] for pt in rep.points])
+        assert hashlib.sha256(vals.tobytes()).hexdigest() == (
+            "0e8ab19ba5463eb07d4e607ce99ed4fdafaad90e8b9efeb92c7b36de581b7544")
 
     def test_singular_pair_accuracy_grows(self):
         rep = distinguishability_demo(1.0, 1.0, (64, 256, 1024), 1000,
