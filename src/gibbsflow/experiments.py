@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import GaussianFieldSpec, mode_std, sample_ensemble, sample_matrix
-from .integrators import EquationSpec, SolverConfig, evolve_ensemble
+from .integrators import EquationSpec, SolverConfig, _step_plan, evolve_ensemble
 from .measures import (
     GibbsSpec,
     cameron_martin_log_density_matrix,
@@ -27,7 +27,7 @@ from .measures import (
 )
 from .parallel import map_chunks
 from .rng import RandomSeed, generator
-from .spectral import GridConfig, TorusField, grid_for, truncate
+from .spectral import TorusField, truncate
 from .stats import (
     holm_adjust,
     ks_exact_tails,
@@ -60,6 +60,8 @@ __all__ = [
 ]
 
 SCOPE_LABEL = "finite_truncation"
+# Standard errors within which each shift identity must hold.
+CM_Z_THRESHOLD = 4.0
 
 # Fixed random-path lanes within an experiment's seed.
 _LANE_A = 0
@@ -155,8 +157,7 @@ class InvarianceReport:
     scope: str = SCOPE_LABEL
 
 
-def _measure_ensembles(measure, m_samples, seed, grid, ais_levels, ais_pcn_steps,
-                       n_threads):
+def _measure_ensembles(measure, m_samples, seed, ais_levels, ais_pcn_steps, n_threads):
     """Two independent ensembles of the measure, as (rows, weights) pairs.
 
     Gaussian measures are exact iid draws (weights None); Gibbs measures
@@ -164,10 +165,10 @@ def _measure_ensembles(measure, m_samples, seed, grid, ais_levels, ais_pcn_steps
     the rows through evolution and into the weighted comparison.
     """
     if isinstance(measure, GibbsSpec):
-        ens_a = gibbs_ensemble(measure, m_samples, seed, grid=grid,
+        ens_a = gibbs_ensemble(measure, m_samples, seed,
                                levels=ais_levels, pcn_steps=ais_pcn_steps,
                                lane_index=_LANE_A, n_threads=n_threads)
-        ens_b = gibbs_ensemble(measure, m_samples, seed, grid=grid,
+        ens_b = gibbs_ensemble(measure, m_samples, seed,
                                levels=ais_levels, pcn_steps=ais_pcn_steps,
                                lane_index=_LANE_B, n_threads=n_threads)
         flagged = ens_a.flagged or ens_b.flagged
@@ -193,7 +194,6 @@ def invariance_experiment(
     m_samples: int,
     seed: RandomSeed,
     dt: float | None = None,
-    grid: GridConfig | None = None,
     alpha: float = 0.01,
     ais_levels: int = 96,
     ais_pcn_steps: int = 3,
@@ -209,7 +209,9 @@ def invariance_experiment(
     annealed importance sampling; their comparison uses the weighted KS
     statistic calibrated by resampling (value, weight) pairs within each
     ensemble (ESS is reported so the power loss is visible).  With
-    t_final = 0 the run is a null calibration and needs no equation.
+    t_final = 0 the run is a null calibration and needs no equation;
+    otherwise dt must be > 0 and within the scheme's guard, which is
+    checked before any ensemble is drawn.
     """
     if m_samples < 2:
         raise ValueError(f"m_samples must be >= 2, got {m_samples}")
@@ -228,17 +230,16 @@ def invariance_experiment(
             raise ValueError("Schroedinger-family invariance requires complex fields")
         if dt is None:
             raise ValueError("dt is required when evolving")
-    if grid is None:
-        grid = grid_for(base.n_max, eq.p if eq is not None else 4)
+        cfg = SolverConfig(dt=dt, t_final=t_final)
+        _step_plan(base.n_max, eq, cfg)  # a bad step fails before any draw
 
     a, wa, b, wb, ess_a, ess_b, flagged, measure_label = _measure_ensembles(
-        measure, m_samples, seed, grid, ais_levels, ais_pcn_steps, n_threads
+        measure, m_samples, seed, ais_levels, ais_pcn_steps, n_threads
     )
     weighted = wa is not None
 
     blowups = 0
     if t_final != 0.0:
-        cfg = SolverConfig(dt=dt, t_final=t_final, grid=grid)
         result = evolve_ensemble(b, base.n_max, eq, cfg,
                                  real_valued=base.real_valued, n_threads=n_threads)
         blowups = int(np.sum(result.blowup))
@@ -415,17 +416,15 @@ def cameron_martin_experiment(
     m_samples: int = 20000,
     seed: RandomSeed = RandomSeed(0),
     dt: float | None = None,
-    grid: GridConfig | None = None,
     evolve_samples: int = 0,
     v0_decay: float | None = None,
-    z_threshold: float = 4.0,
     n_threads: int | None = None,
 ) -> CMReport:
     """Verify the shift identity and (optionally) evolve the shifted data.
 
     Part (a): with w = exp(log shift density at v0), checks E[w] = 1,
     E[w^2] = exp(||v0||_H^2), and E_shifted[F] = E_base[F w] for the panel
-    functionals, all within z_threshold standard errors (plug-in, except
+    functionals, all within CM_Z_THRESHOLD standard errors (plug-in, except
     the exact null one for E[w^2]), drawing and reducing both ensembles in
     256-row chunks, so neither is held whole.  Needs m_samples >= 2.  Part
     (b) evolves the first evolve_samples <= m_samples shifted rows (0: no
@@ -433,17 +432,24 @@ def cameron_martin_experiment(
     sup_t mass within 10x initial" is reported as a global-existence proxy,
     not as a proof of anything.  Both parts run in row chunks on up to
     n_threads threads (None: the default count); the report does not
-    depend on the thread count.
+    depend on the thread count.  Part (b)'s dt > 0 and the scheme's guard
+    are checked before part (a) draws anything.
     """
     if m_samples < 2:
         raise ValueError(f"m_samples must be >= 2, got {m_samples}")
     if not 0 <= evolve_samples <= m_samples:
         raise ValueError(f"evolve_samples must be >= 0 and <= m_samples = {m_samples},"
                          f" got {evolve_samples}")
+    n_evolve = evolve_samples if eq is not None and t_final > 0.0 else 0
+    if n_evolve > 0:
+        if dt is None or dt <= 0:
+            raise ValueError("dt > 0 is required for the evolution part")
+        n_steps = max(1, int(round(t_final / dt)))
+        cfg = SolverConfig(dt=dt, t_final=t_final, record_every=max(1, n_steps // 8))
+        _step_plan(base.n_max, eq, cfg)  # a bad step fails before any draw
     panel = [(name, fn) for name, fn in observable_panel(base.n_max, base.real_valued)
              if name.startswith("re_c")]
     panel.append(("l2_mass", lambda c: 2.0 * np.pi * np.sum(np.abs(c) ** 2, axis=1)))
-    n_evolve = evolve_samples if eq is not None and t_final > 0.0 else 0
 
     def rows_of(x, y, start):
         return (cameron_martin_log_density_matrix(v0, x, base),
@@ -474,12 +480,12 @@ def cameron_martin_experiment(
         denom = math.hypot(direct_se, weighted_se)
         z = abs(direct - weighted) / denom if denom > 0 else 0.0
         checks.append(CMFunctionalCheck(
-            name, direct, direct_se, weighted, weighted_se, z, z <= z_threshold
+            name, direct, direct_se, weighted, weighted_se, z, z <= CM_Z_THRESHOLD
         ))
 
     w_z = abs(w_mean - 1.0) / w_se if w_se > 0 else 0.0
     w2_z = abs(w2_mean - w2_expected) / w2_se if w2_se > 0 else 0.0
-    identities_pass = (w_z <= z_threshold and w2_z <= z_threshold
+    identities_pass = (w_z <= CM_Z_THRESHOLD and w2_z <= CM_Z_THRESHOLD
                        and all(c.passed for c in checks))
 
     blowups = 0
@@ -488,12 +494,6 @@ def cameron_martin_experiment(
     nl_median = None
     nl_max = None
     if n_evolve > 0:
-        if dt is None or dt <= 0:
-            raise ValueError("dt > 0 is required for the evolution part")
-        grid_run = grid or grid_for(base.n_max, eq.p)
-        n_steps = max(1, int(round(t_final / dt)))
-        cfg = SolverConfig(dt=dt, t_final=t_final, grid=grid_run,
-                           record_every=max(1, n_steps // 8))
         mass0 = 2.0 * np.pi * np.sum(np.abs(subset) ** 2, axis=1)
         sup_mass = np.zeros_like(mass0)
 

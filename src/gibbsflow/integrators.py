@@ -49,7 +49,6 @@ from .spectral import (
     grid_for,
     lp_integral,
     mean_square,
-    require_lp_points,
     to_physical,
 )
 
@@ -111,11 +110,10 @@ class EquationSpec:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Time step, horizon, grid, and recording cadence."""
+    """Time step, horizon and recording cadence."""
 
     dt: float
     t_final: float
-    grid: GridConfig | None = None
     record_every: int = 0  # 0: record endpoints only
 
     def __post_init__(self):
@@ -161,25 +159,18 @@ def linear_propagate(f: TorusField, t: float, family: str) -> TorusField:
     return TorusField(f.n_max, phase * f.coeffs, f.real_valued and family == "gkdv")
 
 
-def _working_truncation(n_max: int, eq: EquationSpec, grid: GridConfig) -> int:
-    """Band the state lives in: the data band if projected, else the
-    largest band the grid can multiply without aliasing."""
-    capacity = (grid.m_points - 1) // eq.p
-    if capacity < n_max:
-        raise ValueError(
-            f"grid with {grid.m_points} points cannot evolve n_max={n_max} "
-            f"alias-free for p={eq.p}; need m_points >= {eq.p * n_max + 1}"
-        )
-    return n_max if eq.galerkin_projected else capacity
+def _step_plan(n_max: int, eq: EquationSpec, cfg: SolverConfig
+               ) -> tuple[GridConfig, int, int, float]:
+    """(grid, working band, step count, signed step) of a run from the band
+    |n| <= n_max; raises ValueError when the step breaks the scheme's guard.
 
-
-def _steps(cfg: SolverConfig) -> tuple[int, float]:
+    The state lives in the data band if projected, else in the largest band
+    ``grid_for(n_max, p)`` multiplies without aliasing.
+    """
+    grid = grid_for(n_max, eq.p)
+    k_work = n_max if eq.galerkin_projected else (grid.m_points - 1) // eq.p
     n_steps = max(1, int(round(abs(cfg.t_final) / cfg.dt)))
-    dt_eff = abs(cfg.t_final) / n_steps
-    return n_steps, math.copysign(dt_eff, cfg.t_final) if cfg.t_final != 0 else dt_eff
-
-
-def _check_guard(eq: EquationSpec, dt: float, k_work: int) -> None:
+    dt = abs(cfg.t_final) / n_steps
     if eq.family == "gkdv":
         if dt * k_work ** 3 > AIRY_DT_N3_BOUND:
             raise ValueError(
@@ -191,6 +182,7 @@ def _check_guard(eq: EquationSpec, dt: float, k_work: int) -> None:
             f"dt={dt:g} violates the strang guard dt*N^2 <= {STRANG_DT_N2_BOUND}"
             f" at N={k_work}"
         )
+    return grid, k_work, n_steps, math.copysign(dt, cfg.t_final) if cfg.t_final != 0 else dt
 
 
 def _row_mass(c: np.ndarray, sq: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -384,7 +376,8 @@ def evolve_ensemble(
     on_record=None,
     n_threads: int | None = None,
 ) -> EnsembleEvolution:
-    """Evolve a batch of coefficient rows under the truncated flow.
+    """Evolve a batch of coefficient rows under the truncated flow, on the
+    grid ``grid_for(n_max, eq.p)``.
 
     Rows that blow up (L-inf above 1e6 or non-finite) are frozen at their
     last valid state and flagged; this is a recorded outcome, not an
@@ -404,10 +397,7 @@ def evolve_ensemble(
     """
     if eq.family == "gkdv" and not real_valued:
         raise ValueError("gkdv evolves real_valued fields only")
-    grid = cfg.grid or grid_for(n_max, eq.p)
-    k_work = _working_truncation(n_max, eq, grid)
-    n_steps, dt = _steps(cfg)
-    _check_guard(eq, abs(dt), k_work)
+    grid, k_work, n_steps, dt = _step_plan(n_max, eq, cfg)
     use_half = eq.family == "gkdv"
     stepper = (_KdvStepper if use_half else _StrangStepper)(eq, grid, k_work, dt)
     record_every = cfg.record_every if cfg.record_every > 0 else n_steps
@@ -466,8 +456,6 @@ def evolve_ensemble(
 
 def evolve(f0: TorusField, eq: EquationSpec, cfg: SolverConfig) -> TrajectoryRecord:
     """Integrate one initial field, recording snapshots and invariants."""
-    grid = cfg.grid or grid_for(f0.n_max, eq.p)
-    cfg = dataclasses.replace(cfg, grid=grid)
     times: list[float] = []
     fields: list[TorusField] = []
 
@@ -486,7 +474,7 @@ def evolve(f0: TorusField, eq: EquationSpec, cfg: SolverConfig) -> TrajectoryRec
         real_valued=f0.real_valued, on_record=on_record,
     )
     mass_series = np.array([mass(f) for f in fields])
-    ham_series = np.array([hamiltonian(f, eq, grid) for f in fields])
+    ham_series = np.array([hamiltonian(f, eq) for f in fields])
     return TrajectoryRecord(
         times=np.array(times),
         fields=tuple(fields),
@@ -509,23 +497,22 @@ def momentum(f: TorusField) -> float:
     return float(2.0 * np.pi * np.sum(n * np.abs(f.coeffs) ** 2))
 
 
-def hamiltonian(f: TorusField, eq: EquationSpec, grid: GridConfig | None = None) -> float:
-    """Conserved energy of the truncated flow (see module conventions)."""
-    grid = grid or grid_for(f.n_max, eq.p)
+def hamiltonian(f: TorusField, eq: EquationSpec) -> float:
+    """Conserved energy of the truncated flow (see module conventions); the
+    |u|^p quadrature runs on ``grid_for(N, p)``, where it is exact."""
     n = f.modes.astype(np.float64)
     kinetic = np.pi * float(np.sum(n * n * np.abs(f.coeffs) ** 2))
     s = eq.s
     if eq.family == "nls":
-        return kinetic + (s / eq.p) * lp_integral(f, eq.p, grid)
+        return kinetic + (s / eq.p) * lp_integral(f, eq.p)
     if eq.family == "wick_nls":
-        quart = lp_integral(f, 4, grid)
+        quart = lp_integral(f, 4)
         ms = mean_square(f)
         return kinetic + (s / 4.0) * quart - s * np.pi * ms * ms
     # gkdv: signed integral of u^p
     if not f.real_valued:
         raise ValueError("gkdv energy is defined for real_valued fields")
-    require_lp_points(f.n_max, eq.p, grid)
-    u = to_physical(f, grid).real
+    u = to_physical(f, grid_for(f.n_max, eq.p)).real
     signed = 2.0 * np.pi * float(np.mean(u ** eq.p))
     return kinetic + (s / (eq.p * (eq.p - 1))) * signed
 
@@ -557,7 +544,7 @@ def gauge_check(u0: TorusField, t_final: float, cfg: SolverConfig,
     traj_a = evolve(u0, eq_nls, cfg)
     traj_b = evolve(u0, eq_wick, cfg)
     gamma = -2.0 * eq_nls.s * mean_square(u0)
-    grid = cfg.grid or grid_for(u0.n_max, 4)
+    grid = grid_for(u0.n_max, 4)
     mod_disc = 0.0
     phase_resid = 0.0
     for t, fa, fb in zip(traj_a.times, traj_a.fields, traj_b.fields):

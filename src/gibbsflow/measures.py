@@ -29,14 +29,7 @@ import numpy as np
 from .fields import GaussianFieldSpec, mode_std, sample_matrix
 from .parallel import map_chunks
 from .rng import RandomSeed, generator
-from .spectral import (
-    GridConfig,
-    TorusField,
-    grid_for,
-    require_lp_points,
-    synthesize,
-    truncate,
-)
+from .spectral import TorusField, grid_for, synthesize, truncate
 
 __all__ = [
     "DichotomyVerdict",
@@ -254,21 +247,20 @@ class GibbsSpec:
 def gibbs_log_weight_matrix(
     coeffs: np.ndarray,
     spec: GibbsSpec,
-    grid: GridConfig,
     work: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Batched log density factor -/+ (beta/p) int |u|^p and cutoff
     indicator for coefficient rows.
 
-    Defocusing weights are always <= 0 (density bounded by 1), which is
-    what licenses the rejection-sampling cross-check.  ``work``, a pair of
-    (rows, M) complex and float buffers, holds the grid values u and |u|^p
-    in place of fresh arrays.
+    The integral is the exact quadrature on ``grid_for(N, p)``.  Defocusing
+    weights are always <= 0 (density bounded by 1), which is what licenses
+    the rejection-sampling cross-check.  ``work``, a pair of (rows, M)
+    complex and float buffers, holds the grid values u and |u|^p in place
+    of fresh arrays.
     """
     n_max = (coeffs.shape[-1] - 1) // 2
-    require_lp_points(n_max, spec.p, grid)
     u_buf, power_buf = (None, None) if work is None else work
-    u = synthesize(coeffs, n_max, grid.m_points, out=u_buf)
+    u = synthesize(coeffs, n_max, grid_for(n_max, spec.p).m_points, out=u_buf)
     power = np.abs(u, out=power_buf)
     np.power(power, spec.p, out=power)
     integral = 2.0 * np.pi * np.mean(power, axis=-1)
@@ -314,16 +306,16 @@ class GibbsEnsemble:
 
 ESS_FLOOR_FRACTION = 0.01
 _AIS_CHUNK = 256
+# pCN proposal c' = sqrt(1 - s^2) c + s xi with xi drawn from the base.
+PCN_STEP_SIZE = 0.5
 
 
 def _ais_chunk(
     spec: GibbsSpec,
-    grid: GridConfig,
     m: int,
     rng: np.random.Generator,
     levels: int,
     pcn_steps: int,
-    pcn_step_size: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Anneal one chunk from the Gaussian base to the Gibbs target.
 
@@ -337,8 +329,8 @@ def _ais_chunk(
     """
     width = 2 * spec.base.n_max + 1
     k = spec.base.n_max if spec.base.real_valued else width
-    work = (np.empty((m, grid.m_points), dtype=np.complex128),
-            np.empty((m, grid.m_points)))
+    m_points = grid_for(spec.base.n_max, spec.p).m_points
+    work = (np.empty((m, m_points), dtype=np.complex128), np.empty((m, m_points)))
     prop = np.empty((m, width), dtype=np.complex128)
     step = np.empty_like(prop)
     normals = np.empty((m, 2, k))
@@ -348,7 +340,7 @@ def _ais_chunk(
     finite = np.empty(m, dtype=bool)
 
     def potential(c):
-        lw, within = gibbs_log_weight_matrix(c, spec, grid, work)
+        lw, within = gibbs_log_weight_matrix(c, spec, work)
         lw[~within] = -np.inf
         return lw
 
@@ -356,7 +348,7 @@ def _ais_chunk(
     log_v = potential(c)  # full-strength log weight, sign included
     log_w = np.zeros(m)
     lam_prev = 0.0
-    root = math.sqrt(1.0 - pcn_step_size ** 2)
+    root = math.sqrt(1.0 - PCN_STEP_SIZE ** 2)
     for level in range(1, levels + 1):
         lam = (level / levels) ** 2
         log_w += (lam - lam_prev) * log_v
@@ -364,7 +356,7 @@ def _ais_chunk(
         for _ in range(pcn_steps):
             np.multiply(root, c, out=prop)
             sample_matrix(spec.base, m, rng, out=step, normals=normals)
-            np.multiply(pcn_step_size, step, out=step)
+            np.multiply(PCN_STEP_SIZE, step, out=step)
             np.add(prop, step, out=prop)
             log_v_prop = potential(prop)
             np.log(rng.random(out=uniforms), out=uniforms)
@@ -382,11 +374,9 @@ def gibbs_ensemble(
     spec: GibbsSpec,
     m_samples: int,
     seed: RandomSeed,
-    grid: GridConfig | None = None,
     method: str = "ais",
     levels: int = 96,
     pcn_steps: int = 3,
-    pcn_step_size: float = 0.5,
     lane_index: int = 0,
     n_threads: int | None = None,
 ) -> GibbsEnsemble:
@@ -405,7 +395,6 @@ def gibbs_ensemble(
         raise ValueError("m_samples must be >= 100")
     if method not in ("snis", "ais"):
         raise ValueError(f"unknown method {method!r}")
-    grid = grid or grid_for(spec.base.n_max, spec.p)
     width = 2 * spec.base.n_max + 1
     coeffs = np.empty((m_samples, width), dtype=np.complex128)
     log_w = np.empty(m_samples)
@@ -414,11 +403,10 @@ def gibbs_ensemble(
         rng = generator(seed, lane=lane_index, sub=1, sample=index)
         if method == "snis":
             c = sample_matrix(spec.base, stop - start, rng)
-            lw, within = gibbs_log_weight_matrix(c, spec, grid)
+            lw, within = gibbs_log_weight_matrix(c, spec)
             lw[~within] = -np.inf
         else:
-            c, lw = _ais_chunk(spec, grid, stop - start, rng,
-                               levels, pcn_steps, pcn_step_size)
+            c, lw = _ais_chunk(spec, stop - start, rng, levels, pcn_steps)
         return start, stop, c, lw
 
     for start, stop, c, lw in map_chunks(run_chunk, m_samples, n_threads, _AIS_CHUNK):
@@ -508,6 +496,8 @@ def cm_criterion_power_law(shift_decay: float, base: GaussianFieldSpec) -> bool 
 # ---------------------------------------------------------------------------
 
 MAX_GRID_CELLS = 1_000_000
+# Steps along each projected direction, in units of a quarter of max f*.
+ENTROPY_LAMBDAS = (-1.0, -0.5, 0.5, 1.0)
 
 
 def grid_entropy(density: np.ndarray, cell_volume: float) -> float:
@@ -561,7 +551,6 @@ def entropy_check_finite_dim(
     beta: float,
     cell_volume: float,
     n_directions: int = 20,
-    lambdas=(-1.0, -0.5, 0.5, 1.0),
     seed: RandomSeed = RandomSeed(0),
     directions=None,
 ) -> EntropyReport:
@@ -611,7 +600,7 @@ def entropy_check_finite_dim(
             continue
         g_proj = g_proj * (0.25 * peak / g_peak)
         used = False
-        for lam in lambdas:
+        for lam in ENTROPY_LAMBDAS:
             f_lam = f_star + lam * g_proj
             if np.min(f_lam) < 0.0:
                 notes.append(f"direction {idx}, lambda {lam}: positivity lost, skipped")

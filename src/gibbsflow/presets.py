@@ -26,6 +26,7 @@ __all__ = [
 ]
 
 SHIFT_DECAY = 3.0  # |v_n| ~ (1 + |n|)^-3: smooth enough for every preset
+SHIFT_WIDTH = 8  # the bump's modes: |n| <= 8
 
 
 def smooth_shift_field(
@@ -33,12 +34,12 @@ def smooth_shift_field(
     amplitude: float,
     real_valued: bool = False,
     mean_zero: bool = False,
-    width: int = 8,
 ) -> TorusField:
-    """Deterministic smooth bump with coefficients amp * (1+|n|)^-3."""
+    """Deterministic smooth bump with coefficients amp * (1+|n|)^-3 on
+    |n| <= min(SHIFT_WIDTH, n_max)."""
     n = np.arange(-n_max, n_max + 1, dtype=np.float64)
     c = np.zeros(2 * n_max + 1, dtype=np.complex128)
-    sel = np.abs(n) <= min(width, n_max)
+    sel = np.abs(n) <= min(SHIFT_WIDTH, n_max)
     c[sel] = amplitude * (1.0 + np.abs(n[sel])) ** (-SHIFT_DECAY)
     if mean_zero:
         c[n_max] = 0.0

@@ -40,7 +40,6 @@ __all__ = [
     "pointwise_product",
     "grid_for",
     "lp_min_points",
-    "require_lp_points",
     "synthesize",
     "analyze",
     "analyze_real",
@@ -172,26 +171,12 @@ def lp_min_points(n_max: int, p: float) -> int:
     return int(math.ceil(p)) * n_max + 1
 
 
-def require_lp_points(n_max: int, p: float, grid: GridConfig) -> None:
-    """Refuse a grid too coarse for an exact |u|^p quadrature at n_max."""
-    required = lp_min_points(n_max, p)
-    if grid.m_points < required:
-        raise ValueError(
-            f"grid too small for |u|^{p} at n_max={n_max}: "
-            f"need m_points >= {required}, got {grid.m_points}"
-        )
-
-
-def lp_integral(f: TorusField, p: float, grid: GridConfig) -> float:
-    """Quadrature of int_T |u|^p dx on the collocation grid.
-
-    Exact for integer p when grid.m_points >= p*N + 1; refuses smaller
-    grids rather than returning an aliased value.
-    """
+def lp_integral(f: TorusField, p: float) -> float:
+    """Quadrature of int_T |u|^p dx on ``grid_for(N, p)``, exact for
+    integer p (no aliased term reaches the mean)."""
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    require_lp_points(f.n_max, p, grid)
-    return float(2.0 * np.pi * np.mean(np.abs(to_physical(f, grid)) ** p))
+    return float(2.0 * np.pi * np.mean(np.abs(to_physical(f, grid_for(f.n_max, p))) ** p))
 
 
 def derivative(f: TorusField, k: int) -> TorusField:

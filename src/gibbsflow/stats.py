@@ -17,6 +17,9 @@ __all__ = [
     "weighted_ks_bootstrap",
 ]
 
+# Bootstrap replicates that weighted_ks_bootstrap holds in memory at once.
+_BOOTSTRAP_BATCH = 250
+
 
 def ks_two_sample(xs_a: np.ndarray, xs_b: np.ndarray) -> list[tuple[float, float]]:
     """Two-sample Kolmogorov-Smirnov distance and exact p-value, per observable.
@@ -129,7 +132,6 @@ def weighted_ks_bootstrap(
     wb: np.ndarray,
     rng: np.random.Generator,
     reps: int = 2000,
-    batch: int = 250,
 ) -> list[tuple[float, float]]:
     """Two-sample KS for self-normalized weighted ensembles, per observable.
 
@@ -154,7 +156,7 @@ def weighted_ks_bootstrap(
     the distribution of a multinomial over equal cells.  Sharing makes the
     panel's p-values dependent; Holm's step-down correction controls the
     family-wise error under any dependence, so it stays valid.  At most
-    ``batch`` replicates are held in memory at once.
+    ``_BOOTSTRAP_BATCH`` replicates are held in memory at once.
     """
     xs_a = np.asarray(xs_a, dtype=np.float64)
     xs_b = np.asarray(xs_b, dtype=np.float64)
@@ -178,7 +180,7 @@ def weighted_ks_bootstrap(
     exceed = np.zeros(n_obs, dtype=np.int64)
     done = 0
     while done < reps:
-        size = min(batch, reps - done)
+        size = min(_BOOTSTRAP_BATCH, reps - done)
         wsa = _uniform_counts(rng, size, na) * wta
         wsa /= wsa.sum(axis=1, keepdims=True)
         wsb = _uniform_counts(rng, size, nb) * wtb

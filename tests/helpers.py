@@ -11,7 +11,7 @@ the matrix-product steppers of ``gibbsflow.integrators``.
 import numpy as np
 from scipy.optimize import minimize
 
-from gibbsflow.integrators import EquationSpec, _working_truncation
+from gibbsflow.integrators import EquationSpec
 from gibbsflow.spectral import (
     GridConfig,
     TorusField,
@@ -41,7 +41,7 @@ def brute_convolution(f: TorusField, g: TorusField) -> np.ndarray:
     return out
 
 
-def rejection_sample_gibbs(spec, m, seed_rng, grid, max_batches=10000):
+def rejection_sample_gibbs(spec, m, seed_rng, max_batches=10000):
     """Exact draws from a defocusing Gibbs spec by accept/reject.
 
     The defocusing density relative to the base is exp(log weight) <= 1,
@@ -54,7 +54,7 @@ def rejection_sample_gibbs(spec, m, seed_rng, grid, max_batches=10000):
     rows = []
     for _ in range(max_batches):
         c = sample_matrix(spec.base, 256, seed_rng)
-        log_w, within = gibbs_log_weight_matrix(c, spec, grid)
+        log_w, within = gibbs_log_weight_matrix(c, spec)
         accept = within & (np.log(seed_rng.random(256)) < log_w)
         rows.append(c[accept])
         if sum(r.shape[0] for r in rows) >= m:
@@ -231,8 +231,10 @@ def fft_stepper(eq: EquationSpec, grid: GridConfig, k_work: int, dt: float):
 
 def fft_evolve(coeffs, n_max, eq, grid, dt, n_steps, real_valued=False):
     """Full working-band rows after ``n_steps`` reference steps of size dt
-    (no blowup handling: the data must stay finite)."""
-    k = _working_truncation(n_max, eq, grid)
+    on ``grid`` (no blowup handling: the data must stay finite).  The
+    working band is the data band if projected, else the largest band the
+    grid multiplies without aliasing."""
+    k = n_max if eq.galerkin_projected else (grid.m_points - 1) // eq.p
     state = np.zeros((coeffs.shape[0], 2 * k + 1), dtype=np.complex128)
     state[:, k - n_max: k + n_max + 1] = coeffs
     if real_valued:

@@ -316,6 +316,28 @@ class TestEvolveCommand:
         err = capsys.readouterr().err
         assert f"--init {init}: not a field or a sample report" in err
 
+    # sha256 of the reports of unprojected runs from one fwb sample at N=16
+    # (50 steps, energies every 10), pinned while a caller could still
+    # pass the grid: the energy series is taken on the derived grid.
+    EVOLVE_PINNED = {
+        "nls-p6": ([], ["--eq", "nls", "--p", "6"],
+                   "dcd9db82c53c4664caeaa05678e52ecaced7c70fb482ae848923f2fc46821c8d"),
+        "wick-nls": ([], ["--eq", "wick-nls"],
+                     "61a195d327dadbf165e0262ee8667d8e71be1fe02d3f9bd5ba19110da97b1668"),
+        "gkdv-p5": (["--real", "--mean-zero"], ["--eq", "gkdv", "--p", "5"],
+                    "08c53435dc58f2049517c9cb8d69802d5ab79ab86ac1adb8754d628fc06eec92"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(EVOLVE_PINNED))
+    def test_trajectory_pinned(self, name, tmp_path):
+        sample_args, eq_args, digest = self.EVOLVE_PINNED[name]
+        field, out = tmp_path / "field.json", tmp_path / "traj.json"
+        assert main(["sample", "--family", "fwb", "--alpha", "1.0", "--nmax", "16",
+                     "--seed", "3", *sample_args, "--out", str(field)]) == 0
+        assert main(["evolve", *eq_args, "--sign", "plus", "--dt", "1e-3", "--t", "0.05",
+                     "--record-every", "10", "--init", str(field), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_missing_init_exits_one(self, tmp_path):
         assert main(["evolve", "--eq", "nls", "--dt", "1e-3", "--t", "0.1",
                      "--init", str(tmp_path / "nope.json")]) == 1
@@ -419,6 +441,9 @@ class TestExperimentCommands:
          "finite alpha >= 0"),
         (["cm", "--samples", "100", "--evolve-samples", "500"],
          "evolve_samples must be >= 0 and <= m_samples = 100, got 500"),
+        (["invariance", "--preset", "wick-nls-gibbs", "--dt", "0"], "dt must be > 0"),
+        (["invariance", "--preset", "wick-nls-gibbs", "--dt", "0.5"], "strang guard"),
+        (["cm", "--preset", "theorem-1", "--dt", "0.5"], "strang guard"),
     ])
     def test_bad_input_exits_one(self, argv, message, capsys):
         # 0 is a value, not "unset": it must not fall back to the preset.

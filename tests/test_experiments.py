@@ -89,6 +89,36 @@ class TestInvarianceExperiment:
         assert rep.ess_a > 80 and rep.ess_b > 80
         assert not rep.any_rejection
 
+    @pytest.mark.parametrize("t_final", [0.0, 0.05])
+    def test_sextic_gibbs_measure(self, t_final):
+        # The AIS potential of |u|^6 needs M >= 6N + 1, whatever the flow's
+        # degree: here a null run and a projected cubic flow.
+        base = GaussianFieldSpec("fwb", 4, alpha=1.0)
+        gibbs = GibbsSpec(p=6, sign="defocusing", beta=1.0, base=base)
+        eq = EquationSpec("nls", p=4, sign="plus", galerkin_projected=True)
+        rep = invariance_experiment(gibbs, eq if t_final else None, t_final, 200,
+                                    RandomSeed(4), dt=1e-3, ais_levels=4,
+                                    ais_pcn_steps=1, bootstrap_reps=50)
+        assert rep.weighted and rep.observables
+        assert rep.blowup_count == 0
+
+    @pytest.mark.parametrize("preset, dt, message", [
+        ("wick-nls-gibbs", 0.0, "dt must be > 0"),
+        ("wick-nls-gibbs", 0.5, "strang guard"),
+        ("kdv-white-noise", 0.05, "if_rk4 guard"),
+    ])
+    def test_bad_step_fails_before_drawing(self, preset, dt, message, monkeypatch):
+        import gibbsflow.experiments as ex
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an ensemble was drawn before the step was checked")
+
+        monkeypatch.setattr(ex, "sample_ensemble", refuse)
+        monkeypatch.setattr(ex, "gibbs_ensemble", refuse)
+        p = invariance_preset(preset, n_max=8)
+        with pytest.raises(ValueError, match=message):
+            invariance_experiment(p["measure"], p["eq"], 0.1, 400, RandomSeed(0), dt=dt)
+
     def test_deterministic_across_threads(self):
         base = GaussianFieldSpec("fwb", 8, alpha=1.0)
         gibbs = GibbsSpec(p=4, sign="defocusing", beta=1.0, base=base)
@@ -146,6 +176,24 @@ class TestCameronMartinExperiment:
             cameron_martin_experiment(p["v0"], p["base"], p["eq"], t_final=0.05,
                                       m_samples=100, seed=RandomSeed(2), dt=p["dt"],
                                       evolve_samples=500)
+
+    @pytest.mark.parametrize("preset, dt, message", [
+        ("theorem-1", 0.0, "dt > 0 is required"),
+        ("theorem-1", 0.5, "strang guard"),
+        ("theorem-2", 0.05, "if_rk4 guard"),
+    ])
+    def test_bad_step_fails_before_drawing(self, preset, dt, message, monkeypatch):
+        import gibbsflow.experiments as ex
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a shift ensemble was drawn before the step was checked")
+
+        monkeypatch.setattr(ex, "sample_matrix", refuse)
+        p = cm_preset(preset, n_max=8)
+        with pytest.raises(ValueError, match=message):
+            cameron_martin_experiment(p["v0"], p["base"], p["eq"], t_final=0.1,
+                                      m_samples=100, seed=RandomSeed(2), dt=dt,
+                                      evolve_samples=4)
 
     def test_traced_peak_below_one_ensemble(self):
         # Part (a) keeps per-row values only: its traced peak stays below

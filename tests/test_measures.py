@@ -28,7 +28,7 @@ from gibbsflow.measures import (
     normalized_weights,
 )
 from gibbsflow.rng import RandomSeed, generator
-from gibbsflow.spectral import field_from_modes, grid_for, zero_field
+from gibbsflow.spectral import field_from_modes, zero_field
 
 from helpers import dense_quadrature_lp, rejection_sample_gibbs
 
@@ -177,8 +177,7 @@ class TestGibbsLogWeight:
 
     def log_weight(self, f, spec):
         """(log weight, cutoff indicator) of one field, as a one-row batch."""
-        grid = grid_for(spec.base.n_max, spec.p)
-        lw, within = gibbs_log_weight_matrix(f.coeffs[np.newaxis, :], spec, grid)
+        lw, within = gibbs_log_weight_matrix(f.coeffs[np.newaxis, :], spec)
         return float(lw[0]), bool(within[0])
 
     def test_zero_field(self):
@@ -239,16 +238,14 @@ class TestGibbsEnsemble:
     def test_reweighting_pushes_quartic_down(self):
         spec = self.spec(n_max=16)
         ens = gibbs_ensemble(spec, 2000, RandomSeed(3), method="snis")
-        grid = grid_for(spec.base.n_max, spec.p)
-        lw, _ = gibbs_log_weight_matrix(ens.coeffs, spec, grid)
+        lw, _ = gibbs_log_weight_matrix(ens.coeffs, spec)
         quartic = -4.0 * lw  # int |u|^4 per sample
         weighted_mean = float(np.sum(ens.weights * quartic))
         assert weighted_mean < np.mean(quartic)
 
     def test_snis_and_ais_match_rejection_oracle(self):
         spec = self.spec(n_max=4)
-        grid = grid_for(spec.base.n_max, spec.p)
-        exact = rejection_sample_gibbs(spec, 4000, np.random.default_rng(99), grid)
+        exact = rejection_sample_gibbs(spec, 4000, np.random.default_rng(99))
         target = np.mean(np.abs(exact[:, 5]) ** 2)  # E|c_1|^2 under Gibbs
         se_oracle = np.std(np.abs(exact[:, 5]) ** 2, ddof=1) / np.sqrt(4000)
         for method in ("snis", "ais"):

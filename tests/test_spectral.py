@@ -104,41 +104,36 @@ class TestSobolevNorm:
 
 class TestLpIntegral:
     def test_zero_field(self):
-        assert lp_integral(zero_field(3), 4, grid_for(3, 4)) == 0.0
+        assert lp_integral(zero_field(3), 4) == 0.0
 
     def test_constant_parseval(self):
         f = field_from_modes(0, {0: 3.0})
-        assert_allclose(lp_integral(f, 2, GridConfig(8)), 2 * np.pi * 9.0, rtol=1e-14)
+        assert_allclose(lp_integral(f, 2), 2 * np.pi * 9.0, rtol=1e-14)
 
     def test_single_mode_quartic_matches_dense_oracle(self):
         # |e^{ix}|^4 integrates to 2*pi; the dense-quadrature oracle pins it.
         f = field_from_modes(1, {1: 1.0})
         oracle = dense_quadrature_lp(f, 4)
         assert_allclose(oracle, 2 * np.pi, rtol=1e-12)
-        assert_allclose(lp_integral(f, 4, grid_for(1, 4)), oracle, rtol=1e-12)
+        assert_allclose(lp_integral(f, 4), oracle, rtol=1e-12)
 
     def test_random_fields_match_dense_oracle(self):
         rng = np.random.default_rng(3)
         for real in (False, True):
             f = random_field(5, rng, real_valued=real)
-            got = lp_integral(f, 4, grid_for(5, 4))
+            got = lp_integral(f, 4)
             assert_allclose(got, dense_quadrature_lp(f, 4), rtol=1e-11)
 
     def test_parseval_identity(self):
         rng = np.random.default_rng(4)
         for n_max in (0, 3, 16):
             f = random_field(n_max, rng)
-            got = lp_integral(f, 2, grid_for(n_max, 2))
+            got = lp_integral(f, 2)
             assert_allclose(got, 2 * np.pi * mean_square(f), rtol=1e-12)
-
-    def test_refuses_small_grid(self):
-        f = random_field(8, np.random.default_rng(5))
-        with pytest.raises(ValueError, match="need m_points >= 33"):
-            lp_integral(f, 4, GridConfig(32))
 
     def test_rejects_p_below_one(self):
         with pytest.raises(ValueError, match="p must be >= 1"):
-            lp_integral(zero_field(1), 0.5, GridConfig(8))
+            lp_integral(zero_field(1), 0.5)
 
 
 class TestMeanOps:

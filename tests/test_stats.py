@@ -119,8 +119,7 @@ class TestWeightedKsBootstrap:
         xs_a, wa, xs_b, wb = _panel(4)
         reps = 333
         res = weighted_ks_bootstrap(xs_a, wa, xs_b, wb,
-                                    np.random.default_rng(6), reps=reps,
-                                    batch=250)
+                                    np.random.default_rng(6), reps=reps)
         for _, p in res:
             j = p * (reps + 1) - 1
             assert j == pytest.approx(round(j), abs=1e-9)
