@@ -25,7 +25,7 @@ from .measures import (
     gibbs_ensemble,
     kakutani_power_law,
 )
-from .parallel import map_chunks
+from .parallel import CHUNK, map_chunks
 from .rng import RandomSeed, generator
 from .spectral import TorusField, truncate
 from .stats import (
@@ -396,16 +396,26 @@ def _shift_pair_rows(base, shift, m, seed, lanes, rows_of, n_threads=1):
     Chunk c of the ``parallel.chunk_ranges(m)`` plan draws x_c and y_c's
     noise as ``sample_ensemble`` does, on paths (lanes[0], 0, c) and
     (lanes[1], 0, c).  rows_of(x_c, y_c, start) returns a tuple of arrays
-    over the chunk's rows, joined in plan order; they must be copies, as a
-    view (say a column's real part) would keep the whole chunk alive.
+    over the chunk's rows, joined in plan order; they must be copies, as
+    x_c and y_c live in a workspace that the next chunk overwrites.
     """
-    def chunk(c, start, stop):
-        x = sample_matrix(base, stop - start, generator(seed, lanes[0], sample=c))
-        y = sample_matrix(base, stop - start, generator(seed, lanes[1], sample=c))
+    k = base.n_max if base.real_valued else 2 * base.n_max + 1
+
+    def workspace():
+        rows = min(m, CHUNK)
+        return (np.empty((2, rows, 2 * base.n_max + 1), dtype=np.complex128),
+                np.empty((2, rows, 2, k)))
+
+    def chunk(c, start, stop, ws):
+        (x, y), normals = (w[:, :stop - start] for w in ws)
+        for lane, out, g in zip(lanes, (x, y), normals):
+            sample_matrix(base, stop - start, generator(seed, lane, sample=c),
+                          out=out, normals=g)
         y += shift
         return rows_of(x, y, start)
 
-    return [np.concatenate(col) for col in zip(*map_chunks(chunk, m, n_threads))]
+    cols = zip(*map_chunks(chunk, m, n_threads, CHUNK, workspace))
+    return [np.concatenate(col) for col in cols]
 
 
 def cameron_martin_experiment(
@@ -432,8 +442,8 @@ def cameron_martin_experiment(
     sup_t mass within 10x initial" is reported as a global-existence proxy,
     not as a proof of anything.  Both parts run in row chunks on up to
     n_threads threads (None: the default count); the report does not
-    depend on the thread count.  Part (b)'s dt > 0 and the scheme's guard
-    are checked before part (a) draws anything.
+    depend on the thread count.  Part (b)'s dt > 0, step guard and (gkdv)
+    real base are checked before part (a) draws anything.
     """
     if m_samples < 2:
         raise ValueError(f"m_samples must be >= 2, got {m_samples}")
@@ -442,6 +452,8 @@ def cameron_martin_experiment(
                          f" got {evolve_samples}")
     n_evolve = evolve_samples if eq is not None and t_final > 0.0 else 0
     if n_evolve > 0:
+        if eq.family == "gkdv" and not base.real_valued:
+            raise ValueError("gkdv evolves real_valued fields only")
         if dt is None or dt <= 0:
             raise ValueError("dt > 0 is required for the evolution part")
         n_steps = max(1, int(round(t_final / dt)))

@@ -28,8 +28,9 @@ GEMM against the pruned DFT matrix of ``spectral.band_matrices`` is faster
 than an FFT round trip, and the diagonal linear propagator, derivative and
 1/M scaling of each stage are folded into the matrices, built once per
 ``evolve_ensemble`` call.  Each chunk of rows binds the stepper once to
-work buffers and to batched products over fixed-size row blocks
-(``_batched_matmul``), so a step allocates almost nothing.
+the first rows of a workspace the calling thread made (``map_chunks``) and
+to batched products over fixed-size row blocks (``_batched_matmul``), so a
+step allocates almost nothing.
 """
 
 from __future__ import annotations
@@ -242,16 +243,19 @@ class _StrangStepper:
         self.dt = dt
         self.exponent = (eq.p - 2) / 2.0
 
-    def bind(self, a: np.ndarray, b: np.ndarray):
+    def buffers(self, rows: int) -> tuple:
+        """State pair and work buffers (u, rot, theta, sq) for up to ``rows`` rows."""
+        c = np.empty((2, rows, 2 * self.k + 1), dtype=np.complex128)
+        return (*c, *np.empty((2, rows, self.m), dtype=np.complex128),
+                np.empty((rows, self.m)), np.empty((rows, 2 * self.k + 1)))
+
+    def bind(self, a: np.ndarray, b: np.ndarray, work: tuple):
         """``step(c, out) -> peak`` for a chunk whose state lives in ``a``
         and ``b`` (``c, out`` is ``a, b`` or ``b, a``): writes the stepped
         coefficients to ``out`` and returns the per-row max |u|^2 seen; its
-        work buffers and products are bound here, once."""
-        eq, k, rows = self.eq, self.k, a.shape[0]
-        u = np.empty((rows, self.m), dtype=np.complex128)
-        rot = np.empty_like(u)
-        theta = np.empty((rows, self.m))
-        sq = np.empty((rows, 2 * k + 1))
+        products are bound here, once, to the first rows of ``work``."""
+        eq, rows = self.eq, a.shape[0]
+        u, rot, theta, sq = (w[:rows] for w in work)
         peak = np.empty(rows)
         ms = np.empty(rows)
         angle = eq.s * self.dt
@@ -308,16 +312,18 @@ class _KdvStepper:
         ]
         self.dt = dt
 
-    def bind(self, a: np.ndarray, b: np.ndarray):
+    def buffers(self, rows: int) -> tuple:
+        """State pair and work buffers (u, y, slope, sq) for up to ``rows`` rows."""
+        a, b, y, slope = np.empty((4, rows, self.k + 1), dtype=np.complex128)
+        return a, b, np.empty((rows, self.m)), y, slope, np.empty((rows, self.k))
+
+    def bind(self, a: np.ndarray, b: np.ndarray, work: tuple):
         """``step(h, out) -> peak`` for a chunk whose state lives in ``a``
         and ``b`` (``h, out`` is ``a, b`` or ``b, a``): writes the stepped
         half-spectrum to ``out`` and returns the per-row max u^2 seen; its
-        work buffers and products are bound here, once."""
-        k, power, dt, rows = self.k, self.eq.p - 1, self.dt, a.shape[0]
-        u = np.empty((rows, self.m))
-        y = np.empty((rows, k + 1), dtype=np.complex128)
-        slope = np.empty_like(y)
-        sq = np.empty((rows, k))
+        products are bound here, once, to the first rows of ``work``."""
+        power, dt, rows = self.eq.p - 1, self.dt, a.shape[0]
+        u, y, slope, sq = (w[:rows] for w in work)
         peak = np.empty(rows)
         stage_peak = np.empty(rows)
         before = np.empty(rows)
@@ -383,8 +389,8 @@ def evolve_ensemble(
     last valid state and flagged; this is a recorded outcome, not an
     error.  The rows are integrated over the whole horizon in fixed
     ``_EVOLVE_CHUNK``-row chunks (``parallel.chunk_ranges``) on up to
-    ``n_threads`` threads (None: ``parallel.default_threads()``) and merged
-    in chunk order.  Rows never interact and the chunk plan depends only
+    ``n_threads`` threads (None: ``parallel.default_threads()``), each
+    writing its own rows.  Rows never interact and the chunk plan depends only
     on the row count, so the result is bit-identical for any thread count;
     a row's last bits may depend on the chunk and the block it is stepped
     in, because each step is a batched matrix product over the chunk's row
@@ -402,20 +408,24 @@ def evolve_ensemble(
     stepper = (_KdvStepper if use_half else _StrangStepper)(eq, grid, k_work, dt)
     record_every = cfg.record_every if cfg.record_every > 0 else n_steps
 
-    def evolve_chunk(_index: int, start: int, stop: int):
+    n_rows, width = coeffs.shape[0], k_work + 1 if use_half else 2 * k_work + 1
+    final = np.empty((n_rows, width), dtype=np.complex128)
+    active_rows = np.ones(n_rows, dtype=bool)
+    last_valid = np.full(n_rows, abs(cfg.t_final))
+
+    def evolve_chunk(_index: int, start: int, stop: int, ws):
         rows = slice(start, stop)
         batch = stop - start
+        state, spare = ws[0][:batch], ws[1][:batch]
+        state.fill(0.0)
         if use_half:
-            state = np.zeros((batch, k_work + 1), dtype=np.complex128)
             state[:, :n_max + 1] = coeffs[rows, n_max:]
         else:
-            state = np.zeros((batch, 2 * k_work + 1), dtype=np.complex128)
             state[:, k_work - n_max: k_work + n_max + 1] = coeffs[rows]
-        spare = np.empty_like(state)
-        step = stepper.bind(state, spare)
+        step = stepper.bind(state, spare, ws[2:])
 
-        active = np.ones(batch, dtype=bool)
-        last_valid = np.full(batch, abs(cfg.t_final))
+        active = active_rows[rows]
+        chunk_valid = last_valid[rows]
 
         def emit(step_index: int):
             if on_record is not None:
@@ -430,7 +440,7 @@ def evolve_ensemble(
                 row_ok = np.all(np.isfinite(spare), axis=-1)
                 blown |= active & ~row_ok
                 if np.any(blown):
-                    last_valid[blown] = (i - 1) * abs(dt)
+                    chunk_valid[blown] = (i - 1) * abs(dt)
                     active &= ~blown
                 if not active.all():
                     # Frozen rows keep their last valid state.
@@ -438,17 +448,15 @@ def evolve_ensemble(
                 state, spare = spare, state
                 if i % record_every == 0 or i == n_steps:
                     emit(i)
-        return (from_half(state) if use_half else state), ~active, last_valid
+        final[rows] = state
 
-    # An empty batch has no chunks; it runs as one empty chunk.
-    parts = (map_chunks(evolve_chunk, coeffs.shape[0], n_threads, _EVOLVE_CHUNK)
-             or [evolve_chunk(0, 0, 0)])
-    final, blowup, last_valid = (np.concatenate(a) for a in zip(*parts))
+    map_chunks(evolve_chunk, n_rows, n_threads, _EVOLVE_CHUNK,
+               lambda: stepper.buffers(min(n_rows, _EVOLVE_CHUNK)))
     return EnsembleEvolution(
-        coeffs=final,
+        coeffs=from_half(final) if use_half else final,
         n_max=k_work,
         real_valued=real_valued,
-        blowup=blowup,
+        blowup=~active_rows,
         last_valid_time=last_valid,
         dt_effective=dt,
     )

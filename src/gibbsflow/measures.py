@@ -312,10 +312,10 @@ PCN_STEP_SIZE = 0.5
 
 def _ais_chunk(
     spec: GibbsSpec,
-    m: int,
     rng: np.random.Generator,
     levels: int,
     pcn_steps: int,
+    ws: list,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Anneal one chunk from the Gaussian base to the Gibbs target.
 
@@ -323,28 +323,23 @@ def _ais_chunk(
     lam ramped quadratically from 0 to 1 (fine steps where the weight
     variance is largest); pCN moves keep each tempered level invariant, so
     the accumulated increments are exact importance weights for the target.
-    The sweep's work buffers are bound once per chunk, as in
-    ``integrators``: freeing and re-making a few hundred KB per pCN step
-    costs page faults.
+    ``ws`` holds the sweep's buffers (potential pair, c, returned as a view,
+    prop, step, normals) over the chunk's rows, made once per worker by the
+    calling thread: re-making a few hundred KB per pCN step costs faults.
     """
-    width = 2 * spec.base.n_max + 1
-    k = spec.base.n_max if spec.base.real_valued else width
-    m_points = grid_for(spec.base.n_max, spec.p).m_points
-    work = (np.empty((m, m_points), dtype=np.complex128), np.empty((m, m_points)))
-    prop = np.empty((m, width), dtype=np.complex128)
-    step = np.empty_like(prop)
-    normals = np.empty((m, 2, k))
+    u, power, c, prop, step, normals = ws
+    m = c.shape[0]
     uniforms = np.empty(m)
     gain = np.empty(m)
     accept = np.empty(m, dtype=bool)
     finite = np.empty(m, dtype=bool)
 
     def potential(c):
-        lw, within = gibbs_log_weight_matrix(c, spec, work)
+        lw, within = gibbs_log_weight_matrix(c, spec, (u, power))
         lw[~within] = -np.inf
         return lw
 
-    c = sample_matrix(spec.base, m, rng)
+    sample_matrix(spec.base, m, rng, out=c, normals=normals)
     log_v = potential(c)  # full-strength log weight, sign included
     log_w = np.zeros(m)
     lam_prev = 0.0
@@ -399,19 +394,26 @@ def gibbs_ensemble(
     coeffs = np.empty((m_samples, width), dtype=np.complex128)
     log_w = np.empty(m_samples)
 
-    def run_chunk(index, start, stop):
+    def workspace():
+        rows = min(m_samples, _AIS_CHUNK)
+        k = spec.base.n_max if spec.base.real_valued else width
+        m_points = grid_for(spec.base.n_max, spec.p).m_points
+        return (np.empty((rows, m_points), dtype=np.complex128), np.empty((rows, m_points)),
+                *np.empty((3, rows, width), dtype=np.complex128), np.empty((rows, 2, k)))
+
+    def run_chunk(index, start, stop, ws):
         rng = generator(seed, lane=lane_index, sub=1, sample=index)
+        ws = [w[:stop - start] for w in ws]
         if method == "snis":
-            c = sample_matrix(spec.base, stop - start, rng)
-            lw, within = gibbs_log_weight_matrix(c, spec)
+            c = sample_matrix(spec.base, stop - start, rng, out=ws[2], normals=ws[5])
+            lw, within = gibbs_log_weight_matrix(c, spec, ws[:2])
             lw[~within] = -np.inf
         else:
-            c, lw = _ais_chunk(spec, stop - start, rng, levels, pcn_steps)
-        return start, stop, c, lw
-
-    for start, stop, c, lw in map_chunks(run_chunk, m_samples, n_threads, _AIS_CHUNK):
+            c, lw = _ais_chunk(spec, rng, levels, pcn_steps, ws)
         coeffs[start:stop] = c
         log_w[start:stop] = lw
+
+    map_chunks(run_chunk, m_samples, n_threads, _AIS_CHUNK, workspace)
     weights, ess = normalized_weights(log_w)
     flagged = ess < ESS_FLOOR_FRACTION * m_samples
     if flagged:

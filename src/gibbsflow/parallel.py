@@ -41,13 +41,30 @@ def chunk_ranges(n: int, chunk: int = CHUNK):
     ]
 
 
-def map_chunks(fn, n: int, n_threads: int | None = 1, chunk: int = CHUNK):
+def map_chunks(fn, n: int, n_threads: int | None = 1, chunk: int = CHUNK,
+               workspace=None):
     """Run fn(chunk_index, start, stop) over the fixed plan on n_threads
-    threads (None: ``default_threads()``); ordered results."""
+    threads (None: ``default_threads()``); ordered results.
+
+    With ``workspace``, a factory the calling thread runs once per worker,
+    chunks run as fn(chunk_index, start, stop, ws), no two at once on one
+    ws (glibc keeps what a worker thread frees in that thread's arena)."""
     plan = chunk_ranges(n, chunk)
     n_threads = default_threads() if n_threads is None else n_threads
-    if n_threads <= 1 or len(plan) <= 1:
-        return [fn(*item) for item in plan]
-    with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        futures = [pool.submit(fn, *item) for item in plan]
+    workers = min(max(1, n_threads), len(plan))
+    run = fn
+    if workspace is not None:
+        free = [workspace() for _ in range(workers)]  # pop/append: atomic
+
+        def run(*item):
+            ws = free.pop()  # never empty: at most `workers` chunks run
+            try:
+                return fn(*item, ws)
+            finally:
+                free.append(ws)
+
+    if workers <= 1:
+        return [run(*item) for item in plan]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(run, *item) for item in plan]
         return [f.result() for f in futures]

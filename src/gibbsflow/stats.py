@@ -17,8 +17,9 @@ __all__ = [
     "weighted_ks_bootstrap",
 ]
 
-# Bootstrap replicates that weighted_ks_bootstrap holds in memory at once.
+# Bootstrap replicates held at once, and rows per block of the scratch.
 _BOOTSTRAP_BATCH = 250
+_BOOTSTRAP_BLOCK = 50
 
 
 def ks_two_sample(xs_a: np.ndarray, xs_b: np.ndarray) -> list[tuple[float, float]]:
@@ -156,7 +157,8 @@ def weighted_ks_bootstrap(
     the distribution of a multinomial over equal cells.  Sharing makes the
     panel's p-values dependent; Holm's step-down correction controls the
     family-wise error under any dependence, so it stays valid.  At most
-    ``_BOOTSTRAP_BATCH`` replicates are held in memory at once.
+    ``_BOOTSTRAP_BATCH`` replicates are held, in one buffer filled in place
+    and summed per observable through one ``_BOOTSTRAP_BLOCK``-row scratch.
     """
     xs_a = np.asarray(xs_a, dtype=np.float64)
     xs_b = np.asarray(xs_b, dtype=np.float64)
@@ -178,19 +180,26 @@ def weighted_ks_bootstrap(
     d_obs = np.max(np.abs(np.cumsum(signed[orders], axis=1)), axis=1)
 
     exceed = np.zeros(n_obs, dtype=np.int64)
+    batch = np.empty((min(_BOOTSTRAP_BATCH, reps), na + nb))
+    scratch = np.empty((min(_BOOTSTRAP_BLOCK, reps), na + nb))
     done = 0
     while done < reps:
         size = min(_BOOTSTRAP_BATCH, reps - done)
-        wsa = _uniform_counts(rng, size, na) * wta
+        delta = batch[:size]
+        wsa, wsb = delta[:, :na], delta[:, na:]
+        np.multiply(_uniform_counts(rng, size, na), wta, out=wsa)
         wsa /= wsa.sum(axis=1, keepdims=True)
-        wsb = _uniform_counts(rng, size, nb) * wtb
+        np.multiply(_uniform_counts(rng, size, nb), wtb, out=wsb)
         wsb /= wsb.sum(axis=1, keepdims=True)
-        delta = np.concatenate([wsa - wta, wtb - wsb], axis=1)
-        for k, order in enumerate(orders):
-            g = np.take(delta, order, axis=1)
-            np.cumsum(g, axis=1, out=g)
-            np.abs(g, out=g)
-            exceed[k] += np.count_nonzero(g.max(axis=1) >= d_obs[k] - 1e-12)
+        np.subtract(wsa, wta, out=wsa)
+        np.subtract(wtb, wsb, out=wsb)
+        for lo in range(0, size, _BOOTSTRAP_BLOCK):
+            rows = delta[lo:lo + _BOOTSTRAP_BLOCK]
+            for k, order in enumerate(orders):
+                g = np.take(rows, order, axis=1, out=scratch[:len(rows)], mode="clip")
+                np.cumsum(g, axis=1, out=g)
+                np.abs(g, out=g)
+                exceed[k] += np.count_nonzero(g.max(axis=1) >= d_obs[k] - 1e-12)
         done += size
     p = (1.0 + exceed) / (reps + 1.0)
     return [(float(d), float(pk)) for d, pk in zip(d_obs, p)]

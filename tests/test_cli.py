@@ -55,6 +55,16 @@ class TestStartsWithoutScipy:
 
 
 class TestHelp:
+    def test_python_dash_m_runs_the_cli(self):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                           "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")])}
+        res = subprocess.run([sys.executable, "-m", "gibbsflow", "--help"], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert res.returncode == 0, res.stderr
+        assert "invariance" in res.stdout
+
     def test_top_level_help(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--help"])

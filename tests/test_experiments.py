@@ -195,6 +195,20 @@ class TestCameronMartinExperiment:
                                       m_samples=100, seed=RandomSeed(2), dt=dt,
                                       evolve_samples=4)
 
+    def test_gkdv_on_complex_base_fails_before_drawing(self, monkeypatch):
+        import gibbsflow.experiments as ex
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a shift ensemble was drawn before the flow was checked")
+
+        monkeypatch.setattr(ex, "sample_matrix", refuse)
+        base = GaussianFieldSpec("fwb", 16, alpha=1.0)  # complex fields
+        eq = EquationSpec("gkdv", p=3, galerkin_projected=True)
+        with pytest.raises(ValueError, match="real_valued fields only"):
+            cameron_martin_experiment(smooth_shift_field(16, 0.5), base, eq,
+                                      t_final=0.01, m_samples=20000, seed=RandomSeed(2),
+                                      dt=1e-4, evolve_samples=4)
+
     def test_traced_peak_below_one_ensemble(self):
         # Part (a) keeps per-row values only: its traced peak stays below
         # the bytes of one whole m x (2N+1) complex ensemble (19.8 MiB).

@@ -415,6 +415,15 @@ class TestChunkedEngine:
         assert np.flatnonzero(one.blowup).tolist() == [self.BLOWN]
         assert 0.0 <= one.last_valid_time[self.BLOWN] < cfg.t_final
 
+    @pytest.mark.parametrize("family, real", [("gkdv", True), ("nls", False)])
+    def test_empty_batch(self, family, real):
+        eq = EquationSpec(family, p=4, galerkin_projected=True)
+        res = evolve_ensemble(np.zeros((0, 17), dtype=np.complex128), 8, eq,
+                              SolverConfig(dt=1e-3, t_final=0.01), real_valued=real)
+        assert res.coeffs.shape == (0, 2 * res.n_max + 1)
+        assert res.blowup.shape == res.last_valid_time.shape == (0,)
+        assert res.blowup.dtype == bool
+
     def test_on_record_sees_its_chunk(self):
         rows, n_max, eq, cfg, real = self._wick()
         seen = []

@@ -1,6 +1,8 @@
 """Tests for the statistical machinery."""
 
+import hashlib
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -137,6 +139,26 @@ class TestWeightedKsBootstrap:
         with pytest.raises(ValueError):
             weighted_ks_bootstrap(xs_a, wa, xs_b, wb, np.random.default_rng(8),
                                   reps=10)
+
+    def test_working_set_bounded_and_values_pinned(self):
+        # The wick-nls-gibbs panel's size: 29 observables, 512 members per
+        # ensemble, 2000 reps.  The traced peak must stay below three
+        # 250 x 1024 float buffers (5.9 MiB).  The sha256 of the (statistic,
+        # p) pairs was taken before the replicates moved into bound buffers.
+        rng = np.random.default_rng(29)
+        xs_a, xs_b = rng.normal(size=(2, 29, 512))
+        xs_b += 0.05
+        wa, wb = rng.exponential(size=(2, 512))
+        tracemalloc.start()
+        try:
+            res = weighted_ks_bootstrap(xs_a, wa, xs_b, wb,
+                                        np.random.default_rng(30), reps=2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 250 * 1024 * 8, peak
+        assert hashlib.sha256(np.array(res).tobytes()).hexdigest() == (
+            "1ea8926cccb254cdb0d9c619115108451954b753461df978ffc451cb47676800")
 
     def test_null_calibrated_when_weights_track_the_observable(self):
         # Both ensembles are importance samples of the same tilted target:
