@@ -178,7 +178,7 @@ def _run_dichotomy(a: dict) -> int:
     if a["mode"] == "kakutani":
         verdict = ms.kakutani_power_law(a["u_decay"], a["v_decay"], a["nmax"])
     else:
-        verdict = ms.feldman_hajek_statistic(a["beta"], a["gamma"], a["s"], a["nmax"])
+        verdict = ms.feldman_hajek_statistic(a["beta"], a["gamma"], n_max=a["nmax"])
     _emit(a, {"kind": "dichotomy", "mode": a["mode"], "report": to_jsonable(verdict)})
     return EXIT_OK
 
@@ -319,7 +319,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--v-decay", dest="v_decay", type=_finite_float, default=1.4)
     p.add_argument("--beta", type=_finite_float, default=1.0)
     p.add_argument("--gamma", type=_finite_float, default=2.0)
-    p.add_argument("--s", type=_finite_float, default=0.0)
     p.add_argument("--nmax", type=int, default=100000)
     common(p, seed=False)
 

@@ -1,5 +1,5 @@
-"""Experiment drivers: invariance testing, shift verification, large
-deviations, and the singularity-vs-distinguishability demo.
+"""Experiment drivers: invariance testing, shift verification and large
+deviations.
 
 All experiments are pure functions of (configuration, seed): ensembles
 draw from fixed random-path lanes, statistical reductions run in a fixed
@@ -23,7 +23,6 @@ from .measures import (
     cameron_martin_norm_sq,
     cm_criterion_power_law,
     gibbs_ensemble,
-    kakutani_power_law,
 )
 from .parallel import CHUNK, map_chunks
 from .rng import RandomSeed, generator
@@ -53,9 +52,6 @@ __all__ = [
     "LdpPoint",
     "LDPReport",
     "ldp_mc",
-    "DistinguishabilityPoint",
-    "DistinguishabilityReport",
-    "distinguishability_demo",
     "observable_panel",
 ]
 
@@ -69,7 +65,6 @@ _LANE_B = 1
 _LANE_COMPARE = 2  # one bootstrap stream, shared by the whole panel
 _LANE_CALIBRATION = 3  # randomization of calibration_uniformity's p-values
 _LANE_LDP0 = 10
-_LANE_DEMO0 = 40
 
 # Monte Carlo rows per ldp_mc chunk; chunk i of epsilon e draws from path
 # (_LANE_LDP0 + e, sample i), so the plan fixes the hit counts.
@@ -390,12 +385,12 @@ class CMReport:
     scope: str = SCOPE_LABEL
 
 
-def _shift_pair_rows(base, shift, m, seed, lanes, rows_of, n_threads=1):
+def _shift_pair_rows(base, shift, m, seed, rows_of, n_threads=1):
     """Per-row values of m noise rows x and m shifted rows y = shift + noise.
 
     Chunk c of the ``parallel.chunk_ranges(m)`` plan draws x_c and y_c's
-    noise as ``sample_ensemble`` does, on paths (lanes[0], 0, c) and
-    (lanes[1], 0, c).  rows_of(x_c, y_c, start) returns a tuple of arrays
+    noise as ``sample_ensemble`` does, on paths (_LANE_A, 0, c) and
+    (_LANE_B, 0, c).  rows_of(x_c, y_c, start) returns a tuple of arrays
     over the chunk's rows, joined in plan order; they must be copies, as
     x_c and y_c live in a workspace that the next chunk overwrites.
     """
@@ -408,7 +403,7 @@ def _shift_pair_rows(base, shift, m, seed, lanes, rows_of, n_threads=1):
 
     def chunk(c, start, stop, ws):
         (x, y), normals = (w[:, :stop - start] for w in ws)
-        for lane, out, g in zip(lanes, (x, y), normals):
+        for lane, out, g in zip((_LANE_A, _LANE_B), (x, y), normals):
             sample_matrix(base, stop - start, generator(seed, lane, sample=c),
                           out=out, normals=g)
         y += shift
@@ -469,8 +464,7 @@ def cameron_martin_experiment(
                 y[:max(0, n_evolve - start)].copy())
 
     log_w, *values, subset = _shift_pair_rows(
-        base, truncate(v0, base.n_max).coeffs, m_samples, seed, (_LANE_A, _LANE_B),
-        rows_of, n_threads)
+        base, truncate(v0, base.n_max).coeffs, m_samples, seed, rows_of, n_threads)
     w = np.exp(log_w)
     w_mean = float(np.mean(w))
     w_se = standard_error(w)
@@ -786,83 +780,4 @@ def ldp_mc(
         spearman_gap_trend=rho,
         trend_ok=trend_ok,
         final_gap_fraction=final_gap,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Distinguishability demo
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DistinguishabilityPoint:
-    n_max: int
-    accuracy: float
-    threshold: float
-
-
-@dataclass(frozen=True)
-class DistinguishabilityReport:
-    u_decay: float
-    v_decay: float
-    kakutani_verdict: str
-    points: tuple
-    accuracy_increasing: bool
-    scope: str = SCOPE_LABEL
-
-
-def distinguishability_demo(
-    u_decay: float,
-    v_decay: float | None,
-    n_values=(64, 256, 1024),
-    m_samples: int = 2000,
-    seed: RandomSeed = RandomSeed(0),
-    v_amplitude: float = 1.0,
-) -> DistinguishabilityReport:
-    """Link the product-measure verdict to statistical distinguishability.
-
-    For each truncation, draws noise-only and shifted ensembles in 256-row
-    chunks, scores each sample by its shift log-density (the per-mode
-    contributions whose tail sum is the dichotomy statistic), fits a
-    threshold on a training half, and reports held-out accuracy.  Singular
-    pairs drive accuracy toward 1 as the truncation grows; equivalent
-    pairs plateau below 1; v = 0 stays at chance.  Needs m_samples >= 2.
-    """
-    if m_samples < 2:
-        raise ValueError(f"m_samples must be >= 2, got {m_samples}")
-    points = []
-    for j, n_max in enumerate(n_values):
-        n = np.arange(-n_max, n_max + 1, dtype=np.float64)
-        profile = np.zeros(2 * n_max + 1, dtype=np.complex128)
-        nz = n != 0
-        profile[nz] = np.abs(n[nz]) ** (-u_decay)
-        base = GaussianFieldSpec("general", n_max, base_coeffs=profile,
-                                 mean_zero=True)
-        v_coeffs = np.zeros(2 * n_max + 1, dtype=np.complex128)
-        if v_decay is not None:
-            v_coeffs[nz] = v_amplitude * np.abs(n[nz]) ** (-v_decay)
-        v_field = TorusField(n_max, v_coeffs)
-
-        llr0, llr1 = _shift_pair_rows(
-            base, v_coeffs, m_samples, seed, (_LANE_DEMO0 + 2 * j, _LANE_DEMO0 + 2 * j + 1),
-            lambda x0, x1, start: (cameron_martin_log_density_matrix(v_field, x0, base),
-                                   cameron_martin_log_density_matrix(v_field, x1, base)))
-
-        half = m_samples // 2
-        thr = 0.5 * (np.median(llr0[:half]) + np.median(llr1[:half]))
-        correct = int(np.sum(llr0[half:] <= thr)) + int(np.sum(llr1[half:] > thr))
-        accuracy = correct / (2.0 * (m_samples - half))
-        points.append(DistinguishabilityPoint(n_max, float(accuracy), float(thr)))
-
-    if v_decay is None:
-        verdict = "equivalent"
-    else:
-        verdict = kakutani_power_law(u_decay, v_decay, max(n_values)).verdict
-    accs = [pt.accuracy for pt in points]
-    increasing = all(b >= a for a, b in zip(accs, accs[1:]))
-    return DistinguishabilityReport(
-        u_decay=u_decay,
-        v_decay=v_decay if v_decay is not None else float("nan"),
-        kakutani_verdict=verdict,
-        points=tuple(points),
-        accuracy_increasing=increasing,
     )

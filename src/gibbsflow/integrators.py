@@ -58,12 +58,10 @@ __all__ = [
     "SolverConfig",
     "TrajectoryRecord",
     "EnsembleEvolution",
-    "linear_propagate",
     "evolve",
     "evolve_ensemble",
     "hamiltonian",
     "mass",
-    "momentum",
     "gauge_check",
     "GaugeReport",
 ]
@@ -147,17 +145,6 @@ class EnsembleEvolution:
     blowup: np.ndarray  # bool per row
     last_valid_time: np.ndarray
     dt_effective: float
-
-
-def linear_propagate(f: TorusField, t: float, family: str) -> TorusField:
-    """Exact linear group: c_n -> e^{i n^2 t} c_n (Schroedinger families)
-    or c_n -> e^{i n^3 t} c_n (Airy)."""
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
-    n = f.modes.astype(np.float64)
-    power = 3 if family == "gkdv" else 2
-    phase = np.exp(1j * n ** power * t)
-    return TorusField(f.n_max, phase * f.coeffs, f.real_valued and family == "gkdv")
 
 
 def _step_plan(n_max: int, eq: EquationSpec, cfg: SolverConfig
@@ -497,12 +484,6 @@ def evolve(f0: TorusField, eq: EquationSpec, cfg: SolverConfig) -> TrajectoryRec
 def mass(f: TorusField) -> float:
     """int |u|^2 dx = 2 pi sum |c_n|^2 (conserved by all three flows)."""
     return 2.0 * np.pi * mean_square(f)
-
-
-def momentum(f: TorusField) -> float:
-    """int Im(conj(u) u_x) dx = 2 pi sum n |c_n|^2."""
-    n = f.modes.astype(np.float64)
-    return float(2.0 * np.pi * np.sum(n * np.abs(f.coeffs) ** 2))
 
 
 def hamiltonian(f: TorusField, eq: EquationSpec) -> float:

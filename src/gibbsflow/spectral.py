@@ -33,16 +33,11 @@ __all__ = [
     "sobolev_norm",
     "lp_integral",
     "mean_square",
-    "derivative",
     "truncate",
     "to_physical",
-    "from_physical",
-    "pointwise_product",
     "grid_for",
     "lp_min_points",
     "synthesize",
-    "analyze",
-    "analyze_real",
     "band_matrices",
     "from_half",
     "field_to_json",
@@ -179,14 +174,6 @@ def lp_integral(f: TorusField, p: float) -> float:
     return float(2.0 * np.pi * np.mean(np.abs(to_physical(f, grid_for(f.n_max, p))) ** p))
 
 
-def derivative(f: TorusField, k: int) -> TorusField:
-    """k-th spectral derivative: c_n -> (i n)^k c_n."""
-    if k < 1:
-        raise ValueError(f"derivative order must be >= 1, got {k}")
-    mult = (1j * f.modes.astype(np.float64)) ** k
-    return TorusField(f.n_max, mult * f.coeffs, f.real_valued)
-
-
 def truncate(f: TorusField, n_new: int) -> TorusField:
     """Drop coefficients with |n| > n_new (or zero-pad when n_new > N)."""
     if n_new < 0:
@@ -226,30 +213,16 @@ def synthesize(coeffs: np.ndarray, n_max: int, m_points: int,
     return out
 
 
-def analyze(values: np.ndarray, n_max: int) -> np.ndarray:
-    """Recover coefficient rows c_n, |n| <= N, from batched grid values."""
-    m_points = values.shape[-1]
-    _require_points(m_points, n_max)
-    spec = np.fft.fft(values, axis=-1) / m_points
-    idx = np.arange(-n_max, n_max + 1) % m_points
-    return spec[..., idx]
-
-
-def analyze_real(values: np.ndarray, n_max: int) -> np.ndarray:
-    """Half-spectrum rows c_0..c_N of batched real grid values."""
-    _require_points(values.shape[-1], n_max)
-    return np.fft.rfft(values, axis=-1)[..., : n_max + 1] / values.shape[-1]
-
-
 def band_matrices(k: int, m_points: int, real: bool, pre=None, post=None):
     """(synthesis, analysis) matrices of the band |n| <= k on the M-point grid.
 
     Complex rows c_-k..c_k: ``c @ synthesis`` is ``synthesize(pre * c, k, M)``
-    and ``u @ analysis`` is ``post * analyze(u, k)``.  Real fields use
-    half-spectrum rows c_0..c_k multiplied through their float64 view
-    [Re c_0, Im c_0, Re c_1, ...]: ``h.view(float64) @ synthesis`` is the
-    real grid function of the field whose half spectrum is ``pre * h``, and
-    ``(w @ analysis).view(complex128)`` is ``post * analyze_real(w, k)``.
+    and ``u @ analysis`` is ``post`` times entries n mod M, n = -k..k, of
+    ``np.fft.fft(u) / M``.  Real fields use half-spectrum rows c_0..c_k
+    multiplied through their float64 view [Re c_0, Im c_0, Re c_1, ...]:
+    ``h.view(float64) @ synthesis`` is the real grid function of the field
+    whose half spectrum is ``pre * h``, and ``(w @ analysis).view(complex128)``
+    is ``post * np.fft.rfft(w)[..., :k + 1] / M``.
     ``pre`` and ``post`` are per-mode factors (default 1), so a diagonal
     mode multiply before or after a transform costs nothing extra.  At the
     band-limited sizes used here one GEMM beats an FFT round trip plus its
@@ -289,34 +262,6 @@ def from_half(half: np.ndarray) -> np.ndarray:
 def to_physical(f: TorusField, grid: GridConfig) -> np.ndarray:
     """Complex sample vector u(x_j) on the equispaced grid."""
     return synthesize(f.coeffs[np.newaxis, :], f.n_max, grid.m_points)[0]
-
-
-def from_physical(samples: np.ndarray, n_max: int) -> TorusField:
-    """Inverse of ``to_physical``; exact round-trip when M >= 2N+2.
-
-    Real-dtype input produces a real_valued field with exact conjugate
-    symmetry (via the half-spectrum transform).
-    """
-    samples = np.asarray(samples)
-    if samples.ndim != 1:
-        raise ValueError("samples must be a 1-d vector")
-    if np.isrealobj(samples):
-        half = analyze_real(samples.astype(np.float64), n_max)
-        return TorusField(n_max, from_half(half), real_valued=True)
-    return TorusField(n_max, analyze(samples[np.newaxis, :], n_max)[0], real_valued=False)
-
-
-def pointwise_product(f: TorusField, g: TorusField, n_out: int | None = None) -> TorusField:
-    """Exact coefficients of the pointwise product u*v up to |n| <= n_out.
-
-    On ``grid_for(max(N_f + N_g, n_out), 2)`` no aliased copy of the
-    degree-(N_f + N_g) product lands inside the output band.
-    """
-    if n_out is None:
-        n_out = f.n_max + g.n_max
-    grid = grid_for(max(f.n_max + g.n_max, n_out), 2)
-    prod = analyze((to_physical(f, grid) * to_physical(g, grid))[np.newaxis, :], n_out)[0]
-    return TorusField(n_out, prod, f.real_valued and g.real_valued)
 
 
 def field_to_json(f: TorusField) -> dict:

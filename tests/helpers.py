@@ -1,8 +1,9 @@
 """Independent oracles used to validate the library's fast paths.
 
 Everything here recomputes quantities by a different route than the code
-under test: dense quadrature instead of exact collocation, direct O(N^2)
-convolution instead of padded FFTs, rejection sampling instead of
+under test: dense quadrature instead of exact collocation, FFT analyzers
+(``analyze``, ``analyze_real``) instead of the pruned DFT matrices of
+``gibbsflow.spectral.band_matrices``, rejection sampling instead of
 importance weighting, a general-purpose constrained optimizer instead
 of the per-mode Lagrange formula, and FFT round-trip steppers instead of
 the matrix-product steppers of ``gibbsflow.integrators``.
@@ -16,8 +17,6 @@ from gibbsflow.spectral import (
     GridConfig,
     TorusField,
     _require_points,
-    analyze,
-    analyze_real,
     from_half,
     synthesize,
 )
@@ -31,14 +30,19 @@ def dense_quadrature_lp(f: TorusField, p: float, m: int = 16384) -> float:
     return float(2.0 * np.pi * np.mean(np.abs(u) ** p))
 
 
-def brute_convolution(f: TorusField, g: TorusField) -> np.ndarray:
-    """O(N^2) coefficient convolution of the pointwise product f*g."""
-    n_out = f.n_max + g.n_max
-    out = np.zeros(2 * n_out + 1, dtype=np.complex128)
-    for a in range(-f.n_max, f.n_max + 1):
-        for b in range(-g.n_max, g.n_max + 1):
-            out[a + b + n_out] += f.coeffs[a + f.n_max] * g.coeffs[b + g.n_max]
-    return out
+def analyze(values: np.ndarray, n_max: int) -> np.ndarray:
+    """Recover coefficient rows c_n, |n| <= N, from batched grid values."""
+    m_points = values.shape[-1]
+    _require_points(m_points, n_max)
+    spec = np.fft.fft(values, axis=-1) / m_points
+    idx = np.arange(-n_max, n_max + 1) % m_points
+    return spec[..., idx]
+
+
+def analyze_real(values: np.ndarray, n_max: int) -> np.ndarray:
+    """Half-spectrum rows c_0..c_N of batched real grid values."""
+    _require_points(values.shape[-1], n_max)
+    return np.fft.rfft(values, axis=-1)[..., : n_max + 1] / values.shape[-1]
 
 
 def rejection_sample_gibbs(spec, m, seed_rng, max_batches=10000):

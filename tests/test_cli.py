@@ -224,10 +224,12 @@ class TestSampleCommand:
         (["sample", "--nmax", "4"], "csv"),
         (["dichotomy", "--mode", "kakutani", "--nmax", "10"], "seed"),
         (["dichotomy", "--mode", "kakutani", "--nmax", "10"], "stream"),
+        (["dichotomy", "--mode", "feldman-hajek", "--nmax", "10"], "s"),
     ])
     def test_config_removed_option_exits_one(self, tmp_path, capsys, argv, key):
         # Sidecars written before --csv, --seed and --stream were limited
-        # to the subcommands that read them still hold those keys.
+        # to the subcommands that read them, or before dichotomy's unused
+        # --s went, still hold those keys.
         out = tmp_path / "out.json"
         assert main(argv + ["--out", str(out)]) == 0
         sidecar = tmp_path / "out.json.config.json"
@@ -259,6 +261,13 @@ class TestDichotomyCommand:
         assert rep["verdict"] == "singular"
         for n, s in zip(rep["partial_ns"], rep["partial_sums"]):
             assert s == pytest.approx(2 * n / 9.0, rel=1e-12)
+
+    def test_no_s_option(self, capsys):
+        # The Feldman-Hajek statistic does not depend on s.
+        with pytest.raises(SystemExit) as exc:
+            main(["dichotomy", "--mode", "feldman-hajek", "--s", "0.3"])
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --s 0.3" in capsys.readouterr().err
 
     def test_kakutani_verdicts(self, tmp_path):
         for decay, expected in [(1.4, "singular"), (1.8, "equivalent")]:

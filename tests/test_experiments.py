@@ -1,6 +1,5 @@
 """Tests for the experiment drivers."""
 
-import hashlib
 import math
 import tracemalloc
 
@@ -16,7 +15,6 @@ from gibbsflow.experiments import (
     base_rate_weights,
     calibration_uniformity,
     cameron_martin_experiment,
-    distinguishability_demo,
     invariance_experiment,
     ldp_mc,
     ldp_rate_infimum,
@@ -442,40 +440,3 @@ class TestLdpMc:
             lam = 2.0 * (1.0 / pt.epsilon) ** 2
             exact = sps.ncx2.cdf(2.0 * (0.3 / pt.epsilon) ** 2, 4, lam)
             assert pt.ci_lo <= exact <= pt.ci_hi
-
-
-class TestDistinguishability:
-    def test_zero_shift_is_chance(self):
-        rep = distinguishability_demo(1.0, None, (16, 64), 400, RandomSeed(15))
-        for pt in rep.points:
-            assert pt.accuracy == 0.5
-
-    @pytest.mark.parametrize("m", [0, 1])
-    def test_needs_two_samples(self, m):
-        with pytest.raises(ValueError, match="m_samples must be >= 2"):
-            distinguishability_demo(1.0, 2.0, (8,), m, RandomSeed(15))
-
-    def test_values_pinned(self):
-        # sha256 of the [accuracy, threshold] pairs; 600 samples are three
-        # 256-row chunks.  Pinned before the demo streamed its chunks.
-        rep = distinguishability_demo(1.0, 2.0, (8, 32), 600, RandomSeed(17),
-                                      v_amplitude=0.5)
-        vals = np.array([[pt.accuracy, pt.threshold] for pt in rep.points])
-        assert hashlib.sha256(vals.tobytes()).hexdigest() == (
-            "0e8ab19ba5463eb07d4e607ce99ed4fdafaad90e8b9efeb92c7b36de581b7544")
-
-    def test_singular_pair_accuracy_grows(self):
-        rep = distinguishability_demo(1.0, 1.0, (64, 256, 1024), 1000,
-                                      RandomSeed(16))
-        assert rep.kakutani_verdict == "singular"
-        accs = [pt.accuracy for pt in rep.points]
-        assert accs == sorted(accs)
-        assert accs[-1] > 0.95
-
-    def test_equivalent_pair_plateaus(self):
-        rep = distinguishability_demo(1.0, 2.0, (64, 256, 1024), 1500,
-                                      RandomSeed(17))
-        assert rep.kakutani_verdict == "equivalent"
-        accs = [pt.accuracy for pt in rep.points]
-        assert max(accs) < 0.95
-        assert abs(accs[-1] - accs[-2]) < 0.05

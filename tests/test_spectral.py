@@ -9,19 +9,14 @@ from numpy.testing import assert_allclose
 from gibbsflow.spectral import (
     GridConfig,
     TorusField,
-    analyze,
-    analyze_real,
     band_matrices,
-    derivative,
     field_from_json,
     field_from_modes,
     field_to_json,
     from_half,
-    from_physical,
     grid_for,
     lp_integral,
     mean_square,
-    pointwise_product,
     sobolev_norm,
     synthesize,
     to_physical,
@@ -29,7 +24,7 @@ from gibbsflow.spectral import (
     zero_field,
 )
 
-from helpers import brute_convolution, dense_quadrature_lp
+from helpers import analyze, analyze_real, dense_quadrature_lp
 
 
 def random_field(n_max, rng, real_valued=False, decay=0.0):
@@ -142,44 +137,6 @@ class TestMeanOps:
         assert_allclose(mean_square(f), 5.0, rtol=1e-15)
 
 
-class TestDerivative:
-    def test_constant(self):
-        f = field_from_modes(2, {0: 5.0})
-        for k in (1, 2, 3):
-            assert np.all(derivative(f, k).coeffs == 0.0)
-
-    def test_multipliers(self):
-        f1 = field_from_modes(2, {1: 1.0})
-        assert_allclose(derivative(f1, 2).coeffs[3], -1.0, rtol=1e-15)
-        f2 = field_from_modes(3, {2: 1.0})
-        assert_allclose(derivative(f2, 3).coeffs[5], -8.0j, rtol=1e-15)
-
-    def test_matches_pointwise_derivative(self):
-        # d/dx sin(3x) = 3cos(3x), checked on the grid.
-        f = field_from_modes(4, {3: -0.5j, -3: 0.5j}, real_valued=True)
-        grid = GridConfig(32)
-        got = to_physical(derivative(f, 1), grid)
-        assert_allclose(got.real, 3 * np.cos(3 * grid.points), atol=1e-12)
-        assert np.max(np.abs(got.imag)) < 1e-12
-
-    def test_preserves_real_symmetry(self):
-        rng = np.random.default_rng(6)
-        f = random_field(6, rng, real_valued=True)
-        for k in (1, 2, 3):
-            g = derivative(f, k)
-            assert g.real_valued
-            assert_allclose(g.coeffs, np.conj(g.coeffs[::-1]), atol=1e-12)
-
-    def test_symmetry_survives_linear_combinations_and_truncation(self):
-        rng = np.random.default_rng(14)
-        f = random_field(6, rng, real_valued=True)
-        g = random_field(6, rng, real_valued=True)
-        combo = TorusField(6, 0.7 * f.coeffs - 1.3 * g.coeffs, real_valued=True)
-        cut = truncate(combo, 3)
-        assert cut.real_valued
-        assert_allclose(cut.coeffs, np.conj(cut.coeffs[::-1]), atol=1e-12)
-
-
 class TestTruncate:
     def test_identity(self):
         f = random_field(5, np.random.default_rng(7))
@@ -203,58 +160,46 @@ class TestTruncate:
         g = truncate(f, 4)
         assert g.n_max == 4 and g.coeffs[5] == 1.0
 
+    def test_symmetry_survives_linear_combinations_and_truncation(self):
+        rng = np.random.default_rng(14)
+        f = random_field(6, rng, real_valued=True)
+        g = random_field(6, rng, real_valued=True)
+        combo = TorusField(6, 0.7 * f.coeffs - 1.3 * g.coeffs, real_valued=True)
+        cut = truncate(combo, 3)
+        assert cut.real_valued
+        assert_allclose(cut.coeffs, np.conj(cut.coeffs[::-1]), atol=1e-12)
+
 
 class TestTransforms:
+    """``to_physical`` against the FFT analyzers of the test helpers."""
+
     def test_zero_roundtrip(self):
-        f = zero_field(4)
-        assert np.all(from_physical(to_physical(f, GridConfig(16)), 4).coeffs == 0.0)
+        u = to_physical(zero_field(4), GridConfig(16))
+        assert np.all(analyze(u[np.newaxis, :], 4) == 0.0)
 
     def test_random_roundtrip(self):
         rng = np.random.default_rng(9)
         f = random_field(16, rng)
-        g = from_physical(to_physical(f, GridConfig(64)), 16)
-        assert_allclose(g.coeffs, f.coeffs, rtol=0, atol=1e-12 * np.max(np.abs(f.coeffs)))
+        c = analyze(to_physical(f, GridConfig(64))[np.newaxis, :], 16)[0]
+        assert_allclose(c, f.coeffs, rtol=0, atol=1e-12 * np.max(np.abs(f.coeffs)))
 
     def test_real_input_gives_exact_symmetry(self):
         rng = np.random.default_rng(10)
         f = random_field(8, rng, real_valued=True)
         u = to_physical(f, GridConfig(32)).real
-        g = from_physical(u, 8)
-        assert g.real_valued
-        assert np.array_equal(g.coeffs[:8], np.conj(g.coeffs[9:][::-1]))
-        assert_allclose(g.coeffs, f.coeffs, atol=1e-13)
+        c = from_half(analyze_real(u, 8))
+        assert np.array_equal(c[:8], np.conj(c[9:][::-1]))
+        assert_allclose(c, f.coeffs, atol=1e-13)
+        # Any half rows give exact conjugate symmetry and a real mean.
+        h = rng.standard_normal((3, 9)) + 1j * rng.standard_normal((3, 9))
+        full = from_half(h)
+        assert np.array_equal(full[:, :8], np.conj(full[:, 9:][:, ::-1]))
+        assert np.array_equal(full[:, 8], h[:, 0].real)
+        assert np.array_equal(full[:, 9:], h[:, 1:])
 
     def test_size_mismatch(self):
-        with pytest.raises(ValueError, match="cannot resolve"):
-            from_physical(np.zeros(16), 8)
         with pytest.raises(ValueError, match="too small"):
             to_physical(zero_field(8), GridConfig(16))
-
-
-class TestDealiasedProduct:
-    def test_matches_brute_convolution(self):
-        rng = np.random.default_rng(11)
-        for n_max in range(1, 9):
-            f = random_field(n_max, rng)
-            g = random_field(n_max, rng)
-            prod = pointwise_product(f, g)
-            oracle = brute_convolution(f, g)
-            assert_allclose(prod.coeffs, oracle, rtol=0,
-                            atol=1e-12 * np.max(np.abs(oracle)))
-
-    def test_truncated_output_band(self):
-        rng = np.random.default_rng(12)
-        f, g = random_field(4, rng), random_field(4, rng)
-        prod = pointwise_product(f, g, n_out=3)
-        oracle = brute_convolution(f, g)
-        assert_allclose(prod.coeffs, oracle[5:12], rtol=0,
-                        atol=1e-12 * np.max(np.abs(oracle)))
-
-    def test_real_times_real_stays_real(self):
-        rng = np.random.default_rng(13)
-        f = random_field(4, rng, real_valued=True)
-        prod = pointwise_product(f, f)
-        assert prod.real_valued
 
 
 def _is_5_smooth(m):
