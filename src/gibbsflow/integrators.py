@@ -30,7 +30,10 @@ than an FFT round trip, and the diagonal linear propagator, derivative and
 ``evolve_ensemble`` call.  Each chunk of rows binds the stepper once to
 the first rows of a workspace the calling thread made (``map_chunks``) and
 to batched products over fixed-size row blocks (``_batched_matmul``), so a
-step allocates almost nothing.
+step allocates almost nothing.  Health is one scalar per step: the largest
+|u|^2 the step's stages saw over the whole chunk.  Per-row peaks and
+finiteness are taken only when a step is unhealthy or a row of the chunk
+is frozen; the blowup flags do not change (``evolve_ensemble``).
 """
 
 from __future__ import annotations
@@ -184,9 +187,12 @@ def _onto_mass_sphere(c: np.ndarray, mass: np.ndarray, sq: np.ndarray) -> None:
     """Rescale each row of ``c`` in place so sum |c_n|^2 equals ``mass``
     (zero rows stay); ``sq`` is a float buffer of c's shape."""
     after = _row_mass(c, sq)
-    ok = after > 0.0
-    scale = np.ones_like(after)
-    scale[ok] = np.sqrt(mass[ok] / after[ok])
+    if after.min() > 0.0:  # no zero or non-finite row: scale in place
+        scale = np.sqrt(np.divide(mass, after, out=after), out=after)
+    else:
+        ok = after > 0.0
+        scale = np.ones_like(after)
+        scale[ok] = np.sqrt(mass[ok] / after[ok])
     c *= scale[:, np.newaxis]
 
 
@@ -237,10 +243,11 @@ class _StrangStepper:
                 np.empty((rows, self.m)), np.empty((rows, 2 * self.k + 1)))
 
     def bind(self, a: np.ndarray, b: np.ndarray, work: tuple):
-        """``step(c, out) -> peak`` for a chunk whose state lives in ``a``
-        and ``b`` (``c, out`` is ``a, b`` or ``b, a``): writes the stepped
-        coefficients to ``out`` and returns the per-row max |u|^2 seen; its
-        products are bound here, once, to the first rows of ``work``."""
+        """``step(c, out, per_row=False) -> peak`` for a chunk whose state
+        lives in ``a`` and ``b`` (``c, out`` is ``a, b`` or ``b, a``):
+        writes the stepped coefficients to ``out`` and returns the max
+        |u|^2 seen, over the chunk or (``per_row``) per row; its products
+        are bound here, once, to the first rows of ``work``."""
         eq, rows = self.eq, a.shape[0]
         u, rot, theta, sq = (w[:rows] for w in work)
         peak = np.empty(rows)
@@ -250,13 +257,13 @@ class _StrangStepper:
         products = [(_batched_matmul(c, u), _batched_matmul(u, out))
                     for c, out in ((a, b), (b, a))]
 
-        def step(c: np.ndarray, out: np.ndarray) -> np.ndarray:
+        def step(c: np.ndarray, out: np.ndarray, per_row: bool = False):
             to_grid, from_grid = products[c is b]
             _row_mass(c, sq, ms)
             to_grid(self.synthesis)
             np.abs(u, out=theta)
             np.square(theta, out=theta)
-            np.max(theta, axis=-1, out=peak)
+            top = np.max(theta, axis=-1, out=peak) if per_row else theta.max()
             if eq.family == "wick_nls":
                 np.subtract(theta, 2.0 * ms[:, np.newaxis], out=theta)
             elif self.exponent != 1.0:
@@ -268,7 +275,7 @@ class _StrangStepper:
             from_grid(self.analysis)
             if eq.galerkin_projected:
                 _onto_mass_sphere(out, ms, sq)
-            return peak
+            return top
 
         return step
 
@@ -305,10 +312,11 @@ class _KdvStepper:
         return a, b, np.empty((rows, self.m)), y, slope, np.empty((rows, self.k))
 
     def bind(self, a: np.ndarray, b: np.ndarray, work: tuple):
-        """``step(h, out) -> peak`` for a chunk whose state lives in ``a``
-        and ``b`` (``h, out`` is ``a, b`` or ``b, a``): writes the stepped
-        half-spectrum to ``out`` and returns the per-row max u^2 seen; its
-        products are bound here, once, to the first rows of ``work``."""
+        """``step(h, out, per_row=False) -> peak`` for a chunk whose state
+        lives in ``a`` and ``b`` (``h, out`` is ``a, b`` or ``b, a``):
+        writes the stepped half-spectrum to ``out`` and returns the max u^2
+        seen, over the chunk or (``per_row``) per row; its products are
+        bound here, once, to the first rows of ``work``."""
         power, dt, rows = self.eq.p - 1, self.dt, a.shape[0]
         u, y, slope, sq = (w[:rows] for w in work)
         peak = np.empty(rows)
@@ -322,28 +330,30 @@ class _KdvStepper:
                                   for x in (a, b, y))
         to_slope = _batched_matmul(u, slope.view(np.float64))
 
-        def nonlinear(to_grid, synthesis: np.ndarray, analysis: np.ndarray) -> None:
+        def nonlinear(to_grid, synthesis, analysis, axis, into):
+            """The stage slope; returns max u^2 over ``axis`` (None: all)."""
             to_grid(synthesis)
             if power == 2:
                 np.square(u, out=u)
-                np.max(u, axis=-1, out=stage_peak)
+                top = np.max(u, axis, out=into)
             else:
                 # max u^2 is (max |u|)^2 exactly, as rounding is monotone.
-                np.max(u, axis=-1, out=stage_peak)
-                np.maximum(stage_peak, -np.min(u, axis=-1), out=stage_peak)
-                np.square(stage_peak, out=stage_peak)
+                top = np.maximum(np.max(u, axis, out=into), -np.min(u, axis), out=into)
+                top = np.square(top, out=into)
                 np.power(u, power, out=u)
             to_slope(analysis)
+            return top
 
-        def step(h: np.ndarray, out: np.ndarray) -> np.ndarray:
-            nonlinear(from_b if h is b else from_a, *plain)
-            np.copyto(peak, stage_peak)
+        def step(h: np.ndarray, out: np.ndarray, per_row: bool = False):
+            # Whole-chunk maxima are numpy scalars; np.maximum keeps a NaN.
+            axis, into, stage_into = (-1, peak, stage_peak) if per_row else (None,) * 3
+            top = nonlinear(from_b if h is b else from_a, *plain, axis, into)
             np.copyto(out, slope)  # out accumulates the RK4 sum
             for (synthesis, analysis), fraction, weight in later:
                 np.multiply(slope, fraction, out=y)
                 np.add(y, h, out=y)
-                nonlinear(from_y, synthesis, analysis)
-                np.maximum(peak, stage_peak, out=peak)
+                top = np.maximum(
+                    top, nonlinear(from_y, synthesis, analysis, axis, stage_into), out=into)
                 if weight == 1.0:
                     np.add(out, slope, out=out)
                 else:
@@ -355,7 +365,7 @@ class _KdvStepper:
             if self.eq.galerkin_projected:
                 _row_mass(h[:, 1:], sq, before)
                 _onto_mass_sphere(out[:, 1:], before, sq)
-            return peak
+            return top
 
         return step
 
@@ -374,7 +384,12 @@ def evolve_ensemble(
 
     Rows that blow up (L-inf above 1e6 or non-finite) are frozen at their
     last valid state and flagged; this is a recorded outcome, not an
-    error.  The rows are integrated over the whole horizon in fixed
+    error.  A chunk's step is accepted when the stepper's one health value,
+    its peak over the chunk, is within the threshold and a sum over the new
+    state is finite.  A step that fails this, and every step once a row of
+    the chunk is frozen, is redone from the unchanged state with per-row
+    peaks and finiteness, so flags, ``last_valid_time`` and coefficients
+    are those of a per-row check at every step.  The rows are integrated over the whole horizon in fixed
     ``_EVOLVE_CHUNK``-row chunks (``parallel.chunk_ranges``) on up to
     ``n_threads`` threads (None: ``parallel.default_threads()``), each
     writing its own rows.  Rows never interact and the chunk plan depends only
@@ -420,18 +435,24 @@ def evolve_ensemble(
                 on_record(rows, step_index * dt, cur, active.copy())
 
         emit(0)
+        frozen = False
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
             for i in range(1, n_steps + 1):
-                peak = step(state, spare)
-                blown = active & (~np.isfinite(peak) | (peak > BLOWUP_LINF ** 2))
-                row_ok = np.all(np.isfinite(spare), axis=-1)
-                blown |= active & ~row_ok
-                if np.any(blown):
-                    chunk_valid[blown] = (i - 1) * abs(dt)
-                    active &= ~blown
-                if not active.all():
-                    # Frozen rows keep their last valid state.
-                    spare[~active] = state[~active]
+                # A NaN fails both scalar checks.  Unhealthy, or once a row
+                # is frozen: redo the step from the unchanged state, per row.
+                if frozen or not (step(state, spare) <= BLOWUP_LINF ** 2
+                                  and np.isfinite(spare.sum())):
+                    peak = step(state, spare, per_row=True)
+                    blown = active & (~np.isfinite(peak) | (peak > BLOWUP_LINF ** 2))
+                    row_ok = np.all(np.isfinite(spare), axis=-1)
+                    blown |= active & ~row_ok
+                    if np.any(blown):
+                        chunk_valid[blown] = (i - 1) * abs(dt)
+                        active &= ~blown
+                    frozen = not active.all()
+                    if frozen:
+                        # Frozen rows keep their last valid state.
+                        spare[~active] = state[~active]
                 state, spare = spare, state
                 if i % record_every == 0 or i == n_steps:
                     emit(i)

@@ -187,9 +187,9 @@ def weighted_ks_bootstrap(
         size = min(_BOOTSTRAP_BATCH, reps - done)
         delta = batch[:size]
         wsa, wsb = delta[:, :na], delta[:, na:]
-        np.multiply(_uniform_counts(rng, size, na), wta, out=wsa)
+        _resample_weights(rng, wta, wsa)
         wsa /= wsa.sum(axis=1, keepdims=True)
-        np.multiply(_uniform_counts(rng, size, nb), wtb, out=wsb)
+        _resample_weights(rng, wtb, wsb)
         wsb /= wsb.sum(axis=1, keepdims=True)
         np.subtract(wsa, wta, out=wsa)
         np.subtract(wtb, wsb, out=wsb)
@@ -205,8 +205,14 @@ def weighted_ks_bootstrap(
     return [(float(d), float(pk)) for d, pk in zip(d_obs, p)]
 
 
-def _uniform_counts(rng: np.random.Generator, size: int, n: int) -> np.ndarray:
-    """(size, n) counts of n uniform draws from n cells per row."""
-    flat = rng.integers(0, n, size=(size, n))
-    flat += np.arange(size)[:, np.newaxis] * n
-    return np.bincount(flat.ravel(), minlength=size * n).reshape(size, n)
+def _resample_weights(rng: np.random.Generator, w: np.ndarray, out: np.ndarray) -> None:
+    """Each row of ``out`` gets ``w`` times the counts of n uniform draws
+    from n cells, n = w.size; one draw, counted per ``_BOOTSTRAP_BLOCK``
+    rows."""
+    n = w.size
+    draws = rng.integers(0, n, size=(out.shape[0], n))
+    for lo in range(0, len(draws), _BOOTSTRAP_BLOCK):
+        block = draws[lo:lo + _BOOTSTRAP_BLOCK]
+        block += np.arange(len(block))[:, np.newaxis] * n
+        counts = np.bincount(block.ravel(), minlength=block.size)
+        np.multiply(counts.reshape(block.shape), w, out=out[lo:lo + len(block)])

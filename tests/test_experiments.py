@@ -10,7 +10,7 @@ from scipy import stats as sps
 
 from gibbsflow.fields import GaussianFieldSpec, sample_ensemble
 from gibbsflow.integrators import EquationSpec
-from gibbsflow.measures import GibbsSpec, cameron_martin_log_density_matrix
+from gibbsflow.measures import GibbsSpec
 from gibbsflow.experiments import (
     base_rate_weights,
     calibration_uniformity,

@@ -19,7 +19,7 @@ from gibbsflow.fields import (
     sobolev_threshold_probe,
 )
 from gibbsflow.rng import RandomSeed, generator
-from gibbsflow.spectral import field_from_modes, sobolev_norm, truncate, zero_field
+from gibbsflow.spectral import field_from_modes, truncate, zero_field
 
 
 class TestSpecInvariants:

@@ -238,6 +238,68 @@ class TestBlowupHandling:
         assert np.array_equal(res.coeffs[1], seen[res.last_valid_time[1]][1])
         assert np.array_equal(res.coeffs[0], seen[max(seen)][0])
 
+    # case: (sha256 of the (coeffs, blowup, last_valid_time) bytes, blown
+    # rows, their last valid steps), at any thread count; healthy steps and
+    # the row-by-row redo of unhealthy ones must both leave them as they are.
+    PINNED = {
+        "_staggered_gkdv": ("b7b9861b6108daa349237b44393a6e79ce58a828a59ca42dd1ed565f2910cdbd",
+                            [40, 300, 511, 520, 900, 1023], [2, 16, 5, 2, 13, 5]),
+        "_bad_input_wick": ("4e28aa7d97bb17721d483058e81897104bca55f155114ee738e5d83613033549",
+                            [100, 550], [0, 0]),
+    }
+
+    def _staggered_gkdv(self):
+        # 1024 rows: two 512-row chunks, each with rows that blow up at
+        # different steps among rows that do not, two of them upside down.
+        spec = GaussianFieldSpec("fwb", 16, alpha=1.0, real_valued=True)
+        rows = 0.3 * sample_ensemble(spec, 1024, RandomSeed(13))
+        bad = field_from_modes(16, {1: 1.0, -1: 1.0, 2: 0.7, -2: 0.7},
+                               real_valued=True).coeffs
+        for row, amp in ((40, 2.15), (300, -2.0), (511, 1.95),
+                         (520, 2.2), (900, -2.1), (1023, 1.95)):
+            rows[row] = amp * bad
+        eq = EquationSpec("gkdv", p=5, sign="minus", galerkin_projected=True)
+        return rows, 16, eq, SolverConfig(dt=1e-3, t_final=0.05), True
+
+    def _bad_input_wick(self):
+        # A NaN input row in the first chunk, an inf input row in the second.
+        rows = sample_ensemble(GaussianFieldSpec("fwb", 8, alpha=1.0), 600, RandomSeed(14))
+        rows[100, 3] = np.nan
+        rows[550, 9] = np.inf
+        eq = EquationSpec("wick_nls", p=4, sign="plus", galerkin_projected=True)
+        return rows, 8, eq, SolverConfig(dt=1e-3, t_final=0.05), False
+
+    @pytest.mark.parametrize("case", sorted(PINNED))
+    def test_blowup_bits_pinned(self, case):
+        import hashlib
+        digest, blown, steps = self.PINNED[case]
+        rows, n_max, eq, cfg, real = getattr(self, case)()
+        for n_threads in (1, 2):
+            res = evolve_ensemble(rows, n_max, eq, cfg, real_valued=real,
+                                  n_threads=n_threads)
+            assert np.flatnonzero(res.blowup).tolist() == blown
+            assert res.last_valid_time[blown].tolist() == [
+                s * res.dt_effective for s in steps]
+            got = hashlib.sha256(b"".join(getattr(res, name).tobytes() for name in
+                                          ("coeffs", "blowup", "last_valid_time")))
+            assert got.hexdigest() == digest, n_threads
+
+    @pytest.mark.parametrize("family", ["gkdv", "nls"])
+    def test_zero_row_stays_zero(self, family):
+        # A zero row takes the mass projection's zero-row branch: it stays
+        # zero, and the other rows get the bits they get next to a live row.
+        real = family == "gkdv"
+        spec = GaussianFieldSpec("fwb", 16, alpha=1.0, real_valued=real)
+        rows = 0.5 * sample_ensemble(spec, 40, RandomSeed(15))
+        eq = EquationSpec(family, p=3 if real else 4, sign="plus", galerkin_projected=True)
+        cfg = SolverConfig(dt=1e-3, t_final=0.02)
+        live = evolve_ensemble(rows, 16, eq, cfg, real_valued=real)
+        rows[7] = 0.0
+        res = evolve_ensemble(rows, 16, eq, cfg, real_valued=real)
+        assert not np.any(res.coeffs[7]) and not np.any(res.blowup)
+        others = np.arange(len(rows)) != 7
+        assert np.array_equal(res.coeffs[others], live.coeffs[others])
+
 
 class TestGuards:
     def test_strang_step_guard(self):
