@@ -32,8 +32,9 @@ the first rows of a workspace the calling thread made (``map_chunks``) and
 to batched products over fixed-size row blocks (``_batched_matmul``), so a
 step allocates almost nothing.  Health is one scalar per step: the largest
 |u|^2 the step's stages saw over the whole chunk.  Per-row peaks and
-finiteness are taken only when a step is unhealthy or a row of the chunk
-is frozen; the blowup flags do not change (``evolve_ensemble``).
+finiteness are taken only when a step is unhealthy; a row that blows up
+is parked and its working row zeroed, so later steps are healthy again,
+and the blowup flags do not change (``evolve_ensemble``).
 """
 
 from __future__ import annotations
@@ -386,17 +387,19 @@ def evolve_ensemble(
     last valid state and flagged; this is a recorded outcome, not an
     error.  A chunk's step is accepted when the stepper's one health value,
     its peak over the chunk, is within the threshold and a sum over the new
-    state is finite.  A step that fails this, and every step once a row of
-    the chunk is frozen, is redone from the unchanged state with per-row
-    peaks and finiteness, so flags, ``last_valid_time`` and coefficients
-    are those of a per-row check at every step.  The rows are integrated over the whole horizon in fixed
-    ``_EVOLVE_CHUNK``-row chunks (``parallel.chunk_ranges``) on up to
-    ``n_threads`` threads (None: ``parallel.default_threads()``), each
-    writing its own rows.  Rows never interact and the chunk plan depends only
-    on the row count, so the result is bit-identical for any thread count;
-    a row's last bits may depend on the chunk and the block it is stepped
-    in, because each step is a batched matrix product over the chunk's row
-    blocks, whose size depends only on the matrix shape.
+    state is finite.  A step that fails this is redone from the unchanged
+    state with per-row peaks and finiteness, so flags, ``last_valid_time``
+    and coefficients are those of a per-row check at every step.  A blown
+    row is parked in the result (and in records) and its working row
+    zeroed; a zero row stays zero and leaves the other rows' bits alone, so
+    later steps take the one-value check again.  The rows are integrated
+    over the whole horizon in fixed ``_EVOLVE_CHUNK``-row chunks
+    (``parallel.chunk_ranges``) on up to ``n_threads`` threads (None:
+    ``parallel.default_threads()``), each writing its own rows.  Rows never interact and the chunk plan
+    depends only on the row count, so the result is bit-identical for any
+    thread count; a row's last bits may depend on the chunk and the block
+    it is stepped in, because each step is a batched matrix product over
+    the chunk's row blocks, whose size depends only on the matrix shape.
 
     ``on_record(rows, t, full_coeffs, active)`` is called per chunk at the
     recording cadence, including t=0 and the final time; ``rows`` is the
@@ -428,35 +431,33 @@ def evolve_ensemble(
 
         active = active_rows[rows]
         chunk_valid = last_valid[rows]
+        parked = final[rows]  # a blown row's last valid state
 
         def emit(step_index: int):
             if on_record is not None:
-                cur = from_half(state) if use_half else state.copy()
-                on_record(rows, step_index * dt, cur, active.copy())
+                cur = np.where(active[:, np.newaxis], state, parked)
+                on_record(rows, step_index * dt, from_half(cur) if use_half else cur,
+                          active.copy())
 
         emit(0)
-        frozen = False
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
             for i in range(1, n_steps + 1):
-                # A NaN fails both scalar checks.  Unhealthy, or once a row
-                # is frozen: redo the step from the unchanged state, per row.
-                if frozen or not (step(state, spare) <= BLOWUP_LINF ** 2
-                                  and np.isfinite(spare.sum())):
+                # A NaN fails both scalar checks.  Unhealthy: redo the step
+                # from the unchanged state, per row.
+                if not (step(state, spare) <= BLOWUP_LINF ** 2
+                        and np.isfinite(spare.sum())):
                     peak = step(state, spare, per_row=True)
-                    blown = active & (~np.isfinite(peak) | (peak > BLOWUP_LINF ** 2))
-                    row_ok = np.all(np.isfinite(spare), axis=-1)
-                    blown |= active & ~row_ok
-                    if np.any(blown):
-                        chunk_valid[blown] = (i - 1) * abs(dt)
-                        active &= ~blown
-                    frozen = not active.all()
-                    if frozen:
-                        # Frozen rows keep their last valid state.
-                        spare[~active] = state[~active]
+                    blown = active & (~np.isfinite(peak) | (peak > BLOWUP_LINF ** 2)
+                                      | ~np.all(np.isfinite(spare), axis=-1))
+                    chunk_valid[blown] = (i - 1) * abs(dt)
+                    active &= ~blown
+                    # Park blown rows; zeroed, they keep later steps healthy.
+                    parked[blown] = state[blown]
+                    spare[blown] = 0.0
                 state, spare = spare, state
                 if i % record_every == 0 or i == n_steps:
                     emit(i)
-        final[rows] = state
+        np.copyto(parked, state, where=active[:, np.newaxis])
 
     map_chunks(evolve_chunk, n_rows, n_threads, _EVOLVE_CHUNK,
                lambda: stepper.buffers(min(n_rows, _EVOLVE_CHUNK)))

@@ -1,4 +1,11 @@
-"""Statistical machinery shared by the experiment drivers."""
+"""Statistical machinery shared by the experiment drivers.
+
+The weighted-KS bootstrap takes its replicates' running sums by a blocked
+scan (one small triangular GEMM per block), not numpy's serial ``cumsum``.
+Its sums round in another order, so a replicate's sup moves by about 1e-16,
+far inside the 1e-12 slack of the exceedance test: the draws, weights and
+observed statistics keep their bits, and so do the counts and p-values.
+"""
 
 from __future__ import annotations
 
@@ -17,9 +24,11 @@ __all__ = [
     "weighted_ks_bootstrap",
 ]
 
-# Bootstrap replicates held at once, and rows per block of the scratch.
+# Bootstrap replicates held at once, replicates per block of the scan,
+# and pooled positions per run of its in-block running sums.
 _BOOTSTRAP_BATCH = 250
 _BOOTSTRAP_BLOCK = 50
+_SCAN_BLOCK = 16
 
 
 def ks_two_sample(xs_a: np.ndarray, xs_b: np.ndarray) -> list[tuple[float, float]]:
@@ -158,7 +167,8 @@ def weighted_ks_bootstrap(
     panel's p-values dependent; Holm's step-down correction controls the
     family-wise error under any dependence, so it stays valid.  At most
     ``_BOOTSTRAP_BATCH`` replicates are held, in one buffer filled in place
-    and summed per observable through one ``_BOOTSTRAP_BLOCK``-row scratch.
+    and scanned by ``_count_exceedances``, whose counts are those of one
+    sequential ``cumsum`` per replicate (see the module docstring).
     """
     xs_a = np.asarray(xs_a, dtype=np.float64)
     xs_b = np.asarray(xs_b, dtype=np.float64)
@@ -179,9 +189,15 @@ def weighted_ks_bootstrap(
     signed = np.concatenate([wta, -wtb])
     d_obs = np.max(np.abs(np.cumsum(signed[orders], axis=1)), axis=1)
 
+    # Observable k's pooled position q*b + t moves to row t*nblk + q of its
+    # gather; the padding positions past the end read a zero row.
+    b = _SCAN_BLOCK
+    nblk = -(-(na + nb) // b)
+    orders = np.pad(orders, ((0, 0), (0, nblk * b - na - nb)), constant_values=na + nb)
+    orders = orders.reshape(n_obs, nblk, b).transpose(0, 2, 1).reshape(n_obs, -1)
+
     exceed = np.zeros(n_obs, dtype=np.int64)
     batch = np.empty((min(_BOOTSTRAP_BATCH, reps), na + nb))
-    scratch = np.empty((min(_BOOTSTRAP_BLOCK, reps), na + nb))
     done = 0
     while done < reps:
         size = min(_BOOTSTRAP_BATCH, reps - done)
@@ -193,16 +209,45 @@ def weighted_ks_bootstrap(
         wsb /= wsb.sum(axis=1, keepdims=True)
         np.subtract(wsa, wta, out=wsa)
         np.subtract(wtb, wsb, out=wsb)
-        for lo in range(0, size, _BOOTSTRAP_BLOCK):
-            rows = delta[lo:lo + _BOOTSTRAP_BLOCK]
-            for k, order in enumerate(orders):
-                g = np.take(rows, order, axis=1, out=scratch[:len(rows)], mode="clip")
-                np.cumsum(g, axis=1, out=g)
-                np.abs(g, out=g)
-                exceed[k] += np.count_nonzero(g.max(axis=1) >= d_obs[k] - 1e-12)
+        _count_exceedances(delta, orders, d_obs - 1e-12, exceed)
         done += size
     p = (1.0 + exceed) / (reps + 1.0)
     return [(float(d), float(pk)) for d, pk in zip(d_obs, p)]
+
+
+def _count_exceedances(delta: np.ndarray, orders: np.ndarray, floor: np.ndarray,
+                       exceed: np.ndarray) -> None:
+    """Add to ``exceed[k]`` the replicates (rows of ``delta``) whose sup
+    |running sum| over observable k's pooled order is >= ``floor[k]``;
+    ``orders`` holds the padded orders in strided-block order.
+
+    Per ``_BOOTSTRAP_BLOCK`` replicates the block is laid out member-major,
+    with a zero row for the padding; per observable one gather puts each
+    ``_SCAN_BLOCK`` run of pooled positions down a column, one triangular
+    GEMM takes every running sum within a run, and the running sum of the
+    run totals is added through each run's max and min.  The buffers are
+    made here, after the batch's draws are gone.
+    """
+    b, (size, n), padded = _SCAN_BLOCK, delta.shape, orders.shape[1]
+    width = min(_BOOTSTRAP_BLOCK, size)
+    members, gathered, sums = (np.empty(k * width) for k in (n + 1, padded, padded))
+    tri = np.tril(np.ones((b, b)))
+    for lo in range(0, size, width):
+        r = min(width, size - lo)
+        block = members[:(n + 1) * r].reshape(n + 1, r)
+        block[:n], block[n] = delta[lo:lo + r].T, 0.0
+        g, s = (x[:padded * r].reshape(b, -1) for x in (gathered, sums))
+        for k, order in enumerate(orders):
+            np.take(block, order, axis=0, out=g.reshape(padded, r), mode="clip")
+            runs = np.matmul(tri, g, out=s).reshape(b, -1, r)
+            offset = np.cumsum(runs[-1, :-1], axis=0)  # sum before run q + 1
+            top, bottom = runs.max(axis=0), runs.min(axis=0)
+            top[1:] += offset
+            bottom[1:] += offset
+            # max |off + s| over a run is max(off + max s, -(off + min s)),
+            # exactly, as rounding is monotone.
+            np.maximum(top, np.negative(bottom, out=bottom), out=top)
+            exceed[k] += np.count_nonzero(top.max(axis=0) >= floor[k])
 
 
 def _resample_weights(rng: np.random.Generator, w: np.ndarray, out: np.ndarray) -> None:

@@ -247,3 +247,40 @@ def fft_evolve(coeffs, n_max, eq, grid, dt, n_steps, real_valued=False):
     for _ in range(n_steps):
         state, _peak = stepper.step(state)
     return from_half(state) if real_valued else state
+
+
+# ---------------------------------------------------------------------------
+# Reference bootstrap: the same resampling draws as
+# ``gibbsflow.stats.weighted_ks_bootstrap``, with each replicate's running
+# sum taken by one sequential ``np.cumsum`` over the pooled order.
+# ---------------------------------------------------------------------------
+
+
+def sequential_weighted_ks_bootstrap(xs_a, wa, xs_b, wb, rng, reps=2000):
+    """[(statistic, p)] per observable, replicate by replicate."""
+    from gibbsflow.stats import _BOOTSTRAP_BATCH, _resample_weights
+
+    xs_a = np.asarray(xs_a, dtype=np.float64)
+    xs_b = np.asarray(xs_b, dtype=np.float64)
+    na, nb = xs_a.shape[1], xs_b.shape[1]
+    wta = np.asarray(wa, dtype=np.float64) / np.sum(wa)
+    wtb = np.asarray(wb, dtype=np.float64) / np.sum(wb)
+    orders = np.argsort(np.concatenate([xs_a, xs_b], axis=1), axis=1,
+                        kind="stable")
+    signed = np.concatenate([wta, -wtb])
+    d_obs = np.max(np.abs(np.cumsum(signed[orders], axis=1)), axis=1)
+    exceed = np.zeros(len(orders), dtype=np.int64)
+    done = 0
+    while done < reps:
+        size = min(_BOOTSTRAP_BATCH, reps - done)
+        wsa, wsb = np.empty((size, na)), np.empty((size, nb))
+        _resample_weights(rng, wta, wsa)
+        _resample_weights(rng, wtb, wsb)
+        delta = np.concatenate([wsa / wsa.sum(axis=1, keepdims=True) - wta,
+                                wtb - wsb / wsb.sum(axis=1, keepdims=True)], axis=1)
+        for k, order in enumerate(orders):
+            sup = np.max(np.abs(np.cumsum(delta[:, order], axis=1)), axis=1)
+            exceed[k] += np.count_nonzero(sup >= d_obs[k] - 1e-12)
+        done += size
+    p = (1.0 + exceed) / (reps + 1.0)
+    return [(float(d), float(pk)) for d, pk in zip(d_obs, p)]

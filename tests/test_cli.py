@@ -414,6 +414,20 @@ class TestExperimentCommands:
             assert code == 0
             assert hashlib.sha256(out.read_bytes()).hexdigest() == self.CM_PINNED[preset]
 
+    # sha256 of a weighted invariance report at N=8, pinned before the
+    # bootstrap's running sums were blocked: its 600 pooled members are not
+    # a whole number of the scan's 16-member runs, so the padding is used.
+    WICK_PINNED = "6851df498b2d3df5ce0661ea789465920d3acf7a082868e27c4f1fb7db90bde5"
+
+    def test_weighted_report_pinned_for_any_thread_count(self, tmp_path):
+        for threads in ("1", "8"):
+            out = tmp_path / f"wick-{threads}.json"
+            code = main(["invariance", "--preset", "wick-nls-gibbs", "--nmax", "8",
+                         "--samples", "300", "--t", "0.05", "--seed", "12",
+                         "--threads", threads, "--out", str(out)])
+            assert code == 0
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == self.WICK_PINNED
+
     def test_ldp_run(self, tmp_path):
         out = tmp_path / "ldp.json"
         code = main(["ldp", "--family", "fwb", "--real", "--nmax", "0",

@@ -284,6 +284,30 @@ class TestBlowupHandling:
                                           ("coeffs", "blowup", "last_valid_time")))
             assert got.hexdigest() == digest, n_threads
 
+    def test_per_row_steps_only_where_a_row_blows_up(self, monkeypatch):
+        # A blown row is parked and zeroed, so a chunk redoes a step row by
+        # row only where a new row blows up, not at every later step.
+        from gibbsflow import integrators
+        counts = []
+        bind = integrators._KdvStepper.bind
+
+        def counting_bind(stepper, a, b, work):
+            step, chunk = bind(stepper, a, b, work), len(counts)
+            counts.append(0)
+
+            def counted(c, out, per_row=False):
+                counts[chunk] += per_row
+                return step(c, out, per_row)
+
+            return counted
+
+        monkeypatch.setattr(integrators._KdvStepper, "bind", counting_bind)
+        rows, n_max, eq, cfg, real = self._staggered_gkdv()
+        res = evolve_ensemble(rows, n_max, eq, cfg, real_valued=real, n_threads=1)
+        halves = np.split(res.last_valid_time[res.blowup], [3])
+        assert np.flatnonzero(res.blowup).tolist() == self.PINNED["_staggered_gkdv"][1]
+        assert counts == [len(set(h)) for h in halves] == [3, 3]
+
     @pytest.mark.parametrize("family", ["gkdv", "nls"])
     def test_zero_row_stays_zero(self, family):
         # A zero row takes the mass projection's zero-row branch: it stays

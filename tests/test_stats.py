@@ -16,6 +16,7 @@ from gibbsflow.stats import (
     weighted_ks_bootstrap,
     wilson_interval,
 )
+from helpers import sequential_weighted_ks_bootstrap
 
 
 class TestKsExactTail:
@@ -159,6 +160,34 @@ class TestWeightedKsBootstrap:
         assert peak < 3 * 250 * 1024 * 8, peak
         assert hashlib.sha256(np.array(res).tobytes()).hexdigest() == (
             "1ea8926cccb254cdb0d9c619115108451954b753461df978ffc451cb47676800")
+
+    # (observables, na, nb, reps, data): pooled sizes off the scan's 16-member
+    # runs, reps that leave partial batches and blocks, ties and weights
+    # with a heavy tail.
+    @pytest.mark.parametrize("n_obs, na, nb, reps, data", [
+        (3, 37, 64, 251, "normal"),
+        (2, 1, 2, 49, "normal"),
+        (4, 90, 70, 1, "normal"),
+        (4, 90, 70, 333, "normal"),
+        (1, 300, 212, 300, "normal"),
+        (3, 40, 40, 251, "ties"),
+        (3, 40, 40, 251, "ties_equal_weights"),
+        (3, 128, 96, 49, "heavy_tail"),
+    ])
+    def test_equals_sequential_oracle(self, n_obs, na, nb, reps, data):
+        rng = np.random.default_rng(na * nb + reps)
+        xs_a, xs_b = rng.normal(size=(n_obs, na)), rng.normal(size=(n_obs, nb)) + 0.1
+        wa, wb = rng.exponential(size=na), rng.exponential(size=nb)
+        if data.startswith("ties"):
+            xs_a, xs_b = np.round(2.0 * xs_a), np.round(2.0 * xs_b)
+        if data == "ties_equal_weights":
+            wa, wb = np.ones(na), np.ones(nb)
+        if data == "heavy_tail":
+            wa, wb = rng.pareto(0.7, size=na), rng.pareto(0.7, size=nb)
+        got = weighted_ks_bootstrap(xs_a, wa, xs_b, wb, np.random.default_rng(31), reps)
+        want = sequential_weighted_ks_bootstrap(xs_a, wa, xs_b, wb,
+                                                np.random.default_rng(31), reps)
+        assert got == want
 
     def test_null_calibrated_when_weights_track_the_observable(self):
         # Both ensembles are importance samples of the same tilted target:
