@@ -2,7 +2,7 @@
 PDE flows, and statistically verifiable measure experiments."""
 
 from .rng import RandomSeed
-from .spectral import GridConfig, TorusField
+from .spectral import TorusField
 from .fields import GaussianFieldSpec, sample, shifted_sample, scaled_sample
 from .measures import (
     DichotomyVerdict,
@@ -26,7 +26,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "RandomSeed",
-    "GridConfig",
     "TorusField",
     "GaussianFieldSpec",
     "DichotomyVerdict",

@@ -35,7 +35,7 @@ from .serialize import (
     to_jsonable,
     write_csv,
 )
-from .spectral import TorusField, field_from_json, field_to_json, truncate
+from .spectral import field_from_json, field_from_modes, field_to_json, truncate, zero_field
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -188,17 +188,14 @@ def _run_ldp(a: dict) -> int:
     n = a["nmax"]
     if abs(a["center_mode"]) > n:
         raise ValueError(f"--center-mode {a['center_mode']} is outside the band |n| <= {n}")
-    center = np.zeros(2 * n + 1, dtype=np.complex128)
-    center[a["center_mode"] + n] = a["center_value"]
-    if a["real"] and a["center_mode"] != 0:
-        center[-a["center_mode"] + n] = a["center_value"]
-    center_field = TorusField(n, center, a["real"])
-    v0 = TorusField(n, np.zeros(2 * n + 1, dtype=np.complex128), a["real"])
+    modes = {a["center_mode"], -a["center_mode"]} if a["real"] else {a["center_mode"]}
+    center = field_from_modes(n, dict.fromkeys(modes, a["center_value"]), a["real"])
+    v0 = zero_field(n, a["real"])
     epsilons = [float(e) for e in a["epsilons"].split(",")]
     m_counts = [int(v) for v in str(a["samples"]).split(",")]
     if len(m_counts) == 1:
         m_counts = m_counts[0]
-    report = ex.ldp_mc(v0, base, center_field, a["radius"], a["s"],
+    report = ex.ldp_mc(v0, base, center, a["radius"], a["s"],
                        epsilons, m_counts, _seed(a), n_threads=a["threads"])
     _emit(a, {"kind": "ldp", "report": to_jsonable(report)},
           LDP_CSV_COLUMNS, ldp_csv_rows(report))

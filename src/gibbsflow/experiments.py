@@ -239,8 +239,7 @@ def invariance_experiment(
                                  real_valued=base.real_valued, n_threads=n_threads)
         blowups = int(np.sum(result.blowup))
         flagged = flagged or blowups > 0
-        k = result.n_max
-        b = result.coeffs[:, k - base.n_max: k + base.n_max + 1]
+        b = result.coeffs
 
     names, xs_a, xs_b, skipped = [], [], [], []
     for name, fn in observable_panel(base.n_max, base.real_valued):
@@ -437,11 +436,14 @@ def cameron_martin_experiment(
     sup_t mass within 10x initial" is reported as a global-existence proxy,
     not as a proof of anything.  Both parts run in row chunks on up to
     n_threads threads (None: the default count); the report does not
-    depend on the thread count.  Part (b)'s dt > 0, step guard and (gkdv)
-    real base are checked before part (a) draws anything.
+    depend on the thread count.  A negative t_final, and part (b)'s dt > 0,
+    step guard and (gkdv) real base, are refused before part (a) draws
+    anything.
     """
     if m_samples < 2:
         raise ValueError(f"m_samples must be >= 2, got {m_samples}")
+    if t_final < 0.0:
+        raise ValueError(f"t_final must be >= 0, got {t_final}")
     if not 0 <= evolve_samples <= m_samples:
         raise ValueError(f"evolve_samples must be >= 0 and <= m_samples = {m_samples},"
                          f" got {evolve_samples}")
@@ -564,10 +566,6 @@ class LdpInfimum:
     constraint_residual: float
 
 
-def _embed(f: TorusField, n_max: int) -> np.ndarray:
-    return truncate(f, n_max).coeffs
-
-
 def ldp_rate_infimum(
     center: TorusField,
     radius: float,
@@ -593,8 +591,8 @@ def ldp_rate_infimum(
     if radius <= 0:
         raise ValueError("radius must be > 0")
     n_max = n_max if n_max is not None else max(center.n_max, v0.n_max)
-    wc = _embed(center, n_max)
-    vc = _embed(v0, n_max)
+    wc = truncate(center, n_max).coeffs
+    vc = truncate(v0, n_max).coeffs
     n = np.arange(-n_max, n_max + 1, dtype=np.float64)
     omega = (1.0 + n * n) ** s
     w = np.ones_like(omega) if weights is None else np.asarray(weights, float)
@@ -719,13 +717,13 @@ def ldp_mc(
         raise ValueError("m_per_eps must be >= 1")
     n_max = base.n_max
     weights, pinned = base_rate_weights(base)
-    vc = _embed(v0, n_max)
+    vc = truncate(v0, n_max).coeffs
     inf = ldp_rate_infimum(center, radius, s, v0, weights=weights,
                            pinned=pinned, complex_modes=not base.real_valued,
                            n_max=n_max)
     oracle = -inf.value
 
-    wc = _embed(center, n_max)
+    wc = truncate(center, n_max).coeffs
     n = np.arange(-n_max, n_max + 1, dtype=np.float64)
     omega = (1.0 + n * n) ** s
 

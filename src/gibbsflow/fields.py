@@ -1,13 +1,12 @@
 """Samplers for random initial data on the torus.
 
-Four coefficient profiles are supported, all driven by independent
+Three coefficient profiles are supported, all driven by independent
 standard complex Gaussians g_n normalized so that E|g_n|^2 = 1
 (Re g_n, Im g_n independent N(0, 1/2)):
 
     fwa     sigma_n = |n|^(-alpha), mode 0 excluded
     fwb     sigma_n = (1 + |n|^(2 alpha))^(-1/2), mode 0 included
     white   sigma_n = 1, mode 0 excluded
-    general sigma_n = |base_coeffs[n]|
 
 Real-valued fields draw modes n = 1..N independently and force
 c_{-n} = conj(c_n); c_0 is a real N(0, sigma_0^2) draw when the mean is
@@ -45,7 +44,7 @@ __all__ = [
     "GrowthReport",
 ]
 
-FAMILIES = ("fwa", "fwb", "white", "general")
+FAMILIES = ("fwa", "fwb", "white")
 
 
 @dataclass(frozen=True)
@@ -57,7 +56,6 @@ class GaussianFieldSpec:
     alpha: float | None = None
     real_valued: bool = False
     mean_zero: bool | None = None
-    base_coeffs: np.ndarray | None = None
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -70,16 +68,6 @@ class GaussianFieldSpec:
             if not (math.isfinite(self.alpha) and self.alpha >= 0):
                 raise ValueError(f"family {self.family!r} needs a finite alpha >= 0,"
                                  f" got {self.alpha}")
-        if self.family == "general":
-            if self.base_coeffs is None:
-                raise ValueError("family 'general' requires base_coeffs")
-            base = np.asarray(self.base_coeffs, dtype=np.complex128).copy()
-            if base.shape != (2 * self.n_max + 1,):
-                raise ValueError("base_coeffs must have length 2*n_max + 1")
-            base.setflags(write=False)
-            object.__setattr__(self, "base_coeffs", base)
-        elif self.base_coeffs is not None:
-            raise ValueError("base_coeffs only valid for family 'general'")
         # fwa and white exclude the zero mode by definition.
         mz = self.mean_zero
         if self.family in ("fwa", "white"):
@@ -100,10 +88,8 @@ def mode_std(spec: GaussianFieldSpec) -> np.ndarray:
         sig[nz] = np.abs(n[nz]) ** (-spec.alpha)
     elif spec.family == "fwb":
         sig = (1.0 + np.abs(n) ** (2.0 * spec.alpha)) ** (-0.5)
-    elif spec.family == "white":
-        sig = np.ones_like(n)
     else:
-        sig = np.abs(spec.base_coeffs).astype(np.float64)
+        sig = np.ones_like(n)
     if spec.mean_zero:
         sig[spec.n_max] = 0.0
     return sig
@@ -217,13 +203,11 @@ def sobolev_threshold_probe(
     largest decade of N.  Slope >= 0.1 is read as divergence; this is a
     calibrated heuristic, not a theorem.
     """
-    if spec.family == "general":
-        raise ValueError("probe supports parametric families only (fwa/fwb/white)")
     n_grid = tuple(sorted(int(v) for v in n_grid))
     if len(n_grid) < 3:
         raise ValueError("need at least 3 truncation values")
     n_top = n_grid[-1]
-    top = dataclasses.replace(spec, n_max=n_top, base_coeffs=None)
+    top = dataclasses.replace(spec, n_max=n_top)
     n = np.arange(-n_top, n_top + 1, dtype=np.float64)
     w = (1.0 + n * n) ** s
 

@@ -47,7 +47,6 @@ import numpy as np
 
 from .parallel import map_chunks
 from .spectral import (
-    GridConfig,
     TorusField,
     band_matrices,
     from_half,
@@ -145,22 +144,22 @@ class EnsembleEvolution:
 
     coeffs: np.ndarray
     n_max: int
-    real_valued: bool
     blowup: np.ndarray  # bool per row
     last_valid_time: np.ndarray
     dt_effective: float
 
 
 def _step_plan(n_max: int, eq: EquationSpec, cfg: SolverConfig
-               ) -> tuple[GridConfig, int, int, float]:
-    """(grid, working band, step count, signed step) of a run from the band
-    |n| <= n_max; raises ValueError when the step breaks the scheme's guard.
+               ) -> tuple[int, int, int, float]:
+    """(grid size M, working band, step count, signed step) of a run from the
+    band |n| <= n_max; raises ValueError when the step breaks the scheme's
+    guard.
 
     The state lives in the data band if projected, else in the largest band
     ``grid_for(n_max, p)`` multiplies without aliasing.
     """
-    grid = grid_for(n_max, eq.p)
-    k_work = n_max if eq.galerkin_projected else (grid.m_points - 1) // eq.p
+    m_points = grid_for(n_max, eq.p)
+    k_work = n_max if eq.galerkin_projected else (m_points - 1) // eq.p
     n_steps = max(1, int(round(abs(cfg.t_final) / cfg.dt)))
     dt = abs(cfg.t_final) / n_steps
     if eq.family == "gkdv":
@@ -174,7 +173,7 @@ def _step_plan(n_max: int, eq: EquationSpec, cfg: SolverConfig
             f"dt={dt:g} violates the strang guard dt*N^2 <= {STRANG_DT_N2_BOUND}"
             f" at N={k_work}"
         )
-    return grid, k_work, n_steps, math.copysign(dt, cfg.t_final) if cfg.t_final != 0 else dt
+    return m_points, k_work, n_steps, math.copysign(dt, cfg.t_final) if cfg.t_final != 0 else dt
 
 
 def _row_mass(c: np.ndarray, sq: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -226,10 +225,10 @@ class _StrangStepper:
     and one complex GEMM back.
     """
 
-    def __init__(self, eq: EquationSpec, grid: GridConfig, k_work: int, dt: float):
+    def __init__(self, eq: EquationSpec, m_points: int, k_work: int, dt: float):
         self.eq = eq
         self.k = k_work
-        self.m = grid.m_points
+        self.m = m_points
         n = np.arange(-k_work, k_work + 1, dtype=np.float64)
         phase_half = np.exp(1j * n ** 2 * (dt / 2.0))
         self.synthesis, self.analysis = band_matrices(
@@ -290,10 +289,10 @@ class _KdvStepper:
     the pointwise power and a GEMM back into the stage slope.
     """
 
-    def __init__(self, eq: EquationSpec, grid: GridConfig, k_work: int, dt: float):
+    def __init__(self, eq: EquationSpec, m_points: int, k_work: int, dt: float):
         self.eq = eq
         self.k = k_work
-        self.m = grid.m_points
+        self.m = m_points
         n = np.arange(0, k_work + 1, dtype=np.float64)
         lin = 1j * n ** 3
         e_half = np.exp(lin * (dt / 2.0))
@@ -408,9 +407,9 @@ def evolve_ensemble(
     """
     if eq.family == "gkdv" and not real_valued:
         raise ValueError("gkdv evolves real_valued fields only")
-    grid, k_work, n_steps, dt = _step_plan(n_max, eq, cfg)
+    m_points, k_work, n_steps, dt = _step_plan(n_max, eq, cfg)
     use_half = eq.family == "gkdv"
-    stepper = (_KdvStepper if use_half else _StrangStepper)(eq, grid, k_work, dt)
+    stepper = (_KdvStepper if use_half else _StrangStepper)(eq, m_points, k_work, dt)
     record_every = cfg.record_every if cfg.record_every > 0 else n_steps
 
     n_rows, width = coeffs.shape[0], k_work + 1 if use_half else 2 * k_work + 1
@@ -464,7 +463,6 @@ def evolve_ensemble(
     return EnsembleEvolution(
         coeffs=from_half(final) if use_half else final,
         n_max=k_work,
-        real_valued=real_valued,
         blowup=~active_rows,
         last_valid_time=last_valid,
         dt_effective=dt,
@@ -555,11 +553,11 @@ def gauge_check(u0: TorusField, t_final: float, cfg: SolverConfig,
     traj_a = evolve(u0, eq_nls, cfg)
     traj_b = evolve(u0, eq_wick, cfg)
     gamma = -2.0 * eq_nls.s * mean_square(u0)
-    grid = grid_for(u0.n_max, 4)
+    m_points = grid_for(u0.n_max, 4)
     mod_disc = 0.0
     phase_resid = 0.0
     for t, fa, fb in zip(traj_a.times, traj_a.fields, traj_b.fields):
-        ua, ub = to_physical(fa, grid), to_physical(fb, grid)
+        ua, ub = to_physical(fa, m_points), to_physical(fb, m_points)
         mod_disc = max(mod_disc, float(np.max(np.abs(np.abs(ua) - np.abs(ub)))))
         phase_resid = max(
             phase_resid, float(np.max(np.abs(ub - np.exp(1j * gamma * t) * ua)))

@@ -2,9 +2,10 @@
 
 Covers the diagonal-covariance Gaussian dichotomy statistic, per-mode
 Hellinger overlaps with the Kakutani product criterion, Gibbs reweighting
-of Gaussian base measures (self-normalized and annealed importance
-sampling), shift log-densities for Gaussian measures, and the
-finite-dimensional entropy-maximization check.
+of Gaussian base measures by annealed importance sampling (one level with
+no moves is plain self-normalized importance sampling), shift
+log-densities for Gaussian measures, and the finite-dimensional
+entropy-maximization check.
 
 Shift densities are computed per independent real coordinate: a complex
 mode with E|c_n|^2 = sigma_n^2 contributes
@@ -260,7 +261,7 @@ def gibbs_log_weight_matrix(
     """
     n_max = (coeffs.shape[-1] - 1) // 2
     u_buf, power_buf = (None, None) if work is None else work
-    u = synthesize(coeffs, n_max, grid_for(n_max, spec.p).m_points, out=u_buf)
+    u = synthesize(coeffs, n_max, grid_for(n_max, spec.p), out=u_buf)
     power = np.abs(u, out=power_buf)
     np.power(power, spec.p, out=power)
     integral = 2.0 * np.pi * np.mean(power, axis=-1)
@@ -296,12 +297,7 @@ class GibbsEnsemble:
     log_weights: np.ndarray
     weights: np.ndarray  # normalized
     ess: float
-    method: str
     flagged: bool  # ESS below the 1% reliability floor
-
-    @property
-    def m_samples(self) -> int:
-        return self.coeffs.shape[0]
 
 
 ESS_FLOOR_FRACTION = 0.01
@@ -369,7 +365,6 @@ def gibbs_ensemble(
     spec: GibbsSpec,
     m_samples: int,
     seed: RandomSeed,
-    method: str = "ais",
     levels: int = 96,
     pcn_steps: int = 3,
     lane_index: int = 0,
@@ -377,19 +372,18 @@ def gibbs_ensemble(
 ) -> GibbsEnsemble:
     """Weighted ensemble targeting the truncated Gibbs measure.
 
-    method "snis" draws the Gaussian base directly and weights by the
-    Gibbs density; for sharp weights (large N or beta) the annealed route
-    "ais" tempers the weight through intermediate levels with pCN
-    rejuvenation, which keeps the importance identity exact while pushing
-    the effective sample size toward m.  Fixed-size chunks draw from
-    chunk-indexed random paths on up to n_threads threads (None: the
-    default count), so results do not depend on thread count or chunk
+    Annealed importance sampling (Neal 2001): the weight is tempered
+    through ``levels`` intermediate targets with ``pcn_steps`` pCN moves
+    each, which keeps the importance identity exact while pushing the
+    effective sample size toward m for sharp weights (large N or beta).
+    ``levels=1, pcn_steps=0`` is plain self-normalized importance sampling:
+    Gaussian base draws weighted by the Gibbs density.  Fixed-size chunks
+    draw from chunk-indexed random paths on up to n_threads threads (None:
+    the default count), so results do not depend on thread count or chunk
     order.
     """
     if m_samples < 100:
         raise ValueError("m_samples must be >= 100")
-    if method not in ("snis", "ais"):
-        raise ValueError(f"unknown method {method!r}")
     width = 2 * spec.base.n_max + 1
     coeffs = np.empty((m_samples, width), dtype=np.complex128)
     log_w = np.empty(m_samples)
@@ -397,19 +391,13 @@ def gibbs_ensemble(
     def workspace():
         rows = min(m_samples, _AIS_CHUNK)
         k = spec.base.n_max if spec.base.real_valued else width
-        m_points = grid_for(spec.base.n_max, spec.p).m_points
+        m_points = grid_for(spec.base.n_max, spec.p)
         return (np.empty((rows, m_points), dtype=np.complex128), np.empty((rows, m_points)),
                 *np.empty((3, rows, width), dtype=np.complex128), np.empty((rows, 2, k)))
 
     def run_chunk(index, start, stop, ws):
         rng = generator(seed, lane=lane_index, sub=1, sample=index)
-        ws = [w[:stop - start] for w in ws]
-        if method == "snis":
-            c = sample_matrix(spec.base, stop - start, rng, out=ws[2], normals=ws[5])
-            lw, within = gibbs_log_weight_matrix(c, spec, ws[:2])
-            lw[~within] = -np.inf
-        else:
-            c, lw = _ais_chunk(spec, rng, levels, pcn_steps, ws)
+        c, lw = _ais_chunk(spec, rng, levels, pcn_steps, [w[:stop - start] for w in ws])
         coeffs[start:stop] = c
         log_w[start:stop] = lw
 
@@ -422,7 +410,7 @@ def gibbs_ensemble(
             f"< {ESS_FLOOR_FRACTION:.0%} of m={m_samples}",
             stacklevel=2,
         )
-    return GibbsEnsemble(coeffs, log_w, weights, ess, method, flagged)
+    return GibbsEnsemble(coeffs, log_w, weights, ess, flagged)
 
 
 # ---------------------------------------------------------------------------
@@ -478,18 +466,10 @@ def cameron_martin_norm_sq(h: TorusField, base: GaussianFieldSpec) -> float:
     return norm if base.real_valued else 2.0 * norm
 
 
-def cm_criterion_power_law(shift_decay: float, base: GaussianFieldSpec) -> bool | None:
-    """Infinite-truncation admissibility of a power-law shift |v_n| ~ n^-q.
-
-    Returns whether sum |v_n|^2 / sigma_n^2 converges as N -> infinity, or
-    None when the base has no parametric tail (family 'general').
-    """
-    if base.family == "white":
-        sigma_decay = 0.0
-    elif base.family in ("fwa", "fwb"):
-        sigma_decay = float(base.alpha)
-    else:
-        return None
+def cm_criterion_power_law(shift_decay: float, base: GaussianFieldSpec) -> bool:
+    """Infinite-truncation admissibility of a power-law shift |v_n| ~ n^-q:
+    whether sum |v_n|^2 / sigma_n^2 converges as N -> infinity."""
+    sigma_decay = 0.0 if base.family == "white" else float(base.alpha)
     return 2.0 * (shift_decay - sigma_decay) > 1.0
 
 

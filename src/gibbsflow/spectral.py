@@ -27,7 +27,6 @@ import numpy.fft  # noqa: F401 -- loaded with the module, not on first transform
 
 __all__ = [
     "TorusField",
-    "GridConfig",
     "zero_field",
     "field_from_modes",
     "sobolev_norm",
@@ -90,22 +89,7 @@ class TorusField:
         return np.arange(-self.n_max, self.n_max + 1)
 
 
-@dataclass(frozen=True)
-class GridConfig:
-    """Equispaced collocation grid of m_points >= 1 points on [0, 2*pi)."""
-
-    m_points: int
-
-    def __post_init__(self):
-        if self.m_points < 1:
-            raise ValueError(f"m_points must be >= 1, got {self.m_points}")
-
-    @property
-    def points(self) -> np.ndarray:
-        return np.linspace(0.0, 2.0 * np.pi, self.m_points, endpoint=False)
-
-
-def grid_for(n_max: int, degree: float) -> GridConfig:
+def grid_for(n_max: int, degree: float) -> int:
     """The one grid rule: the smallest 5-smooth M (no prime factor above 5,
     so every FFT of it is fast) that resolves the band |n| <= N
     (M >= 2N+2) and makes degree-``degree`` products of it alias-free
@@ -113,7 +97,7 @@ def grid_for(n_max: int, degree: float) -> GridConfig:
     m = max(lp_min_points(n_max, degree), 2 * n_max + 2)
     while not _five_smooth(m):
         m += 1
-    return GridConfig(m)
+    return m
 
 
 def _five_smooth(m: int) -> bool:
@@ -259,9 +243,9 @@ def from_half(half: np.ndarray) -> np.ndarray:
     return full
 
 
-def to_physical(f: TorusField, grid: GridConfig) -> np.ndarray:
-    """Complex sample vector u(x_j) on the equispaced grid."""
-    return synthesize(f.coeffs[np.newaxis, :], f.n_max, grid.m_points)[0]
+def to_physical(f: TorusField, m_points: int) -> np.ndarray:
+    """Complex sample vector u(x_j) on the equispaced M-point grid."""
+    return synthesize(f.coeffs[np.newaxis, :], f.n_max, m_points)[0]
 
 
 def field_to_json(f: TorusField) -> dict:

@@ -14,7 +14,6 @@ from scipy.optimize import minimize
 
 from gibbsflow.integrators import EquationSpec
 from gibbsflow.spectral import (
-    GridConfig,
     TorusField,
     _require_points,
     from_half,
@@ -137,7 +136,7 @@ def slsqp_ball_minimum(center, radius, s, v0, weights=None):
 
 # ---------------------------------------------------------------------------
 # Reference steppers: one FFT round trip per transform and a fresh array
-# per operation.  ``fft_stepper(eq, grid, k, dt).step(state)`` returns
+# per operation.  ``fft_stepper(eq, m_points, k, dt).step(state)`` returns
 # (new state, per-row peak).
 # ---------------------------------------------------------------------------
 
@@ -160,9 +159,9 @@ def _onto_mass_sphere(c: np.ndarray, mass: np.ndarray) -> np.ndarray:
 class _StrangStepper:
     """Batched Strang splitting for nls / wick_nls on complex coefficients."""
 
-    def __init__(self, eq: EquationSpec, grid: GridConfig, k_work: int, dt: float):
+    def __init__(self, eq: EquationSpec, m_points: int, k_work: int, dt: float):
         self.eq = eq
-        self.grid = grid
+        self.m = m_points
         self.k = k_work
         n = np.arange(-k_work, k_work + 1, dtype=np.float64)
         self.phase_half = np.exp(1j * n ** 2 * (dt / 2.0))
@@ -173,7 +172,7 @@ class _StrangStepper:
         """One step; returns (new coeffs, per-row max |u|^2 seen)."""
         eq = self.eq
         c = c * self.phase_half
-        u = synthesize(c, self.k, self.grid.m_points)
+        u = synthesize(c, self.k, self.m)
         absq = np.abs(u) ** 2
         peak = np.max(absq, axis=-1)
         ms = np.sum(np.abs(c) ** 2, axis=-1)
@@ -194,9 +193,9 @@ class _StrangStepper:
 class _KdvStepper:
     """Batched integrating-factor RK4 for gkdv on the real half-spectrum."""
 
-    def __init__(self, eq: EquationSpec, grid: GridConfig, k_work: int, dt: float):
+    def __init__(self, eq: EquationSpec, m_points: int, k_work: int, dt: float):
         self.eq = eq
-        self.grid = grid
+        self.m = m_points
         self.k = k_work
         n = np.arange(0, k_work + 1, dtype=np.float64)
         lin = 1j * n ** 3
@@ -207,7 +206,7 @@ class _KdvStepper:
 
     def _nonlinear(self, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(nonlinear term, per-row max u^2 on the grid)."""
-        u = synthesize_real(h, self.grid.m_points)
+        u = synthesize_real(h, self.m)
         w = u ** (self.eq.p - 1)
         return self.deriv * analyze_real(w, self.k), np.max(u * u, axis=-1)
 
@@ -228,22 +227,22 @@ class _KdvStepper:
         return h_new, np.maximum(np.maximum(p1, p2), np.maximum(p3, p4))
 
 
-def fft_stepper(eq: EquationSpec, grid: GridConfig, k_work: int, dt: float):
+def fft_stepper(eq: EquationSpec, m_points: int, k_work: int, dt: float):
     """The FFT reference stepper for ``eq``'s family."""
-    return (_KdvStepper if eq.family == "gkdv" else _StrangStepper)(eq, grid, k_work, dt)
+    return (_KdvStepper if eq.family == "gkdv" else _StrangStepper)(eq, m_points, k_work, dt)
 
 
-def fft_evolve(coeffs, n_max, eq, grid, dt, n_steps, real_valued=False):
+def fft_evolve(coeffs, n_max, eq, m_points, dt, n_steps, real_valued=False):
     """Full working-band rows after ``n_steps`` reference steps of size dt
-    on ``grid`` (no blowup handling: the data must stay finite).  The
+    on the M-point grid (no blowup handling: the data must stay finite).  The
     working band is the data band if projected, else the largest band the
     grid multiplies without aliasing."""
-    k = n_max if eq.galerkin_projected else (grid.m_points - 1) // eq.p
+    k = n_max if eq.galerkin_projected else (m_points - 1) // eq.p
     state = np.zeros((coeffs.shape[0], 2 * k + 1), dtype=np.complex128)
     state[:, k - n_max: k + n_max + 1] = coeffs
     if real_valued:
         state = state[:, k:].copy()
-    stepper = fft_stepper(eq, grid, k, dt)
+    stepper = fft_stepper(eq, m_points, k, dt)
     for _ in range(n_steps):
         state, _peak = stepper.step(state)
     return from_half(state) if real_valued else state

@@ -477,6 +477,8 @@ class TestExperimentCommands:
         (["invariance", "--preset", "wick-nls-gibbs", "--dt", "0"], "dt must be > 0"),
         (["invariance", "--preset", "wick-nls-gibbs", "--dt", "0.5"], "strang guard"),
         (["cm", "--preset", "theorem-1", "--dt", "0.5"], "strang guard"),
+        (["cm", "--preset", "theorem-2", "--samples", "200", "--t", "-0.01"],
+         "t_final must be >= 0"),
     ])
     def test_bad_input_exits_one(self, argv, message, capsys):
         # 0 is a value, not "unset": it must not fall back to the preset.

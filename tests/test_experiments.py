@@ -193,6 +193,20 @@ class TestCameronMartinExperiment:
                                       m_samples=100, seed=RandomSeed(2), dt=dt,
                                       evolve_samples=4)
 
+    def test_negative_t_fails_before_drawing(self, monkeypatch):
+        # A negative horizon used to skip part (b) silently.
+        import gibbsflow.experiments as ex
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a shift ensemble was drawn before t_final was checked")
+
+        monkeypatch.setattr(ex, "sample_matrix", refuse)
+        p = cm_preset("theorem-2", n_max=8)
+        with pytest.raises(ValueError, match="t_final must be >= 0"):
+            cameron_martin_experiment(p["v0"], p["base"], p["eq"], t_final=-0.01,
+                                      m_samples=200, seed=RandomSeed(2), dt=p["dt"],
+                                      evolve_samples=4)
+
     def test_gkdv_on_complex_base_fails_before_drawing(self, monkeypatch):
         import gibbsflow.experiments as ex
 

@@ -57,14 +57,6 @@ class TestSpecInvariants:
         assert mode_std(GaussianFieldSpec("fwa", 4, alpha=1.0))[4] == 0.0
         assert mode_std(GaussianFieldSpec("white", 4))[4] == 0.0
 
-    def test_general_requires_coeffs(self):
-        with pytest.raises(ValueError, match="base_coeffs"):
-            GaussianFieldSpec("general", 2)
-        spec = GaussianFieldSpec(
-            "general", 1, base_coeffs=np.array([0.5, 0.0, 2.0j]), mean_zero=True
-        )
-        assert_allclose(mode_std(spec), [0.5, 0.0, 2.0])
-
 
 def assert_close(a, b):
     assert_allclose(a, b, rtol=1e-14)
@@ -326,8 +318,3 @@ class TestThresholdProbe:
         spec = GaussianFieldSpec("white", 4)
         with pytest.raises(ValueError, match="at least 3"):
             sobolev_threshold_probe(spec, 0.0, n_grid=(10, 100))
-
-    def test_rejects_general_family(self):
-        spec = GaussianFieldSpec("general", 1, base_coeffs=np.ones(3))
-        with pytest.raises(ValueError, match="parametric"):
-            sobolev_threshold_probe(spec, 0.0)

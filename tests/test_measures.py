@@ -237,7 +237,7 @@ class TestGibbsEnsemble:
 
     def test_reweighting_pushes_quartic_down(self):
         spec = self.spec(n_max=16)
-        ens = gibbs_ensemble(spec, 2000, RandomSeed(3), method="snis")
+        ens = gibbs_ensemble(spec, 2000, RandomSeed(3), levels=1, pcn_steps=0)
         lw, _ = gibbs_log_weight_matrix(ens.coeffs, spec)
         quartic = -4.0 * lw  # int |u|^4 per sample
         weighted_mean = float(np.sum(ens.weights * quartic))
@@ -248,19 +248,19 @@ class TestGibbsEnsemble:
         exact = rejection_sample_gibbs(spec, 4000, np.random.default_rng(99))
         target = np.mean(np.abs(exact[:, 5]) ** 2)  # E|c_1|^2 under Gibbs
         se_oracle = np.std(np.abs(exact[:, 5]) ** 2, ddof=1) / np.sqrt(4000)
-        for method in ("snis", "ais"):
-            ens = gibbs_ensemble(spec, 4000, RandomSeed(31), method=method,
-                                 levels=40, pcn_steps=2)
+        # SNIS is AIS with one level and no moves.
+        for levels, pcn_steps in ((1, 0), (40, 2)):
+            ens = gibbs_ensemble(spec, 4000, RandomSeed(31), levels=levels,
+                                 pcn_steps=pcn_steps)
             est = float(np.sum(ens.weights * np.abs(ens.coeffs[:, 5]) ** 2))
             se = np.sqrt(np.sum(ens.weights ** 2
                                 * (np.abs(ens.coeffs[:, 5]) ** 2 - est) ** 2))
-            assert abs(est - target) < 4 * math.hypot(se, se_oracle), method
+            assert abs(est - target) < 4 * math.hypot(se, se_oracle), levels
 
     def test_ais_beats_snis_ess(self):
         spec = self.spec(n_max=16)
-        snis = gibbs_ensemble(spec, 500, RandomSeed(5), method="snis")
-        ais = gibbs_ensemble(spec, 500, RandomSeed(5), method="ais",
-                             levels=60, pcn_steps=2)
+        snis = gibbs_ensemble(spec, 500, RandomSeed(5), levels=1, pcn_steps=0)
+        ais = gibbs_ensemble(spec, 500, RandomSeed(5), levels=60, pcn_steps=2)
         assert ais.ess > snis.ess
         assert not ais.flagged
 
@@ -269,43 +269,45 @@ class TestGibbsEnsemble:
                          base=GaussianFieldSpec("fwb", 16, alpha=1.0))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            ens = gibbs_ensemble(spec, 200, RandomSeed(6), method="snis")
+            ens = gibbs_ensemble(spec, 200, RandomSeed(6), levels=1, pcn_steps=0)
         assert ens.flagged
         assert any("degeneracy" in str(w.message) for w in caught)
 
     # sha256 of the coeffs and log_weights bytes of a 300-row ensemble (two
     # chunks, 256 + 44 rows), pinned before the AIS sweep reused its work
     # buffers: a defocusing complex base, a focusing one whose L2 cutoff
-    # excludes rows, a real base with odd p, and the SNIS path.
+    # excludes rows, a real base with odd p, and SNIS (one level, no moves),
+    # pinned when SNIS was a separate path.  Values: (spec, (levels,
+    # pcn_steps), coeffs digest, log_weights digest).
     PINNED = {
         "defocusing-complex": (
             GibbsSpec(p=4, sign="defocusing", beta=1.0,
-                      base=GaussianFieldSpec("fwb", 8, alpha=1.0)), "ais",
+                      base=GaussianFieldSpec("fwb", 8, alpha=1.0)), (12, 2),
             "dfe612a90536712815a8b5918240f9cc07e6744d12f4bc16045768e7ae674a57",
             "ba21c1ac50286b2174f992a128746c869b0df8b48b555a66c7a5eed7a993a3fd"),
         "focusing-cutoff": (
             GibbsSpec(p=4, sign="focusing", beta=0.1, cutoff_B=4.5,
-                      base=GaussianFieldSpec("fwb", 8, alpha=1.0)), "ais",
+                      base=GaussianFieldSpec("fwb", 8, alpha=1.0)), (12, 2),
             "e21a8c11edcac112f493a6e1fc7eefb6df0aa8dd77273e600bfae1f38ae924b8",
             "9170491df207b179bce16f446e3505ec7c7ce90278677c96aabc43b1c3e8fadb"),
         "defocusing-real": (
             GibbsSpec(p=3, sign="defocusing", beta=2.0,
                       base=GaussianFieldSpec("fwa", 8, alpha=0.75, real_valued=True)),
-            "ais",
+            (12, 2),
             "6da621951cf66d0166e94d8566a99f400ca38c432ed7f947a80a0e5d0d72d64d",
             "b29ca5982b250e22b22457a6d9cf866fd4be0f6c3ab6d9e94a21d63a0c0c3252"),
         "snis": (
             GibbsSpec(p=4, sign="defocusing", beta=1.0,
-                      base=GaussianFieldSpec("fwb", 8, alpha=1.0)), "snis",
+                      base=GaussianFieldSpec("fwb", 8, alpha=1.0)), (1, 0),
             "a23c29683f9222f4b06faf47fe57cb018a411a550a02a62c4e3dd3290542e724",
             "90705bc1eb98d1f5e1ee0fc4bbdc95520117340128cbf6f47a4db25022c9d112"),
     }
 
     @pytest.mark.parametrize("case", sorted(PINNED))
     def test_ensemble_bytes_pinned(self, case):
-        spec, method, coeffs_digest, log_w_digest = self.PINNED[case]
-        ens = gibbs_ensemble(spec, 300, RandomSeed(11, 2), method=method,
-                             levels=12, pcn_steps=2, lane_index=1)
+        spec, (levels, pcn_steps), coeffs_digest, log_w_digest = self.PINNED[case]
+        ens = gibbs_ensemble(spec, 300, RandomSeed(11, 2), levels=levels,
+                             pcn_steps=pcn_steps, lane_index=1)
         assert hashlib.sha256(ens.coeffs.tobytes()).hexdigest() == coeffs_digest
         assert hashlib.sha256(ens.log_weights.tobytes()).hexdigest() == log_w_digest
 
@@ -400,8 +402,6 @@ class TestShiftDensity:
         white = GaussianFieldSpec("white", 4, real_valued=True)
         assert cm_criterion_power_law(0.6, white) is True  # L^2 shift
         assert cm_criterion_power_law(0.4, white) is False
-        gen = GaussianFieldSpec("general", 1, base_coeffs=np.ones(3))
-        assert cm_criterion_power_law(1.0, gen) is None
 
 
 class TestEntropyCheck:

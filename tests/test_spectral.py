@@ -7,7 +7,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from gibbsflow.spectral import (
-    GridConfig,
     TorusField,
     band_matrices,
     field_from_json,
@@ -174,19 +173,19 @@ class TestTransforms:
     """``to_physical`` against the FFT analyzers of the test helpers."""
 
     def test_zero_roundtrip(self):
-        u = to_physical(zero_field(4), GridConfig(16))
+        u = to_physical(zero_field(4), 16)
         assert np.all(analyze(u[np.newaxis, :], 4) == 0.0)
 
     def test_random_roundtrip(self):
         rng = np.random.default_rng(9)
         f = random_field(16, rng)
-        c = analyze(to_physical(f, GridConfig(64))[np.newaxis, :], 16)[0]
+        c = analyze(to_physical(f, 64)[np.newaxis, :], 16)[0]
         assert_allclose(c, f.coeffs, rtol=0, atol=1e-12 * np.max(np.abs(f.coeffs)))
 
     def test_real_input_gives_exact_symmetry(self):
         rng = np.random.default_rng(10)
         f = random_field(8, rng, real_valued=True)
-        u = to_physical(f, GridConfig(32)).real
+        u = to_physical(f, 32).real
         c = from_half(analyze_real(u, 8))
         assert np.array_equal(c[:8], np.conj(c[9:][::-1]))
         assert_allclose(c, f.coeffs, atol=1e-13)
@@ -199,7 +198,7 @@ class TestTransforms:
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError, match="too small"):
-            to_physical(zero_field(8), GridConfig(16))
+            to_physical(zero_field(8), 16)
 
 
 def _is_5_smooth(m):
@@ -210,24 +209,19 @@ def _is_5_smooth(m):
 
 
 class TestGridConfig:
-    def test_m_points_positive(self):
-        with pytest.raises(ValueError, match="m_points must be >= 1"):
-            GridConfig(0)
-        assert GridConfig(48).m_points == 48  # any size, not only powers of two
-
     def test_grid_for_rule(self):
         for n_max in (0, 1, 2, 5, 16, 31, 32, 100):
             for degree in (1, 2, 3, 4, 6):
-                m = grid_for(n_max, degree).m_points
+                m = grid_for(n_max, degree)
                 assert _is_5_smooth(m)
                 assert m >= degree * n_max + 1 and m >= 2 * n_max + 2
                 # smallest such size
                 assert not any(_is_5_smooth(k) for k in
                                range(max(degree * n_max + 1, 2 * n_max + 2), m))
-        assert grid_for(0, 4).m_points == 2
-        assert grid_for(32, 3).m_points == 100  # KdV
-        assert grid_for(16, 4).m_points == 72  # Wick-NLS
-        assert grid_for(32, 4).m_points == 135  # NLS and Wick-NLS
+        assert grid_for(0, 4) == 2
+        assert grid_for(32, 3) == 100  # KdV
+        assert grid_for(16, 4) == 72  # Wick-NLS
+        assert grid_for(32, 4) == 135  # NLS and Wick-NLS
 
     def test_grid_for_against_enumerated_5_smooth_sizes(self):
         # Oracle: every 2^a 3^b 5^c up to 2*5000, listed by their exponents.
@@ -239,7 +233,7 @@ class TestGridConfig:
         cases = [(0, 1, 2)] + [(1, need - 1, need) for need in range(4, 5001)]
         for n_max, degree, need in cases:
             want = smooth[bisect.bisect_left(smooth, need)]
-            assert grid_for(n_max, degree).m_points == want, need
+            assert grid_for(n_max, degree) == want, need
 
 
 class TestBandMatrices:
