@@ -431,14 +431,15 @@ def cameron_martin_experiment(
     functionals, all within CM_Z_THRESHOLD standard errors (plug-in, except
     the exact null one for E[w^2]), drawing and reducing both ensembles in
     256-row chunks, so neither is held whole.  Needs m_samples >= 2.  Part
-    (b) evolves the first evolve_samples <= m_samples shifted rows (0: no
-    part (b)) and records mass histories and blowup counts; "no blowup and
-    sup_t mass within 10x initial" is reported as a global-existence proxy,
-    not as a proof of anything.  Both parts run in row chunks on up to
-    n_threads threads (None: the default count); the report does not
-    depend on the thread count.  A negative t_final, and part (b)'s dt > 0,
-    step guard and (gkdv) real base, are refused before part (a) draws
-    anything.
+    (b) evolves the first evolve_samples <= m_samples shifted rows under
+    ``eq`` up to t_final > 0 (0: no part (b)) and records mass histories
+    and blowup counts; "no blowup and sup_t mass within 10x initial" is
+    reported as a global-existence proxy, not as a proof of anything.
+    Both parts run in row chunks on up to n_threads threads (None: the
+    default count); the report does not depend on the thread count.  A
+    negative t_final, evolve_samples > 0
+    without a flow or horizon, and part (b)'s dt > 0, step guard and (gkdv)
+    real base, are refused before part (a) draws anything.
     """
     if m_samples < 2:
         raise ValueError(f"m_samples must be >= 2, got {m_samples}")
@@ -447,8 +448,10 @@ def cameron_martin_experiment(
     if not 0 <= evolve_samples <= m_samples:
         raise ValueError(f"evolve_samples must be >= 0 and <= m_samples = {m_samples},"
                          f" got {evolve_samples}")
-    n_evolve = evolve_samples if eq is not None and t_final > 0.0 else 0
-    if n_evolve > 0:
+    if evolve_samples > 0:
+        if eq is None or t_final == 0.0:
+            raise ValueError("evolve_samples must be 0 (--evolve-samples 0) without a flow"
+                             f" and t_final > 0, got {evolve_samples}")
         if eq.family == "gkdv" and not base.real_valued:
             raise ValueError("gkdv evolves real_valued fields only")
         if dt is None or dt <= 0:
@@ -463,7 +466,7 @@ def cameron_martin_experiment(
     def rows_of(x, y, start):
         return (cameron_martin_log_density_matrix(v0, x, base),
                 *(np.array(fn(c)) for c in (x, y) for _, fn in panel),
-                y[:max(0, n_evolve - start)].copy())
+                y[:max(0, evolve_samples - start)].copy())
 
     log_w, *values, subset = _shift_pair_rows(
         base, truncate(v0, base.n_max).coeffs, m_samples, seed, rows_of, n_threads)
@@ -501,7 +504,7 @@ def cameron_martin_experiment(
     max_mass_ratio = None
     nl_median = None
     nl_max = None
-    if n_evolve > 0:
+    if evolve_samples > 0:
         mass0 = 2.0 * np.pi * np.sum(np.abs(subset) ** 2, axis=1)
         sup_mass = np.zeros_like(mass0)
 

@@ -19,22 +19,24 @@ padding.  The grid rule is ``spectral.grid_for(N, p)``: the smallest
 5-smooth M with M >= p*N + 1 and M >= 2N + 2, so degree-p products of the
 band |n| <= N are alias-free.  With galerkin_projected the nonlinearity
 is re-truncated to the initial band |n| <= N every evaluation and each
-step is projected back onto its mass sphere, so the discrete flow
-conserves mass to roundoff -- the structural properties the invariance
-experiments rely on.
+step is projected onto the sphere of its row's mass when its chunk starts,
+so mass is conserved to roundoff without drift (Hairer, Lubich & Wanner
+2006, sec. IV.4), as the invariance experiments need.  wick_nls takes its
+avg|u|^2 from that initial mass too.
 
 Transforms are matrix products, not FFTs: at these band-limited sizes a
 GEMM against the pruned DFT matrix of ``spectral.band_matrices`` is faster
-than an FFT round trip, and the diagonal linear propagator, derivative and
-1/M scaling of each stage are folded into the matrices, built once per
-``evolve_ensemble`` call.  Each chunk of rows binds the stepper once to
-the first rows of a workspace the calling thread made (``map_chunks``) and
-to batched products over fixed-size row blocks (``_batched_matmul``), so a
-step allocates almost nothing.  Health is one scalar per step: the largest
-|u|^2 the step's stages saw over the whole chunk.  Per-row peaks and
-finiteness are taken only when a step is unhealthy; a row that blows up
-is parked and its working row zeroed, so later steps are healthy again,
-and the blowup flags do not change (``evolve_ensemble``).
+than an FFT round trip, and the diagonal linear propagator, derivative,
+1/M scaling and (IF-RK4) RK4 weight of each stage are folded into the
+matrices, built once per ``evolve_ensemble`` call.  Each chunk of rows
+binds the stepper once to the first rows of a workspace the calling
+thread made (``map_chunks``) and to batched products over fixed-size row
+blocks (``_batched_matmul``), so a step allocates almost nothing.  Health
+is one scalar per step: the largest |u|^2 the step's stages saw over the
+whole chunk.  Per-row peaks and finiteness are taken only when a step is
+unhealthy; a row that blows up is parked and its working row zeroed, so
+later steps are healthy again, and the blowup flags do not change
+(``evolve_ensemble``).
 """
 
 from __future__ import annotations
@@ -176,17 +178,16 @@ def _step_plan(n_max: int, eq: EquationSpec, cfg: SolverConfig
     return m_points, k_work, n_steps, math.copysign(dt, cfg.t_final) if cfg.t_final != 0 else dt
 
 
-def _row_mass(c: np.ndarray, sq: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """sum |c_n|^2 per row, through ``sq``, a float buffer of c's shape."""
-    np.abs(c, out=sq)
-    np.square(sq, out=sq)
-    return np.sum(sq, axis=-1, out=out)
+def _row_mass(c: np.ndarray) -> np.ndarray:
+    """sum |c_n|^2 per row: each row's float view dotted with itself."""
+    v = c.view(np.float64)
+    return np.einsum("ij,ij->i", v, v)
 
 
-def _onto_mass_sphere(c: np.ndarray, mass: np.ndarray, sq: np.ndarray) -> None:
+def _onto_mass_sphere(c: np.ndarray, mass: np.ndarray) -> None:
     """Rescale each row of ``c`` in place so sum |c_n|^2 equals ``mass``
-    (zero rows stay); ``sq`` is a float buffer of c's shape."""
-    after = _row_mass(c, sq)
+    (zero rows stay)."""
+    after = _row_mass(c)
     if after.min() > 0.0:  # no zero or non-finite row: scale in place
         scale = np.sqrt(np.divide(mass, after, out=after), out=after)
     else:
@@ -237,21 +238,22 @@ class _StrangStepper:
         self.exponent = (eq.p - 2) / 2.0
 
     def buffers(self, rows: int) -> tuple:
-        """State pair and work buffers (u, rot, theta, sq) for up to ``rows`` rows."""
+        """State pair and work buffers (u, rot, theta) for up to ``rows`` rows."""
         c = np.empty((2, rows, 2 * self.k + 1), dtype=np.complex128)
         return (*c, *np.empty((2, rows, self.m), dtype=np.complex128),
-                np.empty((rows, self.m)), np.empty((rows, 2 * self.k + 1)))
+                np.empty((rows, self.m)))
 
     def bind(self, a: np.ndarray, b: np.ndarray, work: tuple):
         """``step(c, out, per_row=False) -> peak`` for a chunk whose state
         lives in ``a`` and ``b`` (``c, out`` is ``a, b`` or ``b, a``):
         writes the stepped coefficients to ``out`` and returns the max
-        |u|^2 seen, over the chunk or (``per_row``) per row; its products
-        are bound here, once, to the first rows of ``work``."""
+        |u|^2 seen, over the chunk or (``per_row``) per row; its products,
+        and each row's mass from ``a``, are bound here, once."""
         eq, rows = self.eq, a.shape[0]
-        u, rot, theta, sq = (w[:rows] for w in work)
+        u, rot, theta = (w[:rows] for w in work)
         peak = np.empty(rows)
-        ms = np.empty(rows)
+        mass = _row_mass(a)
+        wick_mean = 2.0 * mass[:, np.newaxis]
         angle = eq.s * self.dt
         # (to the grid, back from it) for c = a and for c = b
         products = [(_batched_matmul(c, u), _batched_matmul(u, out))
@@ -259,13 +261,12 @@ class _StrangStepper:
 
         def step(c: np.ndarray, out: np.ndarray, per_row: bool = False):
             to_grid, from_grid = products[c is b]
-            _row_mass(c, sq, ms)
             to_grid(self.synthesis)
             np.abs(u, out=theta)
             np.square(theta, out=theta)
             top = np.max(theta, axis=-1, out=peak) if per_row else theta.max()
             if eq.family == "wick_nls":
-                np.subtract(theta, 2.0 * ms[:, np.newaxis], out=theta)
+                np.subtract(theta, wick_mean, out=theta)
             elif self.exponent != 1.0:
                 np.power(theta, self.exponent, out=theta)
             np.multiply(theta, angle, out=theta)
@@ -274,7 +275,7 @@ class _StrangStepper:
             np.multiply(u, rot, out=u)
             from_grid(self.analysis)
             if eq.galerkin_projected:
-                _onto_mass_sphere(out, ms, sq)
+                _onto_mass_sphere(out, mass)
             return top
 
         return step
@@ -284,9 +285,9 @@ class _KdvStepper:
     """Batched integrating-factor RK4 for gkdv on the real half-spectrum.
 
     Each of the three stage kinds (no factor, e^{L dt/2}, e^{L dt}) owns a
-    real synthesis/analysis matrix pair with the integrating factor and the
-    conservative derivative folded in, so a stage is a GEMM to the grid,
-    the pointwise power and a GEMM back into the stage slope.
+    real synthesis/analysis matrix pair with the integrating factor, the
+    conservative derivative and the RK4 weight folded in, so a stage is a
+    GEMM to the grid, the pointwise power and a GEMM back into its slope.
     """
 
     def __init__(self, eq: EquationSpec, m_points: int, k_work: int, dt: float):
@@ -299,33 +300,33 @@ class _KdvStepper:
         self.e_full = e_half ** 2
         deriv = eq.s * (1j * n) / (eq.p - 1)
         self.stages = [
-            band_matrices(k_work, self.m, True, post=deriv),
-            band_matrices(k_work, self.m, True, pre=e_half, post=np.conj(e_half) * deriv),
+            band_matrices(k_work, self.m, True, post=deriv * (dt / 6.0)),
+            band_matrices(k_work, self.m, True, pre=e_half,
+                          post=np.conj(e_half) * deriv * (dt / 3.0)),
             band_matrices(k_work, self.m, True, pre=self.e_full,
-                          post=np.conj(self.e_full) * deriv),
+                          post=np.conj(self.e_full) * deriv * (dt / 6.0)),
         ]
-        self.dt = dt
 
     def buffers(self, rows: int) -> tuple:
-        """State pair and work buffers (u, y, slope, sq) for up to ``rows`` rows."""
+        """State pair and work buffers (u, y, slope) for up to ``rows`` rows."""
         a, b, y, slope = np.empty((4, rows, self.k + 1), dtype=np.complex128)
-        return a, b, np.empty((rows, self.m)), y, slope, np.empty((rows, self.k))
+        return a, b, np.empty((rows, self.m)), y, slope
 
     def bind(self, a: np.ndarray, b: np.ndarray, work: tuple):
         """``step(h, out, per_row=False) -> peak`` for a chunk whose state
         lives in ``a`` and ``b`` (``h, out`` is ``a, b`` or ``b, a``):
         writes the stepped half-spectrum to ``out`` and returns the max u^2
-        seen, over the chunk or (``per_row``) per row; its products are
-        bound here, once, to the first rows of ``work``."""
-        power, dt, rows = self.eq.p - 1, self.dt, a.shape[0]
-        u, y, slope, sq = (w[:rows] for w in work)
+        seen, over the chunk or (``per_row``) per row; its products, and
+        each row's mass from ``a``, are bound here, once."""
+        power, rows = self.eq.p - 1, a.shape[0]
+        u, y, slope = (w[:rows] for w in work)
         peak = np.empty(rows)
         stage_peak = np.empty(rows)
-        before = np.empty(rows)
+        mass = _row_mass(a[:, 1:])
         plain, half, full = self.stages
-        # (stage matrices, dt fraction of the previous slope in the stage
-        # input, weight of the stage slope in the RK4 sum)
-        later = ((half, 0.5 * dt, 2.0), (half, 0.5 * dt, 2.0), (full, dt, 1.0))
+        # (stage matrices, factor from the last weighted slope to the stage
+        # input): 3 dt/6 = 1.5 dt/3 = dt/2 and 3 dt/3 = dt.
+        later = ((half, 3.0), (half, 1.5), (full, 3.0))
         from_a, from_b, from_y = (_batched_matmul(x.view(np.float64), u)
                                   for x in (a, b, y))
         to_slope = _batched_matmul(u, slope.view(np.float64))
@@ -348,23 +349,16 @@ class _KdvStepper:
             # Whole-chunk maxima are numpy scalars; np.maximum keeps a NaN.
             axis, into, stage_into = (-1, peak, stage_peak) if per_row else (None,) * 3
             top = nonlinear(from_b if h is b else from_a, *plain, axis, into)
-            np.copyto(out, slope)  # out accumulates the RK4 sum
-            for (synthesis, analysis), fraction, weight in later:
-                np.multiply(slope, fraction, out=y)
+            np.add(h, slope, out=out)  # out accumulates the RK4 sum
+            for (synthesis, analysis), factor in later:
+                np.multiply(slope, factor, out=y)
                 np.add(y, h, out=y)
                 top = np.maximum(
                     top, nonlinear(from_y, synthesis, analysis, axis, stage_into), out=into)
-                if weight == 1.0:
-                    np.add(out, slope, out=out)
-                else:
-                    np.multiply(slope, weight, out=y)
-                    np.add(out, y, out=out)
-            np.multiply(out, dt / 6.0, out=out)
-            np.add(out, h, out=out)
+                np.add(out, slope, out=out)
             np.multiply(out, self.e_full, out=out)
             if self.eq.galerkin_projected:
-                _row_mass(h[:, 1:], sq, before)
-                _onto_mass_sphere(out[:, 1:], before, sq)
+                _onto_mass_sphere(out[:, 1:], mass)
             return top
 
         return step
@@ -541,9 +535,9 @@ def gauge_check(u0: TorusField, t_final: float, cfg: SolverConfig,
                 sign: str = "plus") -> GaugeReport:
     """Verify the gauge link u_wick(t) = e^{i gamma t} u_nls(t).
 
-    gamma = -2 s avg|u0|^2 uses the conserved mean of |u|^2, so for
-    resolved runs both the modulus discrepancy and the phase residual are
-    pure solver error.
+    gamma = -2 s avg|u0|^2 uses the conserved mean of |u|^2.  The Wick
+    step takes its mean from the initial mass, so the discrete flows differ
+    by exactly this phase and both discrepancies are roundoff.
     """
     eq_nls = EquationSpec("nls", p=4, sign=sign)
     eq_wick = EquationSpec("wick_nls", p=4, sign=sign)

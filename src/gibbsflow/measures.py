@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import GaussianFieldSpec, mode_std, sample_matrix
-from .parallel import map_chunks
+from .parallel import CHUNK, map_chunks
 from .rng import RandomSeed, generator
 from .spectral import TorusField, grid_for, synthesize, truncate
 
@@ -301,7 +301,6 @@ class GibbsEnsemble:
 
 
 ESS_FLOOR_FRACTION = 0.01
-_AIS_CHUNK = 256
 # pCN proposal c' = sqrt(1 - s^2) c + s xi with xi drawn from the base.
 PCN_STEP_SIZE = 0.5
 
@@ -384,12 +383,14 @@ def gibbs_ensemble(
     """
     if m_samples < 100:
         raise ValueError("m_samples must be >= 100")
+    if levels < 1 or pcn_steps < 0:
+        raise ValueError(f"levels must be >= 1 and pcn_steps >= 0, got {levels}, {pcn_steps}")
     width = 2 * spec.base.n_max + 1
     coeffs = np.empty((m_samples, width), dtype=np.complex128)
     log_w = np.empty(m_samples)
 
     def workspace():
-        rows = min(m_samples, _AIS_CHUNK)
+        rows = min(m_samples, CHUNK)
         k = spec.base.n_max if spec.base.real_valued else width
         m_points = grid_for(spec.base.n_max, spec.p)
         return (np.empty((rows, m_points), dtype=np.complex128), np.empty((rows, m_points)),
@@ -401,7 +402,7 @@ def gibbs_ensemble(
         coeffs[start:stop] = c
         log_w[start:stop] = lw
 
-    map_chunks(run_chunk, m_samples, n_threads, _AIS_CHUNK, workspace)
+    map_chunks(run_chunk, m_samples, n_threads, CHUNK, workspace)
     weights, ess = normalized_weights(log_w)
     flagged = ess < ESS_FLOOR_FRACTION * m_samples
     if flagged:

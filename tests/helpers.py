@@ -136,8 +136,9 @@ def slsqp_ball_minimum(center, radius, s, v0, weights=None):
 
 # ---------------------------------------------------------------------------
 # Reference steppers: one FFT round trip per transform and a fresh array
-# per operation.  ``fft_stepper(eq, m_points, k, dt).step(state)`` returns
-# (new state, per-row peak).
+# per operation.  ``fft_stepper(eq, m_points, k, dt).step(state, mass)``
+# returns (new state, per-row peak); ``mass`` is each row's sum |c_n|^2 at
+# the start (gkdv: without c_0), the projection target and the Wick mean.
 # ---------------------------------------------------------------------------
 
 
@@ -168,16 +169,15 @@ class _StrangStepper:
         self.dt = dt
         self.exponent = (eq.p - 2) / 2.0
 
-    def step(self, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def step(self, c: np.ndarray, mass: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """One step; returns (new coeffs, per-row max |u|^2 seen)."""
         eq = self.eq
         c = c * self.phase_half
         u = synthesize(c, self.k, self.m)
         absq = np.abs(u) ** 2
         peak = np.max(absq, axis=-1)
-        ms = np.sum(np.abs(c) ** 2, axis=-1)
         if eq.family == "wick_nls":
-            theta = absq - 2.0 * ms[:, np.newaxis]
+            theta = absq - 2.0 * mass[:, np.newaxis]
         elif self.exponent == 1.0:
             theta = absq
         else:
@@ -185,7 +185,7 @@ class _StrangStepper:
         u = u * np.exp(1j * (eq.s * self.dt) * theta)
         c = analyze(u, self.k)
         if eq.galerkin_projected:
-            c = _onto_mass_sphere(c, ms)
+            c = _onto_mass_sphere(c, mass)
         c = c * self.phase_half
         return c, peak
 
@@ -210,7 +210,7 @@ class _KdvStepper:
         w = u ** (self.eq.p - 1)
         return self.deriv * analyze_real(w, self.k), np.max(u * u, axis=-1)
 
-    def step(self, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def step(self, h: np.ndarray, mass: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """One step; returns (new half-spectrum, per-row max u^2 seen)."""
         dt, e1, e2 = self.dt, self.e_half, self.e_full
         k1, p1 = self._nonlinear(h)
@@ -222,8 +222,7 @@ class _KdvStepper:
         k4 = np.conj(e2) * n4
         h_new = e2 * (h + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
         if self.eq.galerkin_projected:
-            before = np.sum(np.abs(h[..., 1:]) ** 2, axis=-1)
-            h_new[..., 1:] = _onto_mass_sphere(h_new[..., 1:], before)
+            h_new[..., 1:] = _onto_mass_sphere(h_new[..., 1:], mass)
         return h_new, np.maximum(np.maximum(p1, p2), np.maximum(p3, p4))
 
 
@@ -243,8 +242,9 @@ def fft_evolve(coeffs, n_max, eq, m_points, dt, n_steps, real_valued=False):
     if real_valued:
         state = state[:, k:].copy()
     stepper = fft_stepper(eq, m_points, k, dt)
+    mass = np.sum(np.abs(state[:, 1:] if real_valued else state) ** 2, axis=-1)
     for _ in range(n_steps):
-        state, _peak = stepper.step(state)
+        state, _peak = stepper.step(state, mass)
     return from_half(state) if real_valued else state
 
 

@@ -338,13 +338,15 @@ class TestEvolveCommand:
     # sha256 of the reports of unprojected runs from one fwb sample at N=16
     # (50 steps, energies every 10), pinned while a caller could still
     # pass the grid: the energy series is taken on the derived grid.
+    # gkdv-p5 and wick-nls were renewed when the RK4 weights moved into the
+    # stage matrices and the Wick mean became each row's initial mass.
     EVOLVE_PINNED = {
         "nls-p6": ([], ["--eq", "nls", "--p", "6"],
                    "dcd9db82c53c4664caeaa05678e52ecaced7c70fb482ae848923f2fc46821c8d"),
         "wick-nls": ([], ["--eq", "wick-nls"],
-                     "61a195d327dadbf165e0262ee8667d8e71be1fe02d3f9bd5ba19110da97b1668"),
+                     "b6fff2914717943cefe9538494617481e6a9673562c37080f05ccff72018d214"),
         "gkdv-p5": (["--real", "--mean-zero"], ["--eq", "gkdv", "--p", "5"],
-                    "08c53435dc58f2049517c9cb8d69802d5ab79ab86ac1adb8754d628fc06eec92"),
+                    "cc86bd8a02682281c97505c888627ea0ba39cff2c04a94e2c13c9d817719bdab"),
     }
 
     @pytest.mark.parametrize("name", sorted(EVOLVE_PINNED))
@@ -397,11 +399,12 @@ class TestExperimentCommands:
     # sha256 of the cm reports at N=8: 1000 samples are four 256-row draw
     # chunks, and 600 evolved rows are two 512-row evolve chunks, so 8
     # threads run both kinds of chunk at once.  Pinned before part (a)
-    # streamed its chunks.
+    # streamed its chunks; renewed when each row's projection target became
+    # its mass at the start of its chunk (roundoff in the evolved values).
     CM_PINNED = {
-        "theorem-1": "78f9f834f8e8ef86a127424b0b4be7a8969b10e9b9e3a4479341d4f7d52431f1",
-        "theorem-2": "33f7168ed11314553dbb7c61202267e2995b2a0345fc662682b3fc6f06fce287",
-        "theorem-3": "6c23c00c6cd64873b522338a247713309c6704524b90dc9ccdb1d16b9341bbeb",
+        "theorem-1": "87310d44cb35402e059dcbf017031bde0822705d702ee505475fde33a262695f",
+        "theorem-2": "ffdeffef1d2b981f2bf90f6b728ee91689c619ff9d6dd448d183343af99d7b61",
+        "theorem-3": "073690210a9e6ea559cf45984f32a7d4582975b98b00490b7224fc60d6a574e7",
     }
 
     @pytest.mark.parametrize("preset", sorted(CM_PINNED))
@@ -479,6 +482,8 @@ class TestExperimentCommands:
         (["cm", "--preset", "theorem-1", "--dt", "0.5"], "strang guard"),
         (["cm", "--preset", "theorem-2", "--samples", "200", "--t", "-0.01"],
          "t_final must be >= 0"),
+        (["cm", "--preset", "theorem-2", "--samples", "200", "--t", "0"],
+         "--evolve-samples 0"),
     ])
     def test_bad_input_exits_one(self, argv, message, capsys):
         # 0 is a value, not "unset": it must not fall back to the preset.

@@ -207,6 +207,23 @@ class TestCameronMartinExperiment:
                                       m_samples=200, seed=RandomSeed(2), dt=p["dt"],
                                       evolve_samples=4)
 
+    @pytest.mark.parametrize("flow, t_final", [(True, 0.0), (False, 0.1)])
+    def test_evolve_samples_without_part_b_fail_before_drawing(self, flow, t_final,
+                                                               monkeypatch):
+        # Without a horizon or a flow part (b) does not run, so the report
+        # would count evolve_samples rows that were never evolved.
+        import gibbsflow.experiments as ex
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a shift ensemble was drawn before part (b) was checked")
+
+        monkeypatch.setattr(ex, "sample_matrix", refuse)
+        p = cm_preset("theorem-2", n_max=8)
+        with pytest.raises(ValueError, match=r"evolve_samples must be 0 \(--evolve-samples 0\)"):
+            cameron_martin_experiment(p["v0"], p["base"], p["eq"] if flow else None,
+                                      t_final=t_final, m_samples=200, seed=RandomSeed(2),
+                                      dt=p["dt"], evolve_samples=64)
+
     def test_gkdv_on_complex_base_fails_before_drawing(self, monkeypatch):
         import gibbsflow.experiments as ex
 

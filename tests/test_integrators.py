@@ -16,6 +16,7 @@ from gibbsflow.integrators import (
     hamiltonian,
     mass,
 )
+from gibbsflow.presets import cm_preset
 from gibbsflow.rng import RandomSeed
 from gibbsflow.spectral import TorusField, field_from_modes, grid_for, zero_field
 
@@ -137,6 +138,21 @@ class TestConservation:
         m0 = trajw.mass_series[0]
         assert np.max(np.abs(trajw.mass_series - m0)) / m0 < 1e-13
 
+    @pytest.mark.parametrize("preset, t_final", [
+        ("theorem-1", 0.25), ("theorem-2", 0.25), ("theorem-3", 0.5)])
+    def test_projected_mass_does_not_drift(self, preset, t_final):
+        # 64 shifted rows at N=32, the shift-theorems horizons: each step is
+        # projected onto the row's mass at the start, not a re-measured one.
+        p = cm_preset(preset)
+        base = p["base"]
+        rows = sample_ensemble(base, 64, RandomSeed(21)) + p["v0"].coeffs
+        res = evolve_ensemble(rows, base.n_max, p["eq"],
+                              SolverConfig(dt=p["dt"], t_final=t_final),
+                              real_valued=base.real_valued)
+        assert not np.any(res.blowup)
+        ratio = np.sum(np.abs(res.coeffs) ** 2, axis=1) / np.sum(np.abs(rows) ** 2, axis=1)
+        assert np.max(np.abs(ratio - 1.0)) <= 5e-15
+
     def test_mass_formula(self):
         f = field_from_modes(3, {1: 2.0, -2: 1.0})
         assert_allclose(mass(f), 2 * np.pi * 5.0, rtol=1e-14)
@@ -193,6 +209,13 @@ class TestGaugeLink:
         assert rep.phase_residual < 1e-6
         assert not rep.blowup
 
+    def test_wick_mean_is_the_initial_mass(self):
+        # Criterion 7's data: with the Wick mean 2 m taken from the initial
+        # mass, the Wick flow is the gauge-transformed cubic flow to roundoff.
+        rep = gauge_check(smooth_complex_field(16, amp=0.5), 1.0,
+                          SolverConfig(dt=1e-4, t_final=1.0))
+        assert rep.phase_residual <= 1e-12
+
     def test_zero_data_identical_flows(self):
         rep = gauge_check(zero_field(4), 0.5, SolverConfig(dt=1e-3, t_final=0.5))
         assert rep.gamma == 0.0
@@ -241,10 +264,12 @@ class TestBlowupHandling:
     # case: (sha256 of the (coeffs, blowup, last_valid_time) bytes, blown
     # rows, their last valid steps), at any thread count; healthy steps and
     # the row-by-row redo of unhealthy ones must both leave them as they are.
+    # The digests were renewed, and the rows and steps kept, when the mass
+    # target became each row's mass at the start of its chunk.
     PINNED = {
-        "_staggered_gkdv": ("b7b9861b6108daa349237b44393a6e79ce58a828a59ca42dd1ed565f2910cdbd",
+        "_staggered_gkdv": ("9d415ff8643ca2350ed7bf9dc42ad7078aaca05e93261ad800b6f81395cf8285",
                             [40, 300, 511, 520, 900, 1023], [2, 16, 5, 2, 13, 5]),
-        "_bad_input_wick": ("4e28aa7d97bb17721d483058e81897104bca55f155114ee738e5d83613033549",
+        "_bad_input_wick": ("fdbb600c0c8be0dd5318a1bc86a8be0594fd283c6ec34f749f1e4dc6614f1302",
                             [100, 550], [0, 0]),
     }
 

@@ -235,6 +235,21 @@ class TestGibbsEnsemble:
         with pytest.raises(ValueError, match="m_samples"):
             gibbs_ensemble(self.spec(), 50, RandomSeed(0))
 
+    @pytest.mark.parametrize("levels, pcn_steps", [(0, 3), (-5, 3), (96, -1)])
+    def test_no_annealing_schedule_refused_before_drawing(self, levels, pcn_steps,
+                                                          monkeypatch):
+        # With levels <= 0 nothing is annealed: the Gaussian base draws
+        # would pass, unflagged, as a Gibbs ensemble with ESS = m.
+        import gibbsflow.measures as ms
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("drew before the schedule was checked")
+
+        monkeypatch.setattr(ms, "sample_matrix", refuse)
+        with pytest.raises(ValueError, match="levels must be >= 1 and pcn_steps >= 0"):
+            gibbs_ensemble(self.spec(), 200, RandomSeed(0), levels=levels,
+                           pcn_steps=pcn_steps)
+
     def test_reweighting_pushes_quartic_down(self):
         spec = self.spec(n_max=16)
         ens = gibbs_ensemble(spec, 2000, RandomSeed(3), levels=1, pcn_steps=0)
