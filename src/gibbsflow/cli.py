@@ -135,18 +135,22 @@ def _run_evolve(a: dict) -> int:
     return EXIT_FLAGGED if traj.blowup else EXIT_OK
 
 
+# Options that override a preset, by the driver keyword each one sets.
+_PRESET_OPTIONS = {"samples": "m_samples", "t": "t_final", "dt": "dt",
+                   "alpha": "alpha", "evolve_samples": "evolve_samples"}
+
+
+def _preset_run(p: dict, a: dict) -> dict:
+    """The driver keywords of a preset ``p``: the preset's values, with the
+    options given on the command line in their place."""
+    return {**p, **{key: a[opt] for opt, key in _PRESET_OPTIONS.items()
+                    if a.get(opt) is not None}}
+
+
 def _run_invariance(a: dict) -> int:
     p = presets.invariance_preset(a["preset"], a["nmax"])
-    m = p["m_samples"] if a["samples"] is None else a["samples"]
-    t_final = p["t_final"] if a["t"] is None else a["t"]
-    dt = p["dt"] if a["dt"] is None else a["dt"]
-    report = ex.invariance_experiment(
-        p["measure"], p["eq"], t_final, m, _seed(a),
-        dt=dt, alpha=a["alpha"],
-        ais_levels=p.get("ais_levels", 96),
-        ais_pcn_steps=p.get("ais_pcn_steps", 3),
-        n_threads=a["threads"],
-    )
+    report = ex.invariance_experiment(**_preset_run(p, a), seed=_seed(a),
+                                      n_threads=a["threads"])
     _emit(a, {"kind": "invariance", "preset": a["preset"], "report": to_jsonable(report)},
           INVARIANCE_CSV_COLUMNS, invariance_csv_rows(report))
     expected_rejection = a["preset"] == "negative-control"
@@ -157,17 +161,8 @@ def _run_invariance(a: dict) -> int:
 
 def _run_cm(a: dict) -> int:
     p = presets.cm_preset(a["preset"], a["nmax"])
-    report = ex.cameron_martin_experiment(
-        p["v0"], p["base"], p["eq"],
-        t_final=p["t_final"] if a["t"] is None else a["t"],
-        m_samples=p["m_samples"] if a["samples"] is None else a["samples"],
-        seed=_seed(a),
-        dt=p["dt"] if a["dt"] is None else a["dt"],
-        evolve_samples=(p["evolve_samples"] if a["evolve_samples"] is None
-                        else a["evolve_samples"]),
-        v0_decay=p.get("v0_decay"),
-        n_threads=a["threads"],
-    )
+    report = ex.cameron_martin_experiment(**_preset_run(p, a), seed=_seed(a),
+                                          n_threads=a["threads"])
     _emit(a, {"kind": "cameron_martin", "preset": a["preset"],
               "report": to_jsonable(report)})
     ok = report.identities_pass and report.blowup_count == 0
@@ -204,8 +199,8 @@ def _run_ldp(a: dict) -> int:
 
 def _run_entropy_check(a: dict) -> int:
     cells = a["cells"]
-    if cells < 1:
-        raise ValueError(f"--cells must be >= 1, got {cells}")
+    if not 1 <= cells <= ms.MAX_GRID_CELLS:  # before the grid takes memory
+        raise ValueError(f"--cells must be >= 1 and <= {ms.MAX_GRID_CELLS}, got {cells}")
     span = a["span"]
     q = np.linspace(-span, span, cells, endpoint=False) + span / cells
     h = q ** 2 / 2.0 if a["hamiltonian"] == "gaussian" else q ** 4
@@ -297,7 +292,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--samples", type=int, default=None, help="override sample count")
     p.add_argument("--t", type=_finite_float, default=None, help="override horizon")
     p.add_argument("--dt", type=_finite_float, default=None, help="override time step")
-    p.add_argument("--alpha", type=_finite_float, default=0.01, help="rejection level")
+    p.add_argument("--alpha", type=_finite_float, default=None,
+                   help="override rejection level")
     common(p, csv=True, threads=True)
 
     p = subcommand("cm", "shift-identity and shifted-data experiment")

@@ -5,7 +5,8 @@ All experiments are pure functions of (configuration, seed): ensembles
 draw from fixed random-path lanes, statistical reductions run in a fixed
 order, and repeated runs reproduce every statistic bit for bit.  Reports
 carry the scope label "finite_truncation": every conclusion is a
-statement about the truncated systems, not the limiting measures.
+statement about the truncated systems, not the limiting measures.  A
+preset (``presets``) is a dict of keyword arguments of its driver.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ import numpy as np
 from .fields import GaussianFieldSpec, mode_std, sample_ensemble, sample_matrix
 from .integrators import EquationSpec, SolverConfig, _step_plan, evolve_ensemble
 from .measures import (
+    AIS_LEVELS,
+    AIS_PCN_STEPS,
     GibbsSpec,
     cameron_martin_log_density_matrix,
     cameron_martin_norm_sq,
@@ -152,34 +155,19 @@ class InvarianceReport:
     scope: str = SCOPE_LABEL
 
 
-def _measure_ensembles(measure, m_samples, seed, ais_levels, ais_pcn_steps, n_threads):
-    """Two independent ensembles of the measure, as (rows, weights) pairs.
-
-    Gaussian measures are exact iid draws (weights None); Gibbs measures
-    come back as annealed-importance ensembles whose weights travel with
-    the rows through evolution and into the weighted comparison.
-    """
-    if isinstance(measure, GibbsSpec):
-        ens_a = gibbs_ensemble(measure, m_samples, seed,
-                               levels=ais_levels, pcn_steps=ais_pcn_steps,
-                               lane_index=_LANE_A, n_threads=n_threads)
-        ens_b = gibbs_ensemble(measure, m_samples, seed,
-                               levels=ais_levels, pcn_steps=ais_pcn_steps,
-                               lane_index=_LANE_B, n_threads=n_threads)
-        flagged = ens_a.flagged or ens_b.flagged
-        label = (f"gibbs(p={measure.p},{measure.sign},beta={measure.beta},"
-                 f"base={measure.base.family},n={measure.base.n_max})")
-        return (ens_a.coeffs, ens_a.weights, ens_b.coeffs, ens_b.weights,
-                ens_a.ess, ens_b.ess, flagged, label)
-    spec = measure
-    a = sample_ensemble(spec, m_samples, seed, _LANE_A)
-    b = sample_ensemble(spec, m_samples, seed, _LANE_B)
-    label = f"gaussian({spec.family},n={spec.n_max})"
-    return a, None, b, None, None, None, False, label
-
-
-def _base_spec(measure) -> GaussianFieldSpec:
-    return measure.base if isinstance(measure, GibbsSpec) else measure
+def _evolution_config(eq, dt, t_final, base) -> SolverConfig:
+    """The config of an experiment's evolution of ``base`` rows to t_final,
+    recording about eight times (part (b) of the shift experiment keeps its
+    mass history).  A missing flow or dt, gkdv on complex fields and a step
+    the scheme's guard refuses fail here, before anything is drawn."""
+    if eq is None:
+        raise ValueError("an equation is required when t_final != 0")
+    if eq.family == "gkdv" and not base.real_valued:
+        raise ValueError("gkdv evolves real_valued fields only")
+    if dt is None:
+        raise ValueError("dt is required when evolving")
+    n_steps = _step_plan(base.n_max, eq, SolverConfig(dt=dt, t_final=t_final))[2]
+    return SolverConfig(dt=dt, t_final=t_final, record_every=max(1, n_steps // 8))
 
 
 def invariance_experiment(
@@ -190,8 +178,8 @@ def invariance_experiment(
     seed: RandomSeed,
     dt: float | None = None,
     alpha: float = 0.01,
-    ais_levels: int = 96,
-    ais_pcn_steps: int = 3,
+    ais_levels: int = AIS_LEVELS,
+    ais_pcn_steps: int = AIS_PCN_STEPS,
     bootstrap_reps: int = 2000,
     n_threads: int | None = None,
 ) -> InvarianceReport:
@@ -205,38 +193,45 @@ def invariance_experiment(
     statistic calibrated by resampling (value, weight) pairs within each
     ensemble (ESS is reported so the power loss is visible).  With
     t_final = 0 the run is a null calibration and needs no equation;
-    otherwise dt must be > 0 and within the scheme's guard, which is
-    checked before any ensemble is drawn.
+    otherwise the flow must be projected and match the field type, and dt
+    must be > 0 and within the scheme's guard, which is checked before any
+    ensemble is drawn.
     """
     if m_samples < 2:
         raise ValueError(f"m_samples must be >= 2, got {m_samples}")
-    base = _base_spec(measure)
+    base = measure.base if isinstance(measure, GibbsSpec) else measure
     if t_final != 0.0:
-        if eq is None:
-            raise ValueError("an equation is required when t_final != 0")
-        if not eq.galerkin_projected:
+        if eq is not None and not eq.galerkin_projected:
             raise ValueError(
                 "invariance experiments require galerkin_projected flows; the"
                 " truncated measure is only invariant for the projected system"
             )
-        if eq.family == "gkdv" and not (base.real_valued and base.mean_zero):
+        family = None if eq is None else eq.family
+        if family == "gkdv" and not (base.real_valued and base.mean_zero):
             raise ValueError("gkdv invariance requires a real-valued mean-zero measure")
-        if eq.family != "gkdv" and base.real_valued:
+        if family not in (None, "gkdv") and base.real_valued:
             raise ValueError("Schroedinger-family invariance requires complex fields")
-        if dt is None:
-            raise ValueError("dt is required when evolving")
-        cfg = SolverConfig(dt=dt, t_final=t_final)
-        _step_plan(base.n_max, eq, cfg)  # a bad step fails before any draw
+        cfg = _evolution_config(eq, dt, t_final, base)
 
-    a, wa, b, wb, ess_a, ess_b, flagged, measure_label = _measure_ensembles(
-        measure, m_samples, seed, ais_levels, ais_pcn_steps, n_threads
-    )
+    def draw(lane: int):
+        """(rows, weights, ess, flagged) of one lane's ensemble: exact iid
+        rows of a Gaussian measure, or an annealed-importance ensemble of a
+        Gibbs measure, whose weights travel with the rows through evolution
+        and into the weighted comparison."""
+        if isinstance(measure, GibbsSpec):
+            ens = gibbs_ensemble(measure, m_samples, seed, ais_levels, ais_pcn_steps,
+                                 lane, n_threads)
+            return ens.coeffs, ens.weights, ens.ess, ens.flagged
+        return sample_ensemble(measure, m_samples, seed, lane), None, None, False
+
+    a, wa, ess_a, flagged_a = draw(_LANE_A)
+    b, wb, ess_b, flagged_b = draw(_LANE_B)
+    flagged = flagged_a or flagged_b
     weighted = wa is not None
 
     blowups = 0
     if t_final != 0.0:
-        result = evolve_ensemble(b, base.n_max, eq, cfg,
-                                 real_valued=base.real_valued, n_threads=n_threads)
+        result = evolve_ensemble(b, eq, cfg, n_threads=n_threads)
         blowups = int(np.sum(result.blowup))
         flagged = flagged or blowups > 0
         b = result.coeffs
@@ -264,6 +259,10 @@ def invariance_experiment(
         ObservableResult(name, stat, p, float(adj), bool(adj < alpha))
         for name, (stat, p), adj in zip(names, tests, adjusted)
     )
+    measure_label = (
+        f"gibbs(p={measure.p},{measure.sign},beta={measure.beta},"
+        f"base={base.family},n={base.n_max})" if isinstance(measure, GibbsSpec)
+        else f"gaussian({base.family},n={base.n_max})")
     eq_label = "none" if eq is None else \
         f"{eq.family}(p={eq.p},{eq.sign},galerkin={eq.galerkin_projected})"
     return InvarianceReport(
@@ -438,8 +437,8 @@ def cameron_martin_experiment(
     Both parts run in row chunks on up to n_threads threads (None: the
     default count); the report does not depend on the thread count.  A
     negative t_final, evolve_samples > 0
-    without a flow or horizon, and part (b)'s dt > 0, step guard and (gkdv)
-    real base, are refused before part (a) draws anything.
+    without a flow or horizon, and part (b)'s missing dt, step guard and
+    (gkdv) complex base, are refused before part (a) draws anything.
     """
     if m_samples < 2:
         raise ValueError(f"m_samples must be >= 2, got {m_samples}")
@@ -452,13 +451,7 @@ def cameron_martin_experiment(
         if eq is None or t_final == 0.0:
             raise ValueError("evolve_samples must be 0 (--evolve-samples 0) without a flow"
                              f" and t_final > 0, got {evolve_samples}")
-        if eq.family == "gkdv" and not base.real_valued:
-            raise ValueError("gkdv evolves real_valued fields only")
-        if dt is None or dt <= 0:
-            raise ValueError("dt > 0 is required for the evolution part")
-        n_steps = max(1, int(round(t_final / dt)))
-        cfg = SolverConfig(dt=dt, t_final=t_final, record_every=max(1, n_steps // 8))
-        _step_plan(base.n_max, eq, cfg)  # a bad step fails before any draw
+        cfg = _evolution_config(eq, dt, t_final, base)
     panel = [(name, fn) for name, fn in observable_panel(base.n_max, base.real_valued)
              if name.startswith("re_c")]
     panel.append(("l2_mass", lambda c: 2.0 * np.pi * np.sum(np.abs(c) ** 2, axis=1)))
@@ -512,16 +505,15 @@ def cameron_martin_experiment(
             m = 2.0 * np.pi * np.sum(np.abs(full) ** 2, axis=1)
             np.maximum(sup_mass[rows], np.where(active, m, 0.0), out=sup_mass[rows])
 
-        result = evolve_ensemble(subset, base.n_max, eq, cfg,
-                                 real_valued=base.real_valued,
-                                 on_record=on_record, n_threads=n_threads)
+        result = evolve_ensemble(subset, eq, cfg, on_record=on_record,
+                                 n_threads=n_threads)
         blowups = int(np.sum(result.blowup))
         ratios = sup_mass / np.maximum(mass0, 1e-300)
         max_mass_ratio = float(np.max(ratios))
         proxy_ok = (~result.blowup) & (ratios <= 10.0)
         proxy_fraction = float(np.mean(proxy_ok))
         if eq.family in ("nls", "wick_nls"):
-            k = result.n_max
+            k = (result.coeffs.shape[1] - 1) // 2
             n = np.arange(-k, k + 1, dtype=np.float64)
             phase = np.exp(1j * n ** 2 * t_final)
             full0 = np.zeros((subset.shape[0], 2 * k + 1), dtype=np.complex128)
@@ -574,10 +566,7 @@ def ldp_rate_infimum(
     radius: float,
     s: float,
     v0: TorusField,
-    weights: np.ndarray | None = None,
-    pinned: np.ndarray | None = None,
-    complex_modes: bool = False,
-    n_max: int | None = None,
+    base: GaussianFieldSpec | None = None,
 ) -> LdpInfimum:
     """Minimize (1/2) sum w_n |f_n - v0_n|^2 over the H^s ball around center.
 
@@ -585,27 +574,28 @@ def ldp_rate_infimum(
     g = f - center and d = v0 - center, the minimizer is
     g_n = w_n d_n / (w_n + 2 lam <n>^{2s}) and lam >= 0 is the root of the
     ball constraint, bracketed by doubling and bisected to convergence.
-    ``pinned`` marks modes the underlying noise cannot move (f_n = v0_n
-    there); ``complex_modes`` doubles the value (two real coordinates per
-    mode), making the result the exact decay rate for complex ensembles.
+    Without a base, w_n = 1 on the band max(center.n_max, v0.n_max).  A
+    Gaussian base gives the exact decay rate of its ensembles v0 + eps*phi:
+    its band, w_n = sigma_n^-2, f_n = v0_n pinned where sigma_n = 0 (the
+    noise cannot move those modes), and the value doubled for complex
+    fields (two real coordinates per mode).
     """
     from scipy.optimize import brentq
 
     if radius <= 0:
         raise ValueError("radius must be > 0")
-    n_max = n_max if n_max is not None else max(center.n_max, v0.n_max)
+    n_max = max(center.n_max, v0.n_max) if base is None else base.n_max
     wc = truncate(center, n_max).coeffs
     vc = truncate(v0, n_max).coeffs
     n = np.arange(-n_max, n_max + 1, dtype=np.float64)
     omega = (1.0 + n * n) ** s
-    w = np.ones_like(omega) if weights is None else np.asarray(weights, float)
-    if w.shape != omega.shape or np.any(w <= 0):
-        raise ValueError("weights must be positive and match the mode count")
-    pin = np.zeros_like(omega, dtype=bool) if pinned is None \
-        else np.asarray(pinned, dtype=bool)
+    sig = np.ones_like(omega) if base is None else mode_std(base)
+    pin = sig == 0.0
+    w = np.ones_like(sig)
+    w[~pin] = sig[~pin] ** (-2.0)
 
     d = vc - wc
-    factor = 2.0 if complex_modes else 1.0
+    factor = 1.0 if base is None or base.real_valued else 2.0
     fixed_budget = float(np.sum(omega[pin] * np.abs(d[pin]) ** 2))
     if fixed_budget > radius ** 2:
         raise ValueError(
@@ -639,16 +629,6 @@ def ldp_rate_infimum(
     residual = float(np.sum(omega * np.abs(f_hat - wc) ** 2)) - radius ** 2
     argmin = TorusField(n_max, f_hat, v0.real_valued and center.real_valued)
     return LdpInfimum(value, argmin, float(lam), residual)
-
-
-def base_rate_weights(base: GaussianFieldSpec) -> tuple[np.ndarray, np.ndarray]:
-    """(w_n, pinned) for the rate tied to a Gaussian base: w_n = sigma_n^-2
-    on live modes, pinned where sigma_n = 0."""
-    sig = mode_std(base)
-    pinned = sig == 0.0
-    w = np.ones_like(sig)
-    w[~pinned] = sig[~pinned] ** (-2.0)
-    return w, pinned
 
 
 @dataclass(frozen=True)
@@ -719,11 +699,8 @@ def ldp_mc(
     if any(m < 1 for m in m_counts):
         raise ValueError("m_per_eps must be >= 1")
     n_max = base.n_max
-    weights, pinned = base_rate_weights(base)
     vc = truncate(v0, n_max).coeffs
-    inf = ldp_rate_infimum(center, radius, s, v0, weights=weights,
-                           pinned=pinned, complex_modes=not base.real_valued,
-                           n_max=n_max)
+    inf = ldp_rate_infimum(center, radius, s, v0, base)
     oracle = -inf.value
 
     wc = truncate(center, n_max).coeffs

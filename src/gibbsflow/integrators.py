@@ -36,7 +36,8 @@ is one scalar per step: the largest |u|^2 the step's stages saw over the
 whole chunk.  Per-row peaks and finiteness are taken only when a step is
 unhealthy; a row that blows up is parked and its working row zeroed, so
 later steps are healthy again, and the blowup flags do not change
-(``evolve_ensemble``).
+(``evolve_ensemble``, which reads the band from the row width and leaves
+the field type to its callers: gkdv needs real fields).
 """
 
 from __future__ import annotations
@@ -80,6 +81,10 @@ BLOWUP_LINF = 1.0e6
 # covers the advective nonlinearity).
 STRANG_DT_N2_BOUND = 1.0
 AIRY_DT_N3_BOUND = 8.0
+# Most steps a run may plan: one step of one N=1 row took 30-80 us on a
+# 2-core x86 host, so 10^7 steps take minutes, while every gate and preset
+# plans at most 16,000.  A larger plan is a mistyped dt or horizon.
+MAX_STEPS = 10_000_000
 # Rows per evolve chunk: a step's ~30 numpy calls cost the same at any
 # size.  1024 rows were no faster and raised kdv-white-noise's peak memory.
 _EVOLVE_CHUNK = 512
@@ -144,8 +149,7 @@ class TrajectoryRecord:
 class EnsembleEvolution:
     """Final states of a batched run, with per-sample blowup flags."""
 
-    coeffs: np.ndarray
-    n_max: int
+    coeffs: np.ndarray  # rows of the working band (``_step_plan``)
     blowup: np.ndarray  # bool per row
     last_valid_time: np.ndarray
     dt_effective: float
@@ -155,14 +159,17 @@ def _step_plan(n_max: int, eq: EquationSpec, cfg: SolverConfig
                ) -> tuple[int, int, int, float]:
     """(grid size M, working band, step count, signed step) of a run from the
     band |n| <= n_max; raises ValueError when the step breaks the scheme's
-    guard.
+    guard or the step count is not finite or above ``MAX_STEPS``.
 
     The state lives in the data band if projected, else in the largest band
     ``grid_for(n_max, p)`` multiplies without aliasing.
     """
     m_points = grid_for(n_max, eq.p)
     k_work = n_max if eq.galerkin_projected else (m_points - 1) // eq.p
-    n_steps = max(1, int(round(abs(cfg.t_final) / cfg.dt)))
+    ratio = abs(cfg.t_final) / cfg.dt  # inf when the quotient overflows
+    if not ratio <= MAX_STEPS:
+        raise ValueError(f"t_final/dt = {ratio:g} steps exceeds the limit of {MAX_STEPS}")
+    n_steps = max(1, int(round(ratio)))
     dt = abs(cfg.t_final) / n_steps
     if eq.family == "gkdv":
         if dt * k_work ** 3 > AIRY_DT_N3_BOUND:
@@ -366,15 +373,14 @@ class _KdvStepper:
 
 def evolve_ensemble(
     coeffs: np.ndarray,
-    n_max: int,
     eq: EquationSpec,
     cfg: SolverConfig,
-    real_valued: bool = False,
     on_record=None,
     n_threads: int | None = None,
 ) -> EnsembleEvolution:
-    """Evolve a batch of coefficient rows under the truncated flow, on the
-    grid ``grid_for(n_max, eq.p)``.
+    """Evolve a batch of coefficient rows c_-N..c_N under the truncated
+    flow, on the grid ``grid_for(N, eq.p)``; the row width gives N.  gkdv
+    reads each row as a real field, through its half c_0..c_N.
 
     Rows that blow up (L-inf above 1e6 or non-finite) are frozen at their
     last valid state and flagged; this is a recorded outcome, not an
@@ -399,8 +405,7 @@ def evolve_ensemble(
     chunk's slice of the batch.  It may run on a worker thread and must
     write only to those rows.
     """
-    if eq.family == "gkdv" and not real_valued:
-        raise ValueError("gkdv evolves real_valued fields only")
+    n_max = (coeffs.shape[1] - 1) // 2
     m_points, k_work, n_steps, dt = _step_plan(n_max, eq, cfg)
     use_half = eq.family == "gkdv"
     stepper = (_KdvStepper if use_half else _StrangStepper)(eq, m_points, k_work, dt)
@@ -456,7 +461,6 @@ def evolve_ensemble(
                lambda: stepper.buffers(min(n_rows, _EVOLVE_CHUNK)))
     return EnsembleEvolution(
         coeffs=from_half(final) if use_half else final,
-        n_max=k_work,
         blowup=~active_rows,
         last_valid_time=last_valid,
         dt_effective=dt,
@@ -468,7 +472,9 @@ def evolve(f0: TorusField, eq: EquationSpec, cfg: SolverConfig) -> TrajectoryRec
     times: list[float] = []
     fields: list[TorusField] = []
 
-    real = f0.real_valued and eq.family == "gkdv"
+    if eq.family == "gkdv" and not f0.real_valued:
+        raise ValueError("gkdv evolves real_valued fields only")
+    real = eq.family == "gkdv"
 
     def on_record(_rows, t, full, active):
         times.append(t)
@@ -478,10 +484,7 @@ def evolve(f0: TorusField, eq: EquationSpec, cfg: SolverConfig) -> TrajectoryRec
             row = (row + np.conj(row[::-1])) / 2.0  # kill roundoff asymmetry
         fields.append(TorusField(k, row, real))
 
-    result = evolve_ensemble(
-        f0.coeffs[np.newaxis, :], f0.n_max, eq, cfg,
-        real_valued=f0.real_valued, on_record=on_record,
-    )
+    result = evolve_ensemble(f0.coeffs[np.newaxis, :], eq, cfg, on_record=on_record)
     mass_series = np.array([mass(f) for f in fields])
     ham_series = np.array([hamiltonian(f, eq) for f in fields])
     return TrajectoryRecord(

@@ -261,7 +261,7 @@ def gibbs_log_weight_matrix(
     """
     n_max = (coeffs.shape[-1] - 1) // 2
     u_buf, power_buf = (None, None) if work is None else work
-    u = synthesize(coeffs, n_max, grid_for(n_max, spec.p), out=u_buf)
+    u = synthesize(coeffs, grid_for(n_max, spec.p), out=u_buf)
     power = np.abs(u, out=power_buf)
     np.power(power, spec.p, out=power)
     integral = 2.0 * np.pi * np.mean(power, axis=-1)
@@ -301,6 +301,10 @@ class GibbsEnsemble:
 
 
 ESS_FLOOR_FRACTION = 0.01
+# The annealing schedule of every Gibbs ensemble the lab draws by default:
+# tempered levels, and pCN moves per level.
+AIS_LEVELS = 96
+AIS_PCN_STEPS = 3
 # pCN proposal c' = sqrt(1 - s^2) c + s xi with xi drawn from the base.
 PCN_STEP_SIZE = 0.5
 
@@ -364,8 +368,8 @@ def gibbs_ensemble(
     spec: GibbsSpec,
     m_samples: int,
     seed: RandomSeed,
-    levels: int = 96,
-    pcn_steps: int = 3,
+    levels: int = AIS_LEVELS,
+    pcn_steps: int = AIS_PCN_STEPS,
     lane_index: int = 0,
     n_threads: int | None = None,
 ) -> GibbsEnsemble:

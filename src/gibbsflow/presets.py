@@ -2,10 +2,12 @@
 
 Each preset fixes every knob (truncation, step size, sample count,
 annealing schedule) so a run is reproducible from its name and seed
-alone.  The theorem presets pair a shifted smooth function with the
-matching measure and truncated (Galerkin-projected) flow: defocusing NLS data shifted into the alpha=1
-series, KdV data shifted into mean-zero white noise, and Wick-ordered
-cubic NLS data shifted into the alpha in (5/12, 1/2] series.
+alone; it is a dict of keyword arguments of its driver,
+``invariance_experiment`` or ``cameron_martin_experiment``.  The theorem
+presets pair a shifted smooth function with the matching measure and
+truncated (Galerkin-projected) flow: defocusing NLS data shifted into the
+alpha=1 series, KdV data shifted into mean-zero white noise, and
+Wick-ordered cubic NLS data shifted into the alpha in (5/12, 1/2] series.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import numpy as np
 
 from .fields import GaussianFieldSpec
 from .integrators import EquationSpec
-from .measures import GibbsSpec
+from .measures import AIS_LEVELS, AIS_PCN_STEPS, GibbsSpec
 from .spectral import TorusField
 
 __all__ = [
@@ -64,20 +66,6 @@ def _kdv_white_noise(n_max: int) -> dict:
     }
 
 
-def _wick_gibbs(n_max: int) -> dict:
-    base = GaussianFieldSpec("fwb", n_max, alpha=1.0)
-    return {
-        "measure": GibbsSpec(p=4, sign="defocusing", beta=1.0, base=base),
-        "eq": EquationSpec("wick_nls", sign="plus", galerkin_projected=True),
-        "t_final": 1.0,
-        "dt": 2e-3 * (16.0 / n_max) ** 2,
-        "m_samples": 4000,
-        "alpha": 0.01,
-        "ais_levels": 96,
-        "ais_pcn_steps": 3,
-    }
-
-
 def _negative_control(n_max: int) -> dict:
     # Deliberately wrong pairing: the Gaussian base without the Gibbs
     # weight is not invariant under the nonlinear flow; the test harness
@@ -90,6 +78,14 @@ def _negative_control(n_max: int) -> dict:
         "m_samples": 4000,
         "alpha": 0.01,
     }
+
+
+def _wick_gibbs(n_max: int) -> dict:
+    # The negative control's run, with the Gibbs weight on its base.
+    run = _negative_control(n_max)
+    return {**run, "measure": GibbsSpec(p=4, sign="defocusing", beta=1.0,
+                                        base=run["measure"]),
+            "ais_levels": AIS_LEVELS, "ais_pcn_steps": AIS_PCN_STEPS}
 
 
 INVARIANCE_PRESETS = {
@@ -105,52 +101,37 @@ def invariance_preset(name: str, n_max: int | None = None) -> dict:
             f"unknown invariance preset {name!r}; known: {sorted(INVARIANCE_PRESETS)}"
         )
     if n_max is None:
-        n_max = {"kdv-white-noise": 32, "wick-nls-gibbs": 16,
-                 "negative-control": 16}[name]
+        n_max = 32 if name == "kdv-white-noise" else 16
     return INVARIANCE_PRESETS[name](_check_n_max(n_max))
 
 
+def _shift_run(v0: TorusField, base: GaussianFieldSpec, eq: EquationSpec,
+               t_final: float, dt: float) -> dict:
+    """A theorem preset: the values all three share, around their own."""
+    return {"v0": v0, "base": base, "eq": eq, "t_final": t_final, "dt": dt,
+            "m_samples": 20000, "evolve_samples": 64, "v0_decay": SHIFT_DECAY}
+
+
 def _theorem_1(n_max: int) -> dict:
-    base = GaussianFieldSpec("fwb", n_max, alpha=1.0)
-    return {
-        "v0": smooth_shift_field(n_max, 0.5),
-        "base": base,
-        "eq": EquationSpec("nls", p=4, sign="plus", galerkin_projected=True),
-        "t_final": 0.5,
-        "dt": 0.5 / n_max ** 2,
-        "m_samples": 20000,
-        "evolve_samples": 64,
-        "v0_decay": SHIFT_DECAY,
-    }
+    return _shift_run(smooth_shift_field(n_max, 0.5),
+                      GaussianFieldSpec("fwb", n_max, alpha=1.0),
+                      EquationSpec("nls", p=4, sign="plus", galerkin_projected=True),
+                      0.5, 0.5 / n_max ** 2)
 
 
 def _theorem_2(n_max: int) -> dict:
-    base = GaussianFieldSpec("white", n_max, real_valued=True)
-    return {
-        "v0": smooth_shift_field(n_max, 4.0, real_valued=True, mean_zero=True),
-        "base": base,
-        "eq": EquationSpec("gkdv", p=3, sign="plus", galerkin_projected=True),
-        "t_final": 0.5,
-        "dt": 1e-4 * (32.0 / n_max) ** 3,
-        "m_samples": 20000,
-        "evolve_samples": 64,
-        "v0_decay": SHIFT_DECAY,
-    }
+    return _shift_run(smooth_shift_field(n_max, 4.0, real_valued=True, mean_zero=True),
+                      GaussianFieldSpec("white", n_max, real_valued=True),
+                      EquationSpec("gkdv", p=3, sign="plus", galerkin_projected=True),
+                      0.5, 1e-4 * (32.0 / n_max) ** 3)
 
 
 def _theorem_3(n_max: int) -> dict:
     # alpha = 0.45 > 5/12: the admissible window for the Wick-ordered flow.
-    base = GaussianFieldSpec("fwb", n_max, alpha=0.45)
-    return {
-        "v0": smooth_shift_field(n_max, 0.5),
-        "base": base,
-        "eq": EquationSpec("wick_nls", sign="plus", galerkin_projected=True),
-        "t_final": 1.0,
-        "dt": 0.5 / n_max ** 2,
-        "m_samples": 20000,
-        "evolve_samples": 64,
-        "v0_decay": SHIFT_DECAY,
-    }
+    return _shift_run(smooth_shift_field(n_max, 0.5),
+                      GaussianFieldSpec("fwb", n_max, alpha=0.45),
+                      EquationSpec("wick_nls", sign="plus", galerkin_projected=True),
+                      1.0, 0.5 / n_max ** 2)
 
 
 CM_PRESETS = {

@@ -5,7 +5,8 @@ Conventions used throughout the package:
     u(x) = sum_{|n| <= N} c_n e^{inx},   x in [0, 2*pi),
 
 with coefficients stored in increasing mode order n = -N, ..., N
-(array index n + N).  Integrals are over [0, 2*pi), so by Parseval
+(array index n + N), so a batch of rows gives N by its width 2N+1.
+Integrals are over [0, 2*pi), so by Parseval
 
     int |u|^2 dx = 2*pi * sum_n |c_n|^2.
 
@@ -178,14 +179,15 @@ def _require_points(m_points: int, n_max: int) -> None:
         )
 
 
-def synthesize(coeffs: np.ndarray, n_max: int, m_points: int,
+def synthesize(coeffs: np.ndarray, m_points: int,
                out: np.ndarray | None = None) -> np.ndarray:
     """Evaluate batched coefficient rows on the M-point grid (complex values).
 
-    coeffs has shape (batch, 2N+1); requires M >= 2N+2.  The zero-padded
-    spectrum is built in ``out`` (batch, M) complex, or in a fresh array,
-    and transformed in place.
+    coeffs has shape (batch, 2N+1), which gives the band N; requires
+    M >= 2N+2.  The zero-padded spectrum is built in ``out`` (batch, M)
+    complex, or in a fresh array, and transformed in place.
     """
+    n_max = (coeffs.shape[-1] - 1) // 2
     _require_points(m_points, n_max)
     if out is None:
         out = np.empty(coeffs.shape[:-1] + (m_points,), dtype=np.complex128)
@@ -200,7 +202,7 @@ def synthesize(coeffs: np.ndarray, n_max: int, m_points: int,
 def band_matrices(k: int, m_points: int, real: bool, pre=None, post=None):
     """(synthesis, analysis) matrices of the band |n| <= k on the M-point grid.
 
-    Complex rows c_-k..c_k: ``c @ synthesis`` is ``synthesize(pre * c, k, M)``
+    Complex rows c_-k..c_k: ``c @ synthesis`` is ``synthesize(pre * c, M)``
     and ``u @ analysis`` is ``post`` times entries n mod M, n = -k..k, of
     ``np.fft.fft(u) / M``.  Real fields use half-spectrum rows c_0..c_k
     multiplied through their float64 view [Re c_0, Im c_0, Re c_1, ...]:
@@ -245,7 +247,7 @@ def from_half(half: np.ndarray) -> np.ndarray:
 
 def to_physical(f: TorusField, m_points: int) -> np.ndarray:
     """Complex sample vector u(x_j) on the equispaced M-point grid."""
-    return synthesize(f.coeffs[np.newaxis, :], f.n_max, m_points)[0]
+    return synthesize(f.coeffs[np.newaxis, :], m_points)[0]
 
 
 def field_to_json(f: TorusField) -> dict:

@@ -173,7 +173,7 @@ class _StrangStepper:
         """One step; returns (new coeffs, per-row max |u|^2 seen)."""
         eq = self.eq
         c = c * self.phase_half
-        u = synthesize(c, self.k, self.m)
+        u = synthesize(c, self.m)
         absq = np.abs(u) ** 2
         peak = np.max(absq, axis=-1)
         if eq.family == "wick_nls":

@@ -359,6 +359,26 @@ class TestEvolveCommand:
                      "--record-every", "10", "--init", str(field), "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
+    def test_nmax_truncates_the_initial_field(self, tmp_path):
+        field, out = tmp_path / "field.json", tmp_path / "traj.json"
+        assert main(["sample", "--family", "fwb", "--nmax", "8", "--seed", "3",
+                     "--out", str(field)]) == 0
+        assert main(["evolve", "--eq", "nls", "--galerkin", "--nmax", "4",
+                     "--dt", "1e-3", "--t", "0.01", "--init", str(field),
+                     "--out", str(out)]) == 0
+        drawn = json.loads(field.read_text())["field"]["coeffs"]
+        start = json.loads(out.read_text())["fields"][0]
+        assert start["n_max"] == 4  # projected: the working band is the data band
+        assert start["coeffs"] == drawn[4:13]
+
+    def test_step_count_overflow_exits_one(self, tmp_path, capsys):
+        # t/dt overflows to inf: refused with a message, not a traceback.
+        init = tmp_path / "init.json"
+        init.write_text(json.dumps(field_to_json(field_from_modes(1, {1: 0.5}))))
+        assert main(["evolve", "--eq", "nls", "--dt", "1e-308", "--t", "1e308",
+                     "--init", str(init)]) == 1
+        assert "steps exceeds the limit" in capsys.readouterr().err
+
     def test_missing_init_exits_one(self, tmp_path):
         assert main(["evolve", "--eq", "nls", "--dt", "1e-3", "--t", "0.1",
                      "--init", str(tmp_path / "nope.json")]) == 1
@@ -376,6 +396,17 @@ class TestExperimentCommands:
         assert payload["report"]["any_rejection"] is False
         header = (tmp_path / "inv.csv").read_text().splitlines()[0]
         assert header == "observable,statistic,p_value"
+
+    def test_invariance_alpha_defaults_to_the_preset(self, tmp_path):
+        # --alpha unset is recorded as null and means the preset's level.
+        out, rerun = tmp_path / "inv.json", tmp_path / "rerun.json"
+        code = main(["invariance", "--nmax", "4", "--samples", "100", "--t", "0.01",
+                     "--dt", "1e-3", "--out", str(out)])
+        assert json.loads(out.read_text())["report"]["alpha"] == 0.01
+        sidecar = tmp_path / "inv.json.config.json"
+        assert json.loads(sidecar.read_text())["resolved_args"]["alpha"] is None
+        assert main(["--config", str(sidecar), "--out", str(rerun)]) == code
+        assert rerun.read_bytes() == out.read_bytes()
 
     def test_negative_control_underpowered_flags(self, tmp_path):
         # With a tiny budget the deliberately wrong pairing is not detected,
@@ -431,6 +462,33 @@ class TestExperimentCommands:
             assert code == 0
             assert hashlib.sha256(out.read_bytes()).hexdigest() == self.WICK_PINNED
 
+    # sha256 of reports no other pin covers, taken before the rate weights,
+    # pins and band were derived from the base and the CLI handed presets
+    # to their drivers whole: an ldp run with a pinned mode 0 and the real
+    # factor (oracle -0.0093), one with the complex factor and sigma
+    # weights (oracle -0.04), and a plain-KS invariance run.
+    REPORT_PINNED = {
+        "ldp-real-white": (["ldp", "--real", "--family", "white", "--nmax", "2",
+                            "--center-mode", "1", "--center-value", "0.45",
+                            "--radius", "0.5", "--samples", "20000"],
+                           "fa037c6e699af8becb458c9685c71029e1f941e34f827ca9a4d175c36739550d"),
+        "ldp-complex-fwa": (["ldp", "--family", "fwa", "--nmax", "2",
+                             "--center-mode", "1", "--center-value", "0.7",
+                             "--radius", "0.5", "--samples", "20000"],
+                            "bc3505e31ee943758d6540a5f3cfa8d80adee5997f1a6245a2d7db69b7def4d8"),
+        "invariance-kdv": (["invariance", "--preset", "kdv-white-noise", "--nmax", "8",
+                            "--samples", "300", "--t", "0.05"],
+                           "32d365bec978562f49c5f8ad821e0d8b9c85ea8c1aa37d74030b56814219ec8c"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(REPORT_PINNED))
+    def test_report_pinned_for_any_thread_count(self, name, tmp_path):
+        argv, digest = self.REPORT_PINNED[name]
+        for threads in ("1", "2"):
+            out = tmp_path / f"{name}-{threads}.json"
+            assert main(argv + ["--threads", threads, "--out", str(out)]) == 0
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_ldp_run(self, tmp_path):
         out = tmp_path / "ldp.json"
         code = main(["ldp", "--family", "fwb", "--real", "--nmax", "0",
@@ -464,7 +522,7 @@ class TestExperimentCommands:
         (["cm", "--nmax", "0"], "n_max must be >= 1"),
         (["invariance", "--nmax", "0"], "n_max must be >= 1"),
         (["invariance", "--samples", "0"], "m_samples must be >= 2"),
-        (["cm", "--nmax", "4", "--samples", "100", "--dt", "0"], "dt > 0"),
+        (["cm", "--nmax", "4", "--samples", "100", "--dt", "0"], "dt must be > 0"),
         (["ldp", "--samples", "0"], "m_per_eps must be >= 1"),
         (["entropy-check", "--cells", "0"], "--cells must be >= 1"),
         (["ldp", "--center-mode", "5", "--nmax", "2"], "outside the band"),
@@ -484,6 +542,9 @@ class TestExperimentCommands:
          "t_final must be >= 0"),
         (["cm", "--preset", "theorem-2", "--samples", "200", "--t", "0"],
          "--evolve-samples 0"),
+        (["cm", "--dt", "1e-308", "--t", "1e308"], "steps exceeds the limit"),
+        (["invariance", "--dt", "1e-308", "--t", "1e308"], "steps exceeds the limit"),
+        (["invariance", "--dt", "1e-300", "--t", "1"], "steps exceeds the limit"),
     ])
     def test_bad_input_exits_one(self, argv, message, capsys):
         # 0 is a value, not "unset": it must not fall back to the preset.
@@ -491,6 +552,16 @@ class TestExperimentCommands:
         err = capsys.readouterr().err
         assert err.startswith("gibbsflow: error:") and message in err
         assert err.count("\n") == 1
+
+    def test_entropy_check_refuses_cells_before_the_grid(self, capsys, monkeypatch):
+        from gibbsflow.measures import MAX_GRID_CELLS
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the grid was built before --cells was checked")
+
+        monkeypatch.setattr(np, "linspace", refuse)
+        assert main(["entropy-check", "--cells", str(MAX_GRID_CELLS + 1)]) == 1
+        assert f"--cells must be >= 1 and <= {MAX_GRID_CELLS}" in capsys.readouterr().err
 
     def test_entropy_check_run(self, tmp_path):
         out = tmp_path / "ent.json"

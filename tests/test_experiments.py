@@ -12,7 +12,6 @@ from gibbsflow.fields import GaussianFieldSpec, sample_ensemble
 from gibbsflow.integrators import EquationSpec
 from gibbsflow.measures import GibbsSpec
 from gibbsflow.experiments import (
-    base_rate_weights,
     calibration_uniformity,
     cameron_martin_experiment,
     invariance_experiment,
@@ -154,6 +153,16 @@ class TestInvarianceExperiment:
         rep = calibration_uniformity(spec, 300, 40, RandomSeed(21))
         assert not rep.passed
 
+    def test_every_observable_skipped(self):
+        # Zero-band white noise is mean-zero: both ensembles are all zero,
+        # so every panel observable is constant and equal, and skipped.
+        spec = GaussianFieldSpec("white", 0)
+        rep = invariance_experiment(spec, None, 0.0, 50, RandomSeed(0))
+        assert rep.observables == ()
+        assert rep.skipped_observables == tuple(
+            name for name, _ in observable_panel(0, False))
+        assert not rep.any_rejection and not rep.flagged
+
     def test_calibration_refuses_gibbs(self):
         gibbs = GibbsSpec(p=4, sign="defocusing", beta=1.0,
                           base=GaussianFieldSpec("fwb", 4, alpha=1.0))
@@ -176,7 +185,7 @@ class TestCameronMartinExperiment:
                                       evolve_samples=500)
 
     @pytest.mark.parametrize("preset, dt, message", [
-        ("theorem-1", 0.0, "dt > 0 is required"),
+        ("theorem-1", 0.0, "dt must be > 0"),
         ("theorem-1", 0.5, "strang guard"),
         ("theorem-2", 0.05, "if_rk4 guard"),
     ])
@@ -386,11 +395,10 @@ class TestRateInfimum:
 
     def test_pinned_modes_can_make_ball_unreachable(self):
         base = GaussianFieldSpec("white", 2, real_valued=True)
-        w, pinned = base_rate_weights(base)
         v0 = zero_field(2, real_valued=True)
         center = field_from_modes(2, {0: 5.0}, real_valued=True)
         with pytest.raises(ValueError, match="unreachable"):
-            ldp_rate_infimum(center, 0.5, 0.0, v0, weights=w, pinned=pinned)
+            ldp_rate_infimum(center, 0.5, 0.0, v0, base=base)
 
 
 class TestLdpMc:

@@ -7,9 +7,11 @@ from numpy.testing import assert_allclose
 from gibbsflow.fields import GaussianFieldSpec, sample, sample_ensemble
 from gibbsflow.integrators import (
     _GEMM_BLOCK_MACS,
+    MAX_STEPS,
     EquationSpec,
     SolverConfig,
     _batched_matmul,
+    _step_plan,
     evolve,
     evolve_ensemble,
     gauge_check,
@@ -146,9 +148,7 @@ class TestConservation:
         p = cm_preset(preset)
         base = p["base"]
         rows = sample_ensemble(base, 64, RandomSeed(21)) + p["v0"].coeffs
-        res = evolve_ensemble(rows, base.n_max, p["eq"],
-                              SolverConfig(dt=p["dt"], t_final=t_final),
-                              real_valued=base.real_valued)
+        res = evolve_ensemble(rows, p["eq"], SolverConfig(dt=p["dt"], t_final=t_final))
         assert not np.any(res.blowup)
         ratio = np.sum(np.abs(res.coeffs) ** 2, axis=1) / np.sum(np.abs(rows) ** 2, axis=1)
         assert np.max(np.abs(ratio - 1.0)) <= 5e-15
@@ -239,8 +239,7 @@ class TestBlowupHandling:
                                real_valued=True).coeffs
         batch = np.stack([good, bad])
         eq = EquationSpec("gkdv", p=5, sign="minus", galerkin_projected=True)
-        res = evolve_ensemble(batch, 16, eq, SolverConfig(dt=1e-3, t_final=0.5),
-                              real_valued=True)
+        res = evolve_ensemble(batch, eq, SolverConfig(dt=1e-3, t_final=0.5))
         assert list(res.blowup) == [False, True]
         assert np.all(np.isfinite(res.coeffs))
 
@@ -254,9 +253,9 @@ class TestBlowupHandling:
         def on_record(_rows, t, full, _active):
             seen[t] = full.copy()
 
-        res = evolve_ensemble(np.stack([good, bad]), 16, eq,
+        res = evolve_ensemble(np.stack([good, bad]), eq,
                               SolverConfig(dt=1e-3, t_final=0.5, record_every=1),
-                              real_valued=True, on_record=on_record)
+                              on_record=on_record)
         assert res.blowup[1] and res.last_valid_time[1] < 0.5
         assert np.array_equal(res.coeffs[1], seen[res.last_valid_time[1]][1])
         assert np.array_equal(res.coeffs[0], seen[max(seen)][0])
@@ -300,8 +299,7 @@ class TestBlowupHandling:
         digest, blown, steps = self.PINNED[case]
         rows, n_max, eq, cfg, real = getattr(self, case)()
         for n_threads in (1, 2):
-            res = evolve_ensemble(rows, n_max, eq, cfg, real_valued=real,
-                                  n_threads=n_threads)
+            res = evolve_ensemble(rows, eq, cfg, n_threads=n_threads)
             assert np.flatnonzero(res.blowup).tolist() == blown
             assert res.last_valid_time[blown].tolist() == [
                 s * res.dt_effective for s in steps]
@@ -328,7 +326,7 @@ class TestBlowupHandling:
 
         monkeypatch.setattr(integrators._KdvStepper, "bind", counting_bind)
         rows, n_max, eq, cfg, real = self._staggered_gkdv()
-        res = evolve_ensemble(rows, n_max, eq, cfg, real_valued=real, n_threads=1)
+        res = evolve_ensemble(rows, eq, cfg, n_threads=1)
         halves = np.split(res.last_valid_time[res.blowup], [3])
         assert np.flatnonzero(res.blowup).tolist() == self.PINNED["_staggered_gkdv"][1]
         assert counts == [len(set(h)) for h in halves] == [3, 3]
@@ -342,9 +340,9 @@ class TestBlowupHandling:
         rows = 0.5 * sample_ensemble(spec, 40, RandomSeed(15))
         eq = EquationSpec(family, p=3 if real else 4, sign="plus", galerkin_projected=True)
         cfg = SolverConfig(dt=1e-3, t_final=0.02)
-        live = evolve_ensemble(rows, 16, eq, cfg, real_valued=real)
+        live = evolve_ensemble(rows, eq, cfg)
         rows[7] = 0.0
-        res = evolve_ensemble(rows, 16, eq, cfg, real_valued=real)
+        res = evolve_ensemble(rows, eq, cfg)
         assert not np.any(res.coeffs[7]) and not np.any(res.blowup)
         others = np.arange(len(rows)) != 7
         assert np.array_equal(res.coeffs[others], live.coeffs[others])
@@ -356,6 +354,18 @@ class TestGuards:
         eq = EquationSpec("nls", p=4, sign="plus", galerkin_projected=True)
         with pytest.raises(ValueError, match="strang guard"):
             evolve(f, eq, SolverConfig(dt=2e-3, t_final=0.1))
+
+    @pytest.mark.parametrize("dt, t_final", [(1e-308, 1e308), (1e-300, 1.0)])
+    def test_step_plan_refuses_unrunnable_step_count(self, dt, t_final):
+        # The first quotient overflows to inf; the second asks for 1e300 steps.
+        eq = EquationSpec("nls", p=4, galerkin_projected=True)
+        with pytest.raises(ValueError, match="steps exceeds the limit"):
+            _step_plan(4, eq, SolverConfig(dt=dt, t_final=t_final))
+
+    def test_step_plan_accepts_the_step_limit(self):
+        eq = EquationSpec("nls", p=4, galerkin_projected=True)
+        cfg = SolverConfig(dt=2.0 ** -10, t_final=2.0 ** -10 * MAX_STEPS)  # exact
+        assert _step_plan(4, eq, cfg)[2] == MAX_STEPS
 
     def test_airy_step_guard(self):
         f = field_from_modes(32, {1: 0.5, -1: 0.5}, real_valued=True)
@@ -372,8 +382,7 @@ class TestGridIndependence:
                                8, RandomSeed(5))
         eq = EquationSpec("gkdv", p=3, sign="plus", galerkin_projected=True)
         assert grid_for(32, 3) == 100
-        a = evolve_ensemble(rows, 32, eq, SolverConfig(dt=1e-4, t_final=0.02),
-                            real_valued=True).coeffs
+        a = evolve_ensemble(rows, eq, SolverConfig(dt=1e-4, t_final=0.02)).coeffs
         b = fft_evolve(rows, 32, eq, 128, 1e-4, 200, real_valued=True)
         assert_allclose(a, b, rtol=0, atol=1e-13 * np.max(np.abs(b)))
 
@@ -403,7 +412,7 @@ class TestMatrixSteppers:
         eq, spec, amp, dt = self.CASES[name]
         rows = amp * sample_ensemble(spec, 16, RandomSeed(3))
         cfg = SolverConfig(dt=dt, t_final=steps * dt)
-        got = evolve_ensemble(rows, spec.n_max, eq, cfg, real_valued=spec.real_valued)
+        got = evolve_ensemble(rows, eq, cfg)
         want = fft_evolve(rows, spec.n_max, eq, grid_for(spec.n_max, eq.p), dt, steps,
                           spec.real_valued)
         assert not np.any(got.blowup)
@@ -479,9 +488,8 @@ class TestChunkedEngine:
     @pytest.mark.parametrize("case", ["_gkdv", "_wick"])
     def test_threads_and_chunk_slices_agree(self, case):
         rows, n_max, eq, cfg, real = getattr(self, case)()
-        one, two = (evolve_ensemble(rows, n_max, eq, cfg, real_valued=real, n_threads=n)
-                    for n in (1, 2))
-        parts = [evolve_ensemble(rows[a:b], n_max, eq, cfg, real_valued=real)
+        one, two = (evolve_ensemble(rows, eq, cfg, n_threads=n) for n in (1, 2))
+        parts = [evolve_ensemble(rows[a:b], eq, cfg)
                  for a, b in ((0, 512), (512, 600))]
         reference = [np.concatenate([getattr(p, name) for p in parts])
                      for name in ("coeffs", "blowup", "last_valid_time")]
@@ -494,9 +502,9 @@ class TestChunkedEngine:
     @pytest.mark.parametrize("family, real", [("gkdv", True), ("nls", False)])
     def test_empty_batch(self, family, real):
         eq = EquationSpec(family, p=4, galerkin_projected=True)
-        res = evolve_ensemble(np.zeros((0, 17), dtype=np.complex128), 8, eq,
-                              SolverConfig(dt=1e-3, t_final=0.01), real_valued=real)
-        assert res.coeffs.shape == (0, 2 * res.n_max + 1)
+        cfg = SolverConfig(dt=1e-3, t_final=0.01)
+        res = evolve_ensemble(np.zeros((0, 17), dtype=np.complex128), eq, cfg)
+        assert res.coeffs.shape == (0, 2 * _step_plan(8, eq, cfg)[1] + 1)
         assert res.blowup.shape == res.last_valid_time.shape == (0,)
         assert res.blowup.dtype == bool
 
@@ -509,7 +517,7 @@ class TestChunkedEngine:
                 seen.append((chunk_rows.start, chunk_rows.stop,
                              full.shape[0], active.size))
 
-        evolve_ensemble(rows, n_max, eq, cfg, on_record=on_record, n_threads=2)
+        evolve_ensemble(rows, eq, cfg, on_record=on_record, n_threads=2)
         assert sorted(seen) == [(0, 512, 512, 512), (512, 600, 88, 88)]
 
     def test_blas_threads_do_not_move_bits(self):
@@ -529,7 +537,7 @@ class TestChunkedEngine:
             "case = TestChunkedEngine()\n"
             "for name in ('_gkdv', '_wick'):\n"
             "    rows, n_max, eq, cfg, real = getattr(case, name)()\n"
-            "    res = evolve_ensemble(rows, n_max, eq, cfg, real_valued=real, n_threads=2)\n"
+            "    res = evolve_ensemble(rows, eq, cfg, n_threads=2)\n"
             "    print(hashlib.sha256(res.coeffs.tobytes()).hexdigest())\n"
         )
         here = os.path.dirname(os.path.abspath(__file__))
@@ -542,7 +550,7 @@ class TestChunkedEngine:
         assert digests[0] == digests[1] and len(digests[0].split()) == 2
         rows, n_max, eq, cfg, real = self._gkdv()
         here_digest = hashlib.sha256(
-            evolve_ensemble(rows, n_max, eq, cfg, real_valued=real).coeffs.tobytes()).hexdigest()
+            evolve_ensemble(rows, eq, cfg).coeffs.tobytes()).hexdigest()
         assert digests[0].split()[0] == here_digest
 
     def test_cameron_martin_evolution_thread_invariant(self):

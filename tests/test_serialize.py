@@ -20,3 +20,11 @@ def test_non_finite_values_become_strings():
     }
     text = canonical_dumps(payload)
     json.loads(text, parse_constant=pytest.fail)
+
+
+def test_numpy_bools_and_integers_become_python_scalars():
+    got = to_jsonable({"flag": np.bool_(True), "count": np.int64(3),
+                       "small": np.uint8(7)})
+    assert got == {"flag": True, "count": 3, "small": 7}
+    assert type(got["flag"]) is bool
+    assert type(got["count"]) is int and type(got["small"]) is int

@@ -258,7 +258,7 @@ class TestBandMatrices:
         u = rng.standard_normal((5, m)) + 1j * rng.standard_normal((5, m))
         pre, post = self._factors(rng, 2 * k + 1)
         synthesis, analysis = band_matrices(k, m, False, pre=pre, post=post)
-        want_u = synthesize(pre * c, k, m)
+        want_u = synthesize(pre * c, m)
         want_c = post * analyze(u, k)
         assert_allclose(c @ synthesis, want_u, rtol=0, atol=1e-13 * np.max(np.abs(want_u)))
         assert_allclose(u @ analysis, want_c, rtol=0, atol=1e-13 * np.max(np.abs(want_c)))
@@ -271,7 +271,7 @@ class TestBandMatrices:
         pre, post = self._factors(rng, k + 1)
         synthesis, analysis = band_matrices(k, m, True, pre=pre, post=post)
         # Like irfft, the grid sees only the real part of the mean mode.
-        want_u = synthesize(from_half(pre * h), k, m).real
+        want_u = synthesize(from_half(pre * h), m).real
         want_h = post * analyze_real(w, k)
         assert_allclose(h.view(np.float64) @ synthesis, want_u,
                         rtol=0, atol=1e-13 * np.max(np.abs(want_u)))
