@@ -25,16 +25,7 @@ from . import presets
 from .fields import GaussianFieldSpec, sample
 from .parallel import default_threads
 from .rng import RandomSeed
-from .serialize import (
-    INVARIANCE_CSV_COLUMNS,
-    LDP_CSV_COLUMNS,
-    SCHEMA_VERSION,
-    canonical_dumps,
-    invariance_csv_rows,
-    ldp_csv_rows,
-    to_jsonable,
-    write_csv,
-)
+from .serialize import SCHEMA_VERSION, canonical_dumps, to_jsonable, write_csv
 from .spectral import field_from_json, field_from_modes, field_to_json, truncate, zero_field
 
 EXIT_OK = 0
@@ -71,9 +62,9 @@ def _thread_count(text: str) -> int:
     return value
 
 
-def _emit(a: dict, payload: dict, csv_columns=None, csv_rows=None) -> None:
+def _emit(a: dict, payload: dict, table=None) -> None:
     """Write the report to --out (plus its config sidecar) or stdout, and
-    the CSV table to --csv when the subcommand offers one."""
+    the (columns, rows) table to --csv when the subcommand offers one."""
     text = canonical_dumps({"schema_version": SCHEMA_VERSION, **payload})
     if a["out"] is None:
         sys.stdout.write(text)
@@ -81,8 +72,8 @@ def _emit(a: dict, payload: dict, csv_columns=None, csv_rows=None) -> None:
         Path(a["out"]).write_text(text)
         config = {"schema_version": SCHEMA_VERSION, "resolved_args": a}
         Path(a["out"] + ".config.json").write_text(canonical_dumps(config))
-    if csv_rows is not None and a["csv"]:
-        write_csv(a["csv"], csv_columns, csv_rows)
+    if table is not None and a["csv"]:
+        write_csv(a["csv"], *table)
 
 
 def _seed(a: dict) -> RandomSeed:
@@ -152,7 +143,8 @@ def _run_invariance(a: dict) -> int:
     report = ex.invariance_experiment(**_preset_run(p, a), seed=_seed(a),
                                       n_threads=a["threads"])
     _emit(a, {"kind": "invariance", "preset": a["preset"], "report": to_jsonable(report)},
-          INVARIANCE_CSV_COLUMNS, invariance_csv_rows(report))
+          (("observable", "statistic", "p_value"),
+           [(o.name, o.statistic, o.p_value) for o in report.observables]))
     expected_rejection = a["preset"] == "negative-control"
     failed = report.any_rejection != expected_rejection or \
         (report.flagged and not expected_rejection)
@@ -193,7 +185,9 @@ def _run_ldp(a: dict) -> int:
     report = ex.ldp_mc(v0, base, center, a["radius"], a["s"],
                        epsilons, m_counts, _seed(a), n_threads=a["threads"])
     _emit(a, {"kind": "ldp", "report": to_jsonable(report)},
-          LDP_CSV_COLUMNS, ldp_csv_rows(report))
+          (("epsilon", "p_hat", "ci_lo", "ci_hi", "eps2_log", "oracle"),
+           [(pt.epsilon, pt.p_hat, pt.ci_lo, pt.ci_hi, pt.eps2_log, report.oracle)
+            for pt in report.points]))
     return EXIT_OK if report.trend_ok else EXIT_FLAGGED
 
 

@@ -78,48 +78,38 @@ _LDP_CHUNK = 4096
 # Observable panel
 # ---------------------------------------------------------------------------
 
+def _panel_modes(n_max: int, real_valued: bool) -> list:
+    """Modes {0, +-1, +-2, +-5, +-N/2} within the band, without duplicates;
+    for real fields the negative modes are conjugate duplicates and omitted."""
+    mags = sorted({m for m in (0, 1, 2, 5, n_max // 2) if m <= n_max})
+    return mags if real_valued else sorted({x for m in mags for x in (m, -m)})
+
+
 def observable_panel(n_max: int, real_valued: bool):
-    """Fixed panel: Re/Im/|.|^2 of modes {0, +-1, +-2, +-5, +-N/2} plus two
-    Sobolev norms (s = 0 and s = -1).
+    """Fixed panel: Re/Im/|.|^2 of the ``_panel_modes`` plus two Sobolev
+    norms (s = 0 and s = -1).
 
-    For real fields the negative modes are conjugate duplicates and are
-    omitted.  Returns [(name, fn)] with fn mapping a coefficient matrix to
-    one scalar per row.
+    Returns (names, values): values(c) maps a coefficient matrix to one
+    (observables x rows) float matrix, row i holding observable names[i].
     """
-    mags = sorted({0, 1, 2, 5, n_max // 2})
-    mags = [m for m in mags if m <= n_max]
-    modes = mags if real_valued else sorted({x for m in mags for x in (m, -m)})
-
-    panel = []
-    for n in modes:
-        idx = n + n_max
-
-        def re_fn(c, i=idx):
-            return c[:, i].real
-
-        def im_fn(c, i=idx):
-            return c[:, i].imag
-
-        def abs2_fn(c, i=idx):
-            return np.abs(c[:, i]) ** 2
-
-        panel.append((f"re_c[{n}]", re_fn))
-        panel.append((f"im_c[{n}]", im_fn))
-        panel.append((f"abs2_c[{n}]", abs2_fn))
-
-    weights0 = np.ones(2 * n_max + 1)
+    modes = _panel_modes(n_max, real_valued)
+    names = [f"{kind}_c[{n}]" for n in modes for kind in ("re", "im", "abs2")]
+    names += ["sobolev_s0", "sobolev_s-1"]
     n_arr = np.arange(-n_max, n_max + 1, dtype=np.float64)
-    weights_m1 = (1.0 + n_arr * n_arr) ** (-1.0)
+    weights = (np.ones(2 * n_max + 1), (1.0 + n_arr * n_arr) ** (-1.0))
 
-    def norm_s0(c):
-        return np.sqrt(np.abs(c) ** 2 @ weights0)
+    def values(c):
+        out = np.empty((len(names), c.shape[0]))
+        for j, n in enumerate(modes):
+            col = c[:, n + n_max]
+            out[3 * j], out[3 * j + 1], out[3 * j + 2] = col.real, col.imag, np.abs(col) ** 2
+        abs2 = np.abs(c)
+        abs2 **= 2  # in place: one temporary the size of c
+        for row, w in zip(out[-2:], weights):
+            np.sqrt(abs2 @ w, out=row)
+        return out
 
-    def norm_sm1(c):
-        return np.sqrt(np.abs(c) ** 2 @ weights_m1)
-
-    panel.append(("sobolev_s0", norm_s0))
-    panel.append(("sobolev_s-1", norm_sm1))
-    return panel
+    return names, values
 
 
 # ---------------------------------------------------------------------------
@@ -186,19 +176,22 @@ def invariance_experiment(
     """Compare a fresh ensemble with an evolved one, observable by observable.
 
     Ensemble A is drawn fresh; ensemble B is drawn from a disjoint stream
-    lane and pushed to time t_final under the truncated flow.  Each panel
-    observable gets a two-sample KS test; the Holm-corrected p-values
-    decide rejections at the given level.  Gibbs measures are sampled by
-    annealed importance sampling; their comparison uses the weighted KS
-    statistic calibrated by resampling (value, weight) pairs within each
-    ensemble (ESS is reported so the power loss is visible).  With
-    t_final = 0 the run is a null calibration and needs no equation;
-    otherwise the flow must be projected and match the field type, and dt
-    must be > 0 and within the scheme's guard, which is checked before any
-    ensemble is drawn.
+    lane and pushed to time t_final under the truncated flow.  One panel
+    call per ensemble evaluates every observable; each one not constant and
+    equal across both ensembles gets a two-sample KS test, and the
+    Holm-corrected p-values decide rejections at the level alpha in (0, 1).
+    Gibbs measures are sampled by annealed importance sampling; their
+    comparison uses the weighted KS statistic calibrated by resampling
+    (value, weight) pairs within each ensemble (ESS is reported so the
+    power loss is visible).  With t_final = 0 the run is a null calibration
+    and needs no equation; otherwise the flow must be projected and match
+    the field type, and dt must be > 0 and within the scheme's guard, which
+    is checked before any ensemble is drawn.
     """
     if m_samples < 2:
         raise ValueError(f"m_samples must be >= 2, got {m_samples}")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     base = measure.base if isinstance(measure, GibbsSpec) else measure
     if t_final != 0.0:
         if eq is not None and not eq.galerkin_projected:
@@ -236,23 +229,22 @@ def invariance_experiment(
         flagged = flagged or blowups > 0
         b = result.coeffs
 
-    names, xs_a, xs_b, skipped = [], [], [], []
-    for name, fn in observable_panel(base.n_max, base.real_valued):
-        xa, xb = fn(a), fn(b)
-        if np.std(xa) == 0.0 and np.std(xb) == 0.0 and np.all(xa[0] == xb):
-            skipped.append(name)
-            continue
-        names.append(name)
-        xs_a.append(xa)
-        xs_b.append(xb)
+    panel, values = observable_panel(base.n_max, base.real_valued)
+    xs_a, xs_b = values(a), values(b)
+    constant = np.array([np.std(xa) == 0.0 and np.std(xb) == 0.0 and np.all(xa[0] == xb)
+                         for xa, xb in zip(xs_a, xs_b)], dtype=bool)
+    names = [name for name, skip in zip(panel, constant) if not skip]
+    skipped = [name for name, skip in zip(panel, constant) if skip]
+    if constant.any():  # copies only when an observable is dropped
+        xs_a, xs_b = xs_a[~constant], xs_b[~constant]
     if not names:
         tests = []
     elif weighted:
-        tests = weighted_ks_bootstrap(np.array(xs_a), wa, np.array(xs_b), wb,
+        tests = weighted_ks_bootstrap(xs_a, wa, xs_b, wb,
                                       generator(seed, lane=_LANE_COMPARE),
                                       reps=bootstrap_reps)
     else:
-        tests = ks_two_sample(np.array(xs_a), np.array(xs_b))
+        tests = ks_two_sample(xs_a, xs_b)
 
     adjusted = holm_adjust([p for _, p in tests])
     observables = tuple(
@@ -383,34 +375,6 @@ class CMReport:
     scope: str = SCOPE_LABEL
 
 
-def _shift_pair_rows(base, shift, m, seed, rows_of, n_threads=1):
-    """Per-row values of m noise rows x and m shifted rows y = shift + noise.
-
-    Chunk c of the ``parallel.chunk_ranges(m)`` plan draws x_c and y_c's
-    noise as ``sample_ensemble`` does, on paths (_LANE_A, 0, c) and
-    (_LANE_B, 0, c).  rows_of(x_c, y_c, start) returns a tuple of arrays
-    over the chunk's rows, joined in plan order; they must be copies, as
-    x_c and y_c live in a workspace that the next chunk overwrites.
-    """
-    k = base.n_max if base.real_valued else 2 * base.n_max + 1
-
-    def workspace():
-        rows = min(m, CHUNK)
-        return (np.empty((2, rows, 2 * base.n_max + 1), dtype=np.complex128),
-                np.empty((2, rows, 2, k)))
-
-    def chunk(c, start, stop, ws):
-        (x, y), normals = (w[:, :stop - start] for w in ws)
-        for lane, out, g in zip((_LANE_A, _LANE_B), (x, y), normals):
-            sample_matrix(base, stop - start, generator(seed, lane, sample=c),
-                          out=out, normals=g)
-        y += shift
-        return rows_of(x, y, start)
-
-    cols = zip(*map_chunks(chunk, m, n_threads, CHUNK, workspace))
-    return [np.concatenate(col) for col in cols]
-
-
 def cameron_martin_experiment(
     v0: TorusField,
     base: GaussianFieldSpec,
@@ -426,19 +390,20 @@ def cameron_martin_experiment(
     """Verify the shift identity and (optionally) evolve the shifted data.
 
     Part (a): with w = exp(log shift density at v0), checks E[w] = 1,
-    E[w^2] = exp(||v0||_H^2), and E_shifted[F] = E_base[F w] for the panel
-    functionals, all within CM_Z_THRESHOLD standard errors (plug-in, except
-    the exact null one for E[w^2]), drawing and reducing both ensembles in
-    256-row chunks, so neither is held whole.  Needs m_samples >= 2.  Part
-    (b) evolves the first evolve_samples <= m_samples shifted rows under
-    ``eq`` up to t_final > 0 (0: no part (b)) and records mass histories
-    and blowup counts; "no blowup and sup_t mass within 10x initial" is
-    reported as a global-existence proxy, not as a proof of anything.
-    Both parts run in row chunks on up to n_threads threads (None: the
-    default count); the report does not depend on the thread count.  A
-    negative t_final, evolve_samples > 0
-    without a flow or horizon, and part (b)'s missing dt, step guard and
-    (gkdv) complex base, are refused before part (a) draws anything.
+    E[w^2] = exp(||v0||_H^2), and E_shifted[F] = E_base[F w] for F the
+    panel's re_c modes and the L^2 mass, all within CM_Z_THRESHOLD standard
+    errors (plug-in, except the exact null one for E[w^2]).  Needs
+    m_samples >= 2.  One 256-row chunk body draws both ensembles, reduces
+    them to these values and keeps the rows part (b) evolves, so neither
+    ensemble is held whole.  Part (b) evolves the first evolve_samples <=
+    m_samples shifted rows under ``eq`` up to t_final > 0 (0: no part (b))
+    and records mass histories and blowup counts; "no blowup and sup_t mass
+    within 10x initial" is reported as a global-existence proxy, not as a
+    proof of anything.  Both parts run on up to n_threads threads (None:
+    the default count); the report does not depend on the thread count.  A
+    negative t_final, evolve_samples > 0 without a flow or horizon, and
+    part (b)'s missing dt, step guard and (gkdv) complex base, are refused
+    before part (a) draws anything.
     """
     if m_samples < 2:
         raise ValueError(f"m_samples must be >= 2, got {m_samples}")
@@ -452,33 +417,54 @@ def cameron_martin_experiment(
             raise ValueError("evolve_samples must be 0 (--evolve-samples 0) without a flow"
                              f" and t_final > 0, got {evolve_samples}")
         cfg = _evolution_config(eq, dt, t_final, base)
-    panel = [(name, fn) for name, fn in observable_panel(base.n_max, base.real_valued)
-             if name.startswith("re_c")]
-    panel.append(("l2_mass", lambda c: 2.0 * np.pi * np.sum(np.abs(c) ** 2, axis=1)))
+    modes = _panel_modes(base.n_max, base.real_valued)
+    names = [f"re_c[{n}]" for n in modes] + ["l2_mass"]
+    shift = truncate(v0, base.n_max).coeffs
+    k = base.n_max if base.real_valued else 2 * base.n_max + 1
 
-    def rows_of(x, y, start):
-        return (cameron_martin_log_density_matrix(v0, x, base),
-                *(np.array(fn(c)) for c in (x, y) for _, fn in panel),
+    def l2_mass(c):
+        return 2.0 * np.pi * np.sum(np.abs(c) ** 2, axis=1)
+
+    def workspace():
+        rows = min(m_samples, CHUNK)
+        return (np.empty((2, rows, 2 * base.n_max + 1), dtype=np.complex128),
+                np.empty((2, rows, 2, k)))
+
+    def chunk(c, start, stop, ws):
+        """(log w, values of F at x and at y, part (b) rows) of chunk c: its
+        noise rows x and shifted rows y are drawn as ``sample_ensemble``
+        draws, on paths (_LANE_A, 0, c) and (_LANE_B, 0, c), into the
+        workspace, which the next chunk overwrites; part (b)'s rows are copied."""
+        (x, y), normals = (w[:, :stop - start] for w in ws)
+        for lane, out, g in zip((_LANE_A, _LANE_B), (x, y), normals):
+            sample_matrix(base, stop - start, generator(seed, lane, sample=c),
+                          out=out, normals=g)
+        y += shift
+        f = np.empty((2, len(names), stop - start))
+        for fc, rows in zip(f, (x, y)):
+            fc[:-1] = rows[:, np.add(modes, base.n_max)].real.T
+            fc[-1] = l2_mass(rows)
+        return (cameron_martin_log_density_matrix(v0, x, base), f,
                 y[:max(0, evolve_samples - start)].copy())
 
-    log_w, *values, subset = _shift_pair_rows(
-        base, truncate(v0, base.n_max).coeffs, m_samples, seed, rows_of, n_threads)
-    w = np.exp(log_w)
+    log_w, f, subset = zip(*map_chunks(chunk, m_samples, n_threads, CHUNK, workspace))
+    w = np.exp(np.concatenate(log_w))
+    fx, fy = np.concatenate(f, axis=-1)
+    subset = np.concatenate(subset)
     w_mean = float(np.mean(w))
     w_se = standard_error(w)
     norm_sq = cameron_martin_norm_sq(v0, base)
-    w2 = w * w
-    w2_mean = float(np.mean(w2))
+    w2_mean = float(np.mean(w * w))
     w2_expected = float(np.exp(norm_sq))
     # Exact null SE: log w ~ N(-s/2, s), so Var(w^2) = e^{6s} - e^{2s}.  The
     # plug-in SE of the heavy-tailed w^2 shrinks when its tail goes unsampled.
     w2_se = math.sqrt((math.exp(6.0 * norm_sq) - math.exp(2.0 * norm_sq)) / m_samples)
 
     checks = []
-    for (name, _), fx, fy in zip(panel, values, values[len(panel):]):
-        direct = float(np.mean(fy))
-        direct_se = standard_error(fy)
-        weighted_vals = fx * w
+    for name, fx_i, fy_i in zip(names, fx, fy):
+        direct = float(np.mean(fy_i))
+        direct_se = standard_error(fy_i)
+        weighted_vals = fx_i * w
         weighted = float(np.mean(weighted_vals))
         weighted_se = standard_error(weighted_vals)
         denom = math.hypot(direct_se, weighted_se)
@@ -492,18 +478,14 @@ def cameron_martin_experiment(
     identities_pass = (w_z <= CM_Z_THRESHOLD and w2_z <= CM_Z_THRESHOLD
                        and all(c.passed for c in checks))
 
-    blowups = 0
-    proxy_fraction = None
-    max_mass_ratio = None
-    nl_median = None
-    nl_max = None
+    blowups, proxy_fraction, max_mass_ratio, nl_median, nl_max = 0, None, None, None, None
     if evolve_samples > 0:
-        mass0 = 2.0 * np.pi * np.sum(np.abs(subset) ** 2, axis=1)
+        mass0 = l2_mass(subset)
         sup_mass = np.zeros_like(mass0)
 
         def on_record(rows, t, full, active):
-            m = 2.0 * np.pi * np.sum(np.abs(full) ** 2, axis=1)
-            np.maximum(sup_mass[rows], np.where(active, m, 0.0), out=sup_mass[rows])
+            np.maximum(sup_mass[rows], np.where(active, l2_mass(full), 0.0),
+                       out=sup_mass[rows])
 
         result = evolve_ensemble(subset, eq, cfg, on_record=on_record,
                                  n_threads=n_threads)
@@ -582,8 +564,8 @@ def ldp_rate_infimum(
     """
     from scipy.optimize import brentq
 
-    if radius <= 0:
-        raise ValueError("radius must be > 0")
+    if not (radius > 0 and math.isfinite(radius * radius)):
+        raise ValueError(f"radius must be > 0 with a finite square, got {radius:g}")
     n_max = max(center.n_max, v0.n_max) if base is None else base.n_max
     wc = truncate(center, n_max).coeffs
     vc = truncate(v0, n_max).coeffs
@@ -613,12 +595,11 @@ def ldp_rate_infimum(
                                           center.real_valued), 0.0, 0.0)
 
     hi = 1.0
-    for _ in range(200):
-        if constraint(hi) < 0.0:
-            break
+    while not constraint(hi) < 0.0:  # a nan constraint never brackets
         hi *= 2.0
-    else:
-        raise RuntimeError("failed to bracket the Lagrange multiplier")
+        if hi == math.inf:
+            raise ValueError("failed to bracket the Lagrange multiplier: the ball"
+                             " constraint overflows (check radius, s and the center)")
     lam = brentq(constraint, 0.0, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
 
     g = np.zeros_like(d)
@@ -686,8 +667,8 @@ def ldp_mc(
     count); hit counts do not depend on the thread count.
     """
     epsilons = tuple(float(e) for e in epsilons)
-    if any(e <= 0 for e in epsilons):
-        raise ValueError("epsilons must be > 0")
+    if not all(0 < e < math.inf for e in epsilons):
+        raise ValueError(f"epsilons must be finite and > 0, got {epsilons}")
     if list(epsilons) != sorted(epsilons, reverse=True):
         raise ValueError("epsilons must be strictly decreasing")
     if np.isscalar(m_per_eps):
@@ -739,17 +720,10 @@ def ldp_mc(
     gaps = [abs(pt.eps2_log - oracle) for pt in valid]
     eps_v = [pt.epsilon for pt in valid]
     rho = spearman_rho(eps_v, gaps) if len(valid) >= 3 else float("nan")
-    if len(valid) >= 3:
-        trend_ok = rho >= 0.0
-    elif len(valid) == 2:
-        trend_ok = gaps[1] <= gaps[0]
-    else:
-        trend_ok = False
+    trend_ok = rho >= 0.0 if len(valid) >= 3 else len(valid) == 2 and gaps[1] <= gaps[0]
     final_gap = None
-    if valid and oracle != 0.0:
-        final_gap = abs(valid[-1].eps2_log - oracle) / abs(oracle)
-    elif valid:
-        final_gap = abs(valid[-1].eps2_log)
+    if valid:  # relative to the oracle, absolute when the oracle is 0
+        final_gap = abs(valid[-1].eps2_log - oracle) / (abs(oracle) or 1.0)
     return LDPReport(
         epsilons=epsilons,
         points=tuple(points),

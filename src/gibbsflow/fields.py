@@ -149,6 +149,7 @@ def sample_ensemble(
 
 
 def _check_shift(v0: TorusField, spec: GaussianFieldSpec) -> TorusField:
+    """v0 in spec's band; refuses a wider shift and a complex shift of a real spec."""
     if v0.n_max > spec.n_max:
         raise ValueError(
             f"truncation mismatch: shift has n_max={v0.n_max} > spec n_max={spec.n_max}"

@@ -544,9 +544,9 @@ def gauge_check(u0: TorusField, t_final: float, cfg: SolverConfig,
     """
     eq_nls = EquationSpec("nls", p=4, sign=sign)
     eq_wick = EquationSpec("wick_nls", p=4, sign=sign)
-    cfg = dataclasses.replace(
-        cfg, t_final=t_final,
-        record_every=cfg.record_every or max(1, int(round(abs(t_final) / cfg.dt)) // 8))
+    cfg = dataclasses.replace(cfg, t_final=t_final)
+    cfg = dataclasses.replace(cfg, record_every=cfg.record_every
+                              or max(1, _step_plan(u0.n_max, eq_nls, cfg)[2] // 8))
     traj_a = evolve(u0, eq_nls, cfg)
     traj_b = evolve(u0, eq_wick, cfg)
     gamma = -2.0 * eq_nls.s * mean_square(u0)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import GaussianFieldSpec, mode_std, sample_matrix
+from .fields import GaussianFieldSpec, _check_shift, mode_std, sample_matrix
 from .parallel import CHUNK, map_chunks
 from .rng import RandomSeed, generator
 from .spectral import TorusField, grid_for, synthesize, truncate
@@ -116,6 +116,8 @@ def feldman_hajek_statistic(
     """
     if beta <= 0 or gamma <= 0:
         raise ValueError("beta and gamma must be > 0")
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
     del s  # the eigenvalue ratio is independent of the realization index
     term = ((gamma - beta) / (gamma + beta)) ** 2
     ns = _doubling_checkpoints(n_max)
@@ -423,13 +425,7 @@ def gibbs_ensemble(
 # ---------------------------------------------------------------------------
 
 def _shift_arrays(h: TorusField, base: GaussianFieldSpec) -> tuple[np.ndarray, np.ndarray]:
-    if h.n_max > base.n_max:
-        raise ValueError(
-            f"shift truncation {h.n_max} exceeds base truncation {base.n_max}"
-        )
-    if base.real_valued and not h.real_valued:
-        raise ValueError("real_valued base requires a real_valued shift")
-    hc = truncate(h, base.n_max).coeffs
+    hc = _check_shift(h, base).coeffs
     sig = mode_std(base)
     dead = (sig == 0.0) & (np.abs(hc) > 0.0)
     if np.any(dead):

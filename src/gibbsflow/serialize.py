@@ -22,14 +22,7 @@ __all__ = [
     "to_jsonable",
     "canonical_dumps",
     "write_csv",
-    "invariance_csv_rows",
-    "ldp_csv_rows",
-    "INVARIANCE_CSV_COLUMNS",
-    "LDP_CSV_COLUMNS",
 ]
-
-INVARIANCE_CSV_COLUMNS = ("observable", "statistic", "p_value")
-LDP_CSV_COLUMNS = ("epsilon", "p_hat", "ci_lo", "ci_hi", "eps2_log", "oracle")
 
 
 def to_jsonable(obj):
@@ -75,14 +68,3 @@ def write_csv(path, columns, rows) -> None:
         for row in rows:
             writer.writerow([repr(float(v)) if isinstance(v, (float, np.floating)) else v
                              for v in row])
-
-
-def invariance_csv_rows(report):
-    return [(o.name, o.statistic, o.p_value) for o in report.observables]
-
-
-def ldp_csv_rows(report):
-    return [
-        (pt.epsilon, pt.p_hat, pt.ci_lo, pt.ci_hi, pt.eps2_log, report.oracle)
-        for pt in report.points
-    ]

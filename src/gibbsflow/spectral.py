@@ -36,7 +36,6 @@ __all__ = [
     "truncate",
     "to_physical",
     "grid_for",
-    "lp_min_points",
     "synthesize",
     "band_matrices",
     "from_half",
@@ -93,9 +92,11 @@ class TorusField:
 def grid_for(n_max: int, degree: float) -> int:
     """The one grid rule: the smallest 5-smooth M (no prime factor above 5,
     so every FFT of it is fast) that resolves the band |n| <= N
-    (M >= 2N+2) and makes degree-``degree`` products of it alias-free
-    (M >= degree*N + 1, see ``lp_min_points``)."""
-    m = max(lp_min_points(n_max, degree), 2 * n_max + 2)
+    (M >= 2N+2) and makes products of degree p = ``degree`` alias-free:
+    |u|^p with integer p is a trigonometric polynomial of degree p*N, which
+    the M-point equispaced rule integrates exactly when M >= p*N + 1.  A
+    non-integer p is not a trig polynomial; ceil(p) sets the floor."""
+    m = max(int(math.ceil(degree)) * n_max + 1, 2 * n_max + 2)
     while not _five_smooth(m):
         m += 1
     return m
@@ -139,16 +140,6 @@ def sobolev_norm(f: TorusField, s: float, homogeneous: bool = False) -> float:
 def mean_square(f: TorusField) -> float:
     """Normalized mean of |u|^2: (1/2pi) int |u|^2 dx = sum |c_n|^2."""
     return float(np.sum(np.abs(f.coeffs) ** 2))
-
-
-def lp_min_points(n_max: int, p: float) -> int:
-    """Smallest M for which the M-point quadrature of |u|^p is exact.
-
-    |u|^p with integer p is a trigonometric polynomial of degree p*N, and
-    the equispaced rule is exact up to degree M-1.  Non-integer p is not a
-    trig polynomial; ceil(p) is used as the resolution floor.
-    """
-    return int(math.ceil(p)) * n_max + 1
 
 
 def lp_integral(f: TorusField, p: float) -> float:

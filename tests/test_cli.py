@@ -571,3 +571,69 @@ class TestExperimentCommands:
         assert code == 0
         payload = json.loads(out.read_text())
         assert payload["report"]["strict_decrease"] is True
+
+
+# Each subcommand's numeric options, with a tiny run for them to override.
+# Integer options refuse "1e308" as they parse, so no count or size is
+# ever taken from it; --threads is only ever parsed, never run at 1e308.
+_SWEEP = {
+    "sample": ({"--nmax": "2"}, ["--alpha", "--nmax", "--seed", "--stream"]),
+    "evolve": ({"--eq": "nls", "--dt": "0.001", "--t": "0.01", "--nmax": "2"},
+               ["--p", "--nmax", "--dt", "--t", "--record-every"]),
+    "invariance": ({"--nmax": "2", "--samples": "20", "--t": "0.01"},
+                   ["--nmax", "--samples", "--t", "--dt", "--alpha", "--seed",
+                    "--stream", "--threads"]),
+    "cm": ({"--nmax": "2", "--samples": "20", "--t": "0.01", "--evolve-samples": "2"},
+           ["--nmax", "--samples", "--t", "--dt", "--evolve-samples", "--seed",
+            "--stream", "--threads"]),
+    "dichotomy --mode kakutani": ({"--nmax": "100"}, ["--u-decay", "--v-decay", "--nmax"]),
+    "dichotomy --mode feldman-hajek": ({"--nmax": "100"}, ["--beta", "--gamma", "--nmax"]),
+    "ldp": ({"--nmax": "1", "--samples": "100"},
+            ["--alpha", "--nmax", "--center-mode", "--center-value", "--radius", "--s",
+             "--epsilons", "--samples", "--seed", "--stream", "--threads"]),
+    "entropy-check": ({"--cells": "64", "--directions": "2"},
+                      ["--beta", "--cells", "--span", "--directions", "--seed",
+                       "--stream"]),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy overflow on 1e308
+class TestBadValueSweep:
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "1e308", "x"])
+    @pytest.mark.parametrize("command, option", [
+        (command, option) for command, (_, options) in _SWEEP.items() for option in options])
+    def test_exits_with_a_code_not_a_traceback(self, command, option, value, tmp_path,
+                                               capsys):
+        # An uncaught exception would also end the process with exit code 1,
+        # so here it must not leave main at all.
+        args = {**_SWEEP[command][0], option: value, "--out": str(tmp_path / "r.json")}
+        if command == "evolve":
+            init = tmp_path / "init.json"
+            init.write_text(json.dumps(field_to_json(field_from_modes(2, {1: 0.5}))))
+            args["--init"] = str(init)
+        try:
+            code = main(command.split() + [f"{k}={v}" for k, v in args.items()])
+        except SystemExit as stop:
+            code = stop.code
+        assert code in (0, 1, 2)
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["invariance", "--nmax", "2", "--samples", "20", "--t", "0.01", "--alpha", "-1"],
+         "alpha must be in (0, 1), got -1.0"),
+        (["invariance", "--nmax", "2", "--samples", "20", "--t", "0.01", "--alpha", "1e308"],
+         "alpha must be in (0, 1)"),
+        (["dichotomy", "--mode", "feldman-hajek", "--nmax", "-1"], "n_max must be >= 1"),
+        (["dichotomy", "--mode", "feldman-hajek", "--nmax", "0"], "n_max must be >= 1"),
+        (["ldp", "--nmax", "1", "--radius", "1e308", "--samples", "100"],
+         "radius must be > 0 with a finite square"),
+        (["ldp", "--nmax", "1", "--s", "1e308", "--samples", "100"],
+         "failed to bracket the Lagrange multiplier"),
+        (["ldp", "--nmax", "1", "--epsilons", "0.5,nan", "--samples", "100"],
+         "epsilons must be finite and > 0"),
+        (["ldp", "--nmax", "1", "--epsilons", "inf", "--samples", "100"],
+         "epsilons must be finite and > 0"),
+    ])
+    def test_refused_values_exit_one(self, argv, message, capsys):
+        assert main(argv) == 1
+        assert message in capsys.readouterr().err

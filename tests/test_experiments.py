@@ -28,17 +28,42 @@ from helpers import slsqp_ball_minimum
 
 class TestObservablePanel:
     def test_complex_panel_modes(self):
-        names = [name for name, _ in observable_panel(16, real_valued=False)]
+        names = observable_panel(16, real_valued=False)[0]
         assert "re_c[-8]" in names and "re_c[8]" in names and "im_c[0]" in names
         assert names[-2:] == ["sobolev_s0", "sobolev_s-1"]
 
     def test_real_panel_skips_conjugates(self):
-        names = [name for name, _ in observable_panel(16, real_valued=True)]
+        names = observable_panel(16, real_valued=True)[0]
         assert "re_c[-1]" not in names and "re_c[1]" in names
 
     def test_small_truncation_dedupe(self):
-        names = [name for name, _ in observable_panel(2, real_valued=True)]
+        names = observable_panel(2, real_valued=True)[0]
         assert names.count("re_c[1]") == 1
+
+    @pytest.mark.parametrize("real_valued", [True, False])
+    @pytest.mark.parametrize("n_max", [0, 1, 16])
+    def test_values_match_definitions(self, n_max, real_valued):
+        modes = {(0, True): [0], (1, True): [0, 1], (16, True): [0, 1, 2, 5, 8],
+                 (0, False): [0], (1, False): [-1, 0, 1],
+                 (16, False): [-8, -5, -2, -1, 0, 1, 2, 5, 8]}[n_max, real_valued]
+        spec = GaussianFieldSpec("fwb", n_max, alpha=1.0, real_valued=real_valued)
+        c = sample_ensemble(spec, 7, RandomSeed(4))
+        names, values = observable_panel(n_max, real_valued)
+        assert names == [f"{kind}_c[{n}]" for n in modes for kind in ("re", "im", "abs2")] \
+            + ["sobolev_s0", "sobolev_s-1"]
+        table = values(c)
+        assert table.shape == (len(names), 7) and table.dtype == np.float64
+        n = np.arange(-n_max, n_max + 1, dtype=np.float64)
+        for name, row in zip(names, table):
+            if name.startswith("sobolev"):
+                s = 0.0 if name == "sobolev_s0" else -1.0
+                want = np.sqrt(np.sum((1.0 + n * n) ** s * np.abs(c) ** 2, axis=1))
+            else:
+                kind, mode = name[:-1].split("_c[")
+                col = c[:, int(mode) + n_max]
+                want = {"re": col.real, "im": col.imag,
+                        "abs2": col.real ** 2 + col.imag ** 2}[kind]
+            assert_allclose(row, want, rtol=1e-13, atol=0, err_msg=name)
 
 
 class TestInvarianceExperiment:
@@ -160,7 +185,7 @@ class TestInvarianceExperiment:
         rep = invariance_experiment(spec, None, 0.0, 50, RandomSeed(0))
         assert rep.observables == ()
         assert rep.skipped_observables == tuple(
-            name for name, _ in observable_panel(0, False))
+            observable_panel(0, False)[0])
         assert not rep.any_rejection and not rep.flagged
 
     def test_calibration_refuses_gibbs(self):

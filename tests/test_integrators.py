@@ -216,6 +216,11 @@ class TestGaugeLink:
                           SolverConfig(dt=1e-4, t_final=1.0))
         assert rep.phase_residual <= 1e-12
 
+    def test_step_count_overflow_is_refused(self):
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            gauge_check(field_from_modes(2, {1: 0.5}), 1e308,
+                        SolverConfig(dt=1e-308, t_final=1.0))
+
     def test_zero_data_identical_flows(self):
         rep = gauge_check(zero_field(4), 0.5, SolverConfig(dt=1e-3, t_final=0.5))
         assert rep.gamma == 0.0
