@@ -11,6 +11,7 @@ byte.  Exit codes: 0 unflagged success, 1 usage or configuration error,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -162,11 +163,11 @@ def _run_cm(a: dict) -> int:
 
 
 def _run_dichotomy(a: dict) -> int:
-    if a["mode"] == "kakutani":
+    if a["subcommand"] == "kakutani":
         verdict = ms.kakutani_power_law(a["u_decay"], a["v_decay"], a["nmax"])
     else:
         verdict = ms.feldman_hajek_statistic(a["beta"], a["gamma"], n_max=a["nmax"])
-    _emit(a, {"kind": "dichotomy", "mode": a["mode"], "report": to_jsonable(verdict)})
+    _emit(a, {"kind": "dichotomy", "mode": a["subcommand"], "report": to_jsonable(verdict)})
     return EXIT_OK
 
 
@@ -213,7 +214,8 @@ _HANDLERS = {
     "evolve": _run_evolve,
     "invariance": _run_invariance,
     "cm": _run_cm,
-    "dichotomy": _run_dichotomy,
+    "kakutani": _run_dichotomy,
+    "feldman-hajek": _run_dichotomy,
     "ldp": _run_ldp,
     "entropy-check": _run_entropy_check,
 }
@@ -300,10 +302,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--evolve-samples", dest="evolve_samples", type=int, default=None)
     common(p, threads=True)
 
-    p = subcommand("dichotomy", "equivalence-vs-singularity calculators")
-    p.add_argument("--mode", choices=["kakutani", "feldman-hajek"], required=True)
+    p = subcommand("kakutani", "shift dichotomy for power-law coefficients")
     p.add_argument("--u-decay", dest="u_decay", type=_finite_float, default=1.0)
     p.add_argument("--v-decay", dest="v_decay", type=_finite_float, default=1.4)
+    p.add_argument("--nmax", type=int, default=100000)
+    common(p, seed=False)
+
+    p = subcommand("feldman-hajek", "dichotomy for two scaled Gaussian measures")
     p.add_argument("--beta", type=_finite_float, default=1.0)
     p.add_argument("--gamma", type=_finite_float, default=2.0)
     p.add_argument("--nmax", type=int, default=100000)
@@ -377,6 +382,8 @@ def main(argv=None) -> int:
             return EXIT_USAGE
         else:
             resolved = _resolved(args)
+        del parser  # argparse leaves it in reference cycles: free them before the run
+        gc.collect(1)
         return _HANDLERS[resolved["subcommand"]](resolved)
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as err:
         print(f"gibbsflow: error: {err}", file=sys.stderr)

@@ -27,7 +27,7 @@ from .measures import (
     cm_criterion_power_law,
     gibbs_ensemble,
 )
-from .parallel import CHUNK, map_chunks
+from .parallel import map_chunks
 from .rng import RandomSeed, generator
 from .spectral import TorusField, truncate
 from .stats import (
@@ -402,7 +402,8 @@ def cameron_martin_experiment(
     proof of anything.  Both parts run on up to n_threads threads (None:
     the default count); the report does not depend on the thread count.  A
     negative t_final, evolve_samples > 0 without a flow or horizon, and
-    part (b)'s missing dt, step guard and (gkdv) complex base, are refused
+    part (b)'s missing dt, step guard and (gkdv) complex base, and a shift
+    wider than the base or with mass on a zero-variance mode, are refused
     before part (a) draws anything.
     """
     if m_samples < 2:
@@ -417,6 +418,7 @@ def cameron_martin_experiment(
             raise ValueError("evolve_samples must be 0 (--evolve-samples 0) without a flow"
                              f" and t_final > 0, got {evolve_samples}")
         cfg = _evolution_config(eq, dt, t_final, base)
+    norm_sq = cameron_martin_norm_sq(v0, base)  # refuses a bad shift
     modes = _panel_modes(base.n_max, base.real_valued)
     names = [f"re_c[{n}]" for n in modes] + ["l2_mass"]
     shift = truncate(v0, base.n_max).coeffs
@@ -425,17 +427,16 @@ def cameron_martin_experiment(
     def l2_mass(c):
         return 2.0 * np.pi * np.sum(np.abs(c) ** 2, axis=1)
 
-    def workspace():
-        rows = min(m_samples, CHUNK)
-        return (np.empty((2, rows, 2 * base.n_max + 1), dtype=np.complex128),
-                np.empty((2, rows, 2, k)))
+    def workspace(rows):
+        return (*np.empty((2, rows, 2 * base.n_max + 1), dtype=np.complex128),
+                *np.empty((2, rows, 2, k)))
 
     def chunk(c, start, stop, ws):
         """(log w, values of F at x and at y, part (b) rows) of chunk c: its
         noise rows x and shifted rows y are drawn as ``sample_ensemble``
         draws, on paths (_LANE_A, 0, c) and (_LANE_B, 0, c), into the
         workspace, which the next chunk overwrites; part (b)'s rows are copied."""
-        (x, y), normals = (w[:, :stop - start] for w in ws)
+        x, y, *normals = ws
         for lane, out, g in zip((_LANE_A, _LANE_B), (x, y), normals):
             sample_matrix(base, stop - start, generator(seed, lane, sample=c),
                           out=out, normals=g)
@@ -447,13 +448,12 @@ def cameron_martin_experiment(
         return (cameron_martin_log_density_matrix(v0, x, base), f,
                 y[:max(0, evolve_samples - start)].copy())
 
-    log_w, f, subset = zip(*map_chunks(chunk, m_samples, n_threads, CHUNK, workspace))
+    log_w, f, subset = zip(*map_chunks(chunk, m_samples, n_threads, workspace=workspace))
     w = np.exp(np.concatenate(log_w))
     fx, fy = np.concatenate(f, axis=-1)
     subset = np.concatenate(subset)
     w_mean = float(np.mean(w))
     w_se = standard_error(w)
-    norm_sq = cameron_martin_norm_sq(v0, base)
     w2_mean = float(np.mean(w * w))
     w2_expected = float(np.exp(norm_sq))
     # Exact null SE: log w ~ N(-s/2, s), so Var(w^2) = e^{6s} - e^{2s}.  The
@@ -669,7 +669,7 @@ def ldp_mc(
     epsilons = tuple(float(e) for e in epsilons)
     if not all(0 < e < math.inf for e in epsilons):
         raise ValueError(f"epsilons must be finite and > 0, got {epsilons}")
-    if list(epsilons) != sorted(epsilons, reverse=True):
+    if any(a <= b for a, b in zip(epsilons, epsilons[1:])):
         raise ValueError("epsilons must be strictly decreasing")
     if np.isscalar(m_per_eps):
         m_counts = [int(m_per_eps)] * len(epsilons)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .parallel import chunk_ranges
+from .parallel import map_chunks
 from .rng import RandomSeed, generator
 from .spectral import TorusField, truncate
 
@@ -142,9 +142,11 @@ def sample_ensemble(
     """m independent draws; chunk c of ``parallel.chunk_ranges(m)`` is
     ``sample_matrix`` on path (lane_index, 0, c) of the stream."""
     out = np.empty((m, 2 * spec.n_max + 1), dtype=np.complex128)
-    for c, start, stop in chunk_ranges(m):
-        out[start:stop] = sample_matrix(spec, stop - start,
-                                        generator(seed, lane_index, sample=c))
+    def draw(c, start, stop):
+        # Drawn fresh and copied: drawing into ``out`` raised peak RSS (allocator layout).
+        out[start:stop] = sample_matrix(spec, stop - start, generator(seed, lane_index, sample=c))
+
+    map_chunks(draw, m)
     return out
 
 

@@ -256,9 +256,8 @@ class _StrangStepper:
         writes the stepped coefficients to ``out`` and returns the max
         |u|^2 seen, over the chunk or (``per_row``) per row; its products,
         and each row's mass from ``a``, are bound here, once."""
-        eq, rows = self.eq, a.shape[0]
-        u, rot, theta = (w[:rows] for w in work)
-        peak = np.empty(rows)
+        eq, (u, rot, theta) = self.eq, work
+        peak = np.empty(a.shape[0])
         mass = _row_mass(a)
         wick_mean = 2.0 * mass[:, np.newaxis]
         angle = eq.s * self.dt
@@ -325,10 +324,8 @@ class _KdvStepper:
         writes the stepped half-spectrum to ``out`` and returns the max u^2
         seen, over the chunk or (``per_row``) per row; its products, and
         each row's mass from ``a``, are bound here, once."""
-        power, rows = self.eq.p - 1, a.shape[0]
-        u, y, slope = (w[:rows] for w in work)
-        peak = np.empty(rows)
-        stage_peak = np.empty(rows)
+        power, (u, y, slope) = self.eq.p - 1, work
+        peak, stage_peak = np.empty((2, a.shape[0]))
         mass = _row_mass(a[:, 1:])
         plain, half, full = self.stages
         # (stage matrices, factor from the last weighted slope to the stage
@@ -418,14 +415,13 @@ def evolve_ensemble(
 
     def evolve_chunk(_index: int, start: int, stop: int, ws):
         rows = slice(start, stop)
-        batch = stop - start
-        state, spare = ws[0][:batch], ws[1][:batch]
+        state, spare, *work = ws
         state.fill(0.0)
         if use_half:
             state[:, :n_max + 1] = coeffs[rows, n_max:]
         else:
             state[:, k_work - n_max: k_work + n_max + 1] = coeffs[rows]
-        step = stepper.bind(state, spare, ws[2:])
+        step = stepper.bind(state, spare, work)
 
         active = active_rows[rows]
         chunk_valid = last_valid[rows]
@@ -457,8 +453,7 @@ def evolve_ensemble(
                     emit(i)
         np.copyto(parked, state, where=active[:, np.newaxis])
 
-    map_chunks(evolve_chunk, n_rows, n_threads, _EVOLVE_CHUNK,
-               lambda: stepper.buffers(min(n_rows, _EVOLVE_CHUNK)))
+    map_chunks(evolve_chunk, n_rows, n_threads, _EVOLVE_CHUNK, stepper.buffers)
     return EnsembleEvolution(
         coeffs=from_half(final) if use_half else final,
         blowup=~active_rows,
@@ -481,7 +476,7 @@ def evolve(f0: TorusField, eq: EquationSpec, cfg: SolverConfig) -> TrajectoryRec
         k = (full.shape[-1] - 1) // 2
         row = full[0]
         if real:
-            row = (row + np.conj(row[::-1])) / 2.0  # kill roundoff asymmetry
+            row = (row + np.conj(row[::-1])) / 2.0  # only writes a -0.0 mean as 0.0
         fields.append(TorusField(k, row, real))
 
     result = evolve_ensemble(f0.coeffs[np.newaxis, :], eq, cfg, on_record=on_record)

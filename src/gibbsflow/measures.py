@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import GaussianFieldSpec, _check_shift, mode_std, sample_matrix
-from .parallel import CHUNK, map_chunks
+from .parallel import map_chunks
 from .rng import RandomSeed, generator
 from .spectral import TorusField, grid_for, synthesize, truncate
 
@@ -316,7 +316,7 @@ def _ais_chunk(
     rng: np.random.Generator,
     levels: int,
     pcn_steps: int,
-    ws: list,
+    ws: tuple,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Anneal one chunk from the Gaussian base to the Gibbs target.
 
@@ -395,8 +395,7 @@ def gibbs_ensemble(
     coeffs = np.empty((m_samples, width), dtype=np.complex128)
     log_w = np.empty(m_samples)
 
-    def workspace():
-        rows = min(m_samples, CHUNK)
+    def workspace(rows):
         k = spec.base.n_max if spec.base.real_valued else width
         m_points = grid_for(spec.base.n_max, spec.p)
         return (np.empty((rows, m_points), dtype=np.complex128), np.empty((rows, m_points)),
@@ -404,11 +403,11 @@ def gibbs_ensemble(
 
     def run_chunk(index, start, stop, ws):
         rng = generator(seed, lane=lane_index, sub=1, sample=index)
-        c, lw = _ais_chunk(spec, rng, levels, pcn_steps, [w[:stop - start] for w in ws])
+        c, lw = _ais_chunk(spec, rng, levels, pcn_steps, ws)
         coeffs[start:stop] = c
         log_w[start:stop] = lw
 
-    map_chunks(run_chunk, m_samples, n_threads, CHUNK, workspace)
+    map_chunks(run_chunk, m_samples, n_threads, workspace=workspace)
     weights, ess = normalized_weights(log_w)
     flagged = ess < ESS_FLOOR_FRACTION * m_samples
     if flagged:

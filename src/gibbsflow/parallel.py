@@ -47,20 +47,22 @@ def map_chunks(fn, n: int, n_threads: int | None = 1, chunk: int = CHUNK,
     """Run fn(chunk_index, start, stop) over the fixed plan on n_threads
     threads (None: ``default_threads()``); ordered results.
 
-    With ``workspace``, a factory the calling thread runs once per worker,
-    chunks run as fn(chunk_index, start, stop, ws), no two at once on one
-    ws (glibc keeps what a worker thread frees in that thread's arena)."""
+    With ``workspace``, a factory of arrays that the calling thread runs
+    once per worker as workspace(min(n, chunk)), chunks run as
+    fn(chunk_index, start, stop, ws), ws holding the first stop - start
+    rows of each array of one worker's workspace, no two chunks at once
+    (glibc keeps what a worker thread frees in that thread's arena)."""
     plan = chunk_ranges(n, chunk)
     n_threads = default_threads() if n_threads is None else n_threads
     workers = min(max(1, n_threads), len(plan))
     run = fn
     if workspace is not None:
-        free = [workspace() for _ in range(workers)]  # pop/append: atomic
+        free = [workspace(min(n, chunk)) for _ in range(workers)]  # pop/append: atomic
 
-        def run(*item):
+        def run(index, start, stop):
             ws = free.pop()  # never empty: at most `workers` chunks run
             try:
-                return fn(*item, ws)
+                return fn(index, start, stop, tuple(w[:stop - start] for w in ws))
             finally:
                 free.append(ws)
 

@@ -29,8 +29,9 @@ class RandomSeed:
     stream_index: int = 0
 
     def __post_init__(self):
-        if self.stream_index < 0:
-            raise ValueError("stream_index must be >= 0")
+        for name in ("base_seed", "stream_index"):
+            if not 0 <= getattr(self, name) < 2 ** 64:
+                raise ValueError(f"{name} must be >= 0 and < 2**64, got {getattr(self, name)}")
 
     def bumped(self, offset: int) -> "RandomSeed":
         """Stream offset by ``offset``; used for repetition loops."""
@@ -46,9 +47,7 @@ def generator(
     """
     if min(lane, sub, sample) < 0:
         raise ValueError("path components must be >= 0")
-    key = np.array(
-        [seed.base_seed % 2 ** 64, seed.stream_index % 2 ** 64], dtype=np.uint64
-    )
+    key = np.array([seed.base_seed, seed.stream_index], dtype=np.uint64)
     counter = np.array(
         [0, sample % 2 ** 64, sub % 2 ** 64, lane % 2 ** 64], dtype=np.uint64
     )

@@ -123,18 +123,11 @@ def field_from_modes(n_max: int, entries: dict, real_valued: bool = False) -> To
     return TorusField(n_max, c, real_valued)
 
 
-def sobolev_norm(f: TorusField, s: float, homogeneous: bool = False) -> float:
-    """Weighted-l2 Sobolev norm of the coefficient vector.
-
-    Inhomogeneous: (sum <n>^{2s} |c_n|^2)^(1/2); homogeneous variant sums
-    |n|^{2s} |c_n|^2 over n != 0 only.
-    """
+def sobolev_norm(f: TorusField, s: float) -> float:
+    """Weighted-l2 Sobolev norm of the coefficient vector,
+    (sum <n>^{2s} |c_n|^2)^(1/2)."""
     n = f.modes.astype(np.float64)
-    mags = np.abs(f.coeffs) ** 2
-    if homogeneous:
-        nz = n != 0
-        return float(np.sqrt(np.sum(np.abs(n[nz]) ** (2 * s) * mags[nz])))
-    return float(np.sqrt(np.sum((1.0 + n * n) ** s * mags)))
+    return float(np.sqrt(np.sum((1.0 + n * n) ** s * np.abs(f.coeffs) ** 2)))
 
 
 def mean_square(f: TorusField) -> float:

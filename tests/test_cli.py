@@ -19,7 +19,7 @@ from gibbsflow.serialize import SCHEMA_VERSION
 from gibbsflow.spectral import field_from_modes, field_to_json
 
 
-SUBCOMMANDS = ["sample", "evolve", "invariance", "cm", "dichotomy", "ldp",
+SUBCOMMANDS = ["sample", "evolve", "invariance", "cm", "kakutani", "feldman-hajek", "ldp",
                "entropy-check"]
 
 
@@ -125,7 +125,7 @@ class TestHelp:
         monkeypatch.setenv("GIBBSFLOW_THREADS", value)
         with pytest.raises(ValueError, match="GIBBSFLOW_THREADS"):
             default_threads()
-        assert main(["dichotomy", "--mode", "kakutani", "--nmax", "10"]) == 1
+        assert main(["kakutani", "--nmax", "10"]) == 1
         assert "GIBBSFLOW_THREADS" in capsys.readouterr().err
 
     def test_unset_thread_variable_means_usable_cores(self, monkeypatch):
@@ -222,9 +222,9 @@ class TestSampleCommand:
 
     @pytest.mark.parametrize("argv, key", [
         (["sample", "--nmax", "4"], "csv"),
-        (["dichotomy", "--mode", "kakutani", "--nmax", "10"], "seed"),
-        (["dichotomy", "--mode", "kakutani", "--nmax", "10"], "stream"),
-        (["dichotomy", "--mode", "feldman-hajek", "--nmax", "10"], "s"),
+        (["kakutani", "--nmax", "10"], "seed"),
+        (["kakutani", "--nmax", "10"], "stream"),
+        (["feldman-hajek", "--nmax", "10"], "s"),
     ])
     def test_config_removed_option_exits_one(self, tmp_path, capsys, argv, key):
         # Sidecars written before --csv, --seed and --stream were limited
@@ -243,6 +243,20 @@ class TestSampleCommand:
         assert exc.value.code == 1
         assert key in capsys.readouterr().err
 
+    def test_config_of_the_dichotomy_command_exits_one(self, tmp_path, capsys):
+        # Sidecars written before `dichotomy --mode` became the kakutani and
+        # feldman-hajek subcommands name a subcommand that is gone.
+        out = tmp_path / "out.json"
+        assert main(["kakutani", "--nmax", "10", "--out", str(out)]) == 0
+        sidecar = tmp_path / "out.json.config.json"
+        config = json.loads(sidecar.read_text())
+        config["resolved_args"].update(subcommand="dichotomy", mode="kakutani")
+        sidecar.write_text(json.dumps(config))
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(sidecar), "--out", str(tmp_path / "rerun.json")])
+        assert exc.value.code == 1
+        assert "no resolved_args for a known subcommand" in capsys.readouterr().err
+
     def test_stdout_mode(self, capsys):
         assert main(["sample", "--family", "white", "--nmax", "2",
                      "--seed", "3"]) == 0
@@ -254,7 +268,7 @@ class TestSampleCommand:
 class TestDichotomyCommand:
     def test_feldman_hajek_series(self, tmp_path):
         out = tmp_path / "fh.json"
-        assert main(["dichotomy", "--mode", "feldman-hajek", "--beta", "1",
+        assert main(["feldman-hajek", "--beta", "1",
                      "--gamma", "2", "--nmax", "4096", "--out", str(out)]) == 0
         payload = json.loads(out.read_text())
         rep = payload["report"]
@@ -262,17 +276,39 @@ class TestDichotomyCommand:
         for n, s in zip(rep["partial_ns"], rep["partial_sums"]):
             assert s == pytest.approx(2 * n / 9.0, rel=1e-12)
 
+    @pytest.mark.parametrize("argv, mode", [
+        (["kakutani", "--u-decay", "1.0", "--v-decay", "1.3"], "kakutani"),
+        (["feldman-hajek", "--beta", "1.0", "--gamma", "1.5"], "feldman-hajek"),
+    ])
+    def test_payload_names_the_mode(self, argv, mode, tmp_path):
+        out = tmp_path / "d.json"
+        assert main(argv + ["--nmax", "1000", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert list(payload) == ["kind", "mode", "report", "schema_version"]
+        assert (payload["kind"], payload["mode"]) == ("dichotomy", mode)
+
+    @pytest.mark.parametrize("argv", [
+        ["kakutani", "--beta", "1.0"], ["kakutani", "--gamma", "2.0"],
+        ["feldman-hajek", "--u-decay", "1.0"], ["feldman-hajek", "--v-decay", "1.4"],
+    ])
+    def test_other_calculators_options_refused(self, argv, capsys):
+        # Each calculator offers only the options it reads.
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+
     def test_no_s_option(self, capsys):
         # The Feldman-Hajek statistic does not depend on s.
         with pytest.raises(SystemExit) as exc:
-            main(["dichotomy", "--mode", "feldman-hajek", "--s", "0.3"])
+            main(["feldman-hajek", "--s", "0.3"])
         assert exc.value.code == 1
         assert "unrecognized arguments: --s 0.3" in capsys.readouterr().err
 
     def test_kakutani_verdicts(self, tmp_path):
         for decay, expected in [(1.4, "singular"), (1.8, "equivalent")]:
             out = tmp_path / f"k{decay}.json"
-            assert main(["dichotomy", "--mode", "kakutani", "--u-decay", "1.0",
+            assert main(["kakutani", "--u-decay", "1.0",
                          "--v-decay", str(decay), "--nmax", "100000",
                          "--out", str(out)]) == 0
             assert json.loads(out.read_text())["report"]["verdict"] == expected
@@ -284,7 +320,7 @@ class TestDichotomyCommand:
             raise ValueError(f"non-standard JSON constant {token}")
 
         out = tmp_path / "k.json"
-        assert main(["dichotomy", "--mode", "kakutani", "--u-decay", "1.0",
+        assert main(["kakutani", "--u-decay", "1.0",
                      "--v-decay", "1.4", "--nmax", "1000",
                      "--out", str(out)]) == 0
         for path in (out, tmp_path / "k.json.config.json"):
@@ -586,8 +622,8 @@ _SWEEP = {
     "cm": ({"--nmax": "2", "--samples": "20", "--t": "0.01", "--evolve-samples": "2"},
            ["--nmax", "--samples", "--t", "--dt", "--evolve-samples", "--seed",
             "--stream", "--threads"]),
-    "dichotomy --mode kakutani": ({"--nmax": "100"}, ["--u-decay", "--v-decay", "--nmax"]),
-    "dichotomy --mode feldman-hajek": ({"--nmax": "100"}, ["--beta", "--gamma", "--nmax"]),
+    "kakutani": ({"--nmax": "100"}, ["--u-decay", "--v-decay", "--nmax"]),
+    "feldman-hajek": ({"--nmax": "100"}, ["--beta", "--gamma", "--nmax"]),
     "ldp": ({"--nmax": "1", "--samples": "100"},
             ["--alpha", "--nmax", "--center-mode", "--center-value", "--radius", "--s",
              "--epsilons", "--samples", "--seed", "--stream", "--threads"]),
@@ -623,8 +659,8 @@ class TestBadValueSweep:
          "alpha must be in (0, 1), got -1.0"),
         (["invariance", "--nmax", "2", "--samples", "20", "--t", "0.01", "--alpha", "1e308"],
          "alpha must be in (0, 1)"),
-        (["dichotomy", "--mode", "feldman-hajek", "--nmax", "-1"], "n_max must be >= 1"),
-        (["dichotomy", "--mode", "feldman-hajek", "--nmax", "0"], "n_max must be >= 1"),
+        (["feldman-hajek", "--nmax", "-1"], "n_max must be >= 1"),
+        (["feldman-hajek", "--nmax", "0"], "n_max must be >= 1"),
         (["ldp", "--nmax", "1", "--radius", "1e308", "--samples", "100"],
          "radius must be > 0 with a finite square"),
         (["ldp", "--nmax", "1", "--s", "1e308", "--samples", "100"],
@@ -633,7 +669,23 @@ class TestBadValueSweep:
          "epsilons must be finite and > 0"),
         (["ldp", "--nmax", "1", "--epsilons", "inf", "--samples", "100"],
          "epsilons must be finite and > 0"),
+        (["ldp", "--nmax", "1", "--epsilons", "0.5,0.5,0.5", "--samples", "200"],
+         "epsilons must be strictly decreasing"),
+        (["sample", "--nmax", "2", "--seed", "-18446744073709551616"],
+         "base_seed must be >= 0 and < 2**64, got -18446744073709551616"),
     ])
     def test_refused_values_exit_one(self, argv, message, capsys):
         assert main(argv) == 1
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, option", [
+        (command, option) for command, (_, options) in _SWEEP.items() for option in options
+        if option in ("--seed", "--stream")])
+    def test_seed_words_at_two_to_the_64_exit_one(self, command, option, tmp_path, capsys):
+        # Both key words were once reduced modulo 2**64, so a seed of 2**64
+        # drew the bytes of seed 0.
+        args = {**_SWEEP[command][0], option: str(2 ** 64), "--out": str(tmp_path / "r.json")}
+        assert main(command.split() + [f"{k}={v}" for k, v in args.items()]) == 1
+        word = "base_seed" if option == "--seed" else "stream_index"
+        assert f"{word} must be >= 0 and < 2**64, got {2 ** 64}" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()

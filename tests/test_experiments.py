@@ -8,9 +8,9 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import stats as sps
 
-from gibbsflow.fields import GaussianFieldSpec, sample_ensemble
+from gibbsflow.fields import GaussianFieldSpec, sample_ensemble, sample_matrix
 from gibbsflow.integrators import EquationSpec
-from gibbsflow.measures import GibbsSpec
+from gibbsflow.measures import GibbsSpec, SingularShiftError
 from gibbsflow.experiments import (
     calibration_uniformity,
     cameron_martin_experiment,
@@ -272,6 +272,27 @@ class TestCameronMartinExperiment:
                                       t_final=0.01, m_samples=20000, seed=RandomSeed(2),
                                       dt=1e-4, evolve_samples=4)
 
+    @pytest.mark.parametrize("v0, mean_zero, error, message", [
+        (field_from_modes(9, {9: 0.1}), False, ValueError, "truncation mismatch"),
+        (field_from_modes(8, {0: 0.1}), True, SingularShiftError, "zero base variance"),
+    ])
+    def test_bad_shift_fails_before_drawing(self, v0, mean_zero, error, message,
+                                            monkeypatch):
+        # The shift was once checked only in part (a)'s first chunk body,
+        # after that chunk had drawn both its ensembles.
+        import gibbsflow.experiments as ex
+        draws = []
+
+        def counting(*args, **kwargs):
+            draws.append(args)
+            return sample_matrix(*args, **kwargs)
+
+        monkeypatch.setattr(ex, "sample_matrix", counting)
+        base = GaussianFieldSpec("fwb", 8, alpha=1.0, mean_zero=mean_zero)
+        with pytest.raises(error, match=message):
+            cameron_martin_experiment(v0, base, m_samples=100, seed=RandomSeed(2))
+        assert draws == []
+
     def test_traced_peak_below_one_ensemble(self):
         # Part (a) keeps per-row values only: its traced peak stays below
         # the bytes of one whole m x (2N+1) complex ensemble (19.8 MiB).
@@ -487,6 +508,12 @@ class TestLdpMc:
         base, v0, center = self.one_mode()
         with pytest.raises(ValueError, match="decreasing"):
             ldp_mc(v0, base, center, 0.3, 0.0, (0.25, 0.5), 1000, RandomSeed(0))
+
+    def test_equal_epsilons_refused(self):
+        # A repeated epsilon is not strictly decreasing.
+        base, v0, center = self.one_mode()
+        with pytest.raises(ValueError, match="strictly decreasing"):
+            ldp_mc(v0, base, center, 0.3, 0.0, (0.5, 0.5), 1000, RandomSeed(0))
 
     def test_complex_mode_rate_doubles(self):
         # Complex coefficients carry two real coordinates, so the decay

@@ -189,6 +189,18 @@ class TestEnsemblePaths:
         sample_ensemble(self.SPECS["white-real"], 600, RandomSeed(3), 2)
         assert len(calls) == 3  # 600 rows: chunks of 256, 256 and 88
 
+    @pytest.mark.parametrize("words", [(2 ** 64,), (-1,), (0, 2 ** 64), (0, -1)])
+    def test_key_words_outside_64_bits_rejected(self, words):
+        # Both words were once reduced modulo 2**64, so 2**64 drew seed 0.
+        with pytest.raises(ValueError, match=r">= 0 and < 2\*\*64"):
+            RandomSeed(*words)
+
+    def test_bumped_past_the_last_stream_rejected(self):
+        last = RandomSeed(2 ** 64 - 1, 2 ** 64 - 1)
+        generator(last)  # the largest key words are valid
+        with pytest.raises(ValueError, match="stream_index must be >= 0 and < 2"):
+            last.bumped(1)
+
     def test_negative_lane_rejected(self):
         with pytest.raises(ValueError, match=">= 0"):
             generator(RandomSeed(0), lane=-1)

@@ -126,6 +126,18 @@ class TestConservation:
         for snap in traj.fields:
             assert snap.coeffs[snap.n_max] == 0.3
 
+    def test_gkdv_records_conjugate_symmetric_fields(self):
+        # Real fields are recorded as exactly conjugate-symmetric rows.
+        for spec in (GaussianFieldSpec("white", 16, real_valued=True),
+                     GaussianFieldSpec("fwb", 16, alpha=1.0, real_valued=True)):
+            f = sample(spec, RandomSeed(4))
+            eq = EquationSpec("gkdv", p=3, sign="plus", galerkin_projected=True)
+            traj = evolve(f, eq, SolverConfig(dt=1e-3, t_final=0.01, record_every=2))
+            assert len(traj.fields) == 6
+            for snap in traj.fields:
+                c = snap.coeffs
+                assert np.array_equal(c, np.conj(c[::-1]))
+
     def test_galerkin_mass_exact_per_step(self):
         spec = GaussianFieldSpec("white", 16, real_valued=True)
         f = sample(spec, RandomSeed(2))

@@ -73,10 +73,6 @@ class TestSobolevNorm:
         f = field_from_modes(4, {2: 1.0})
         assert_allclose(sobolev_norm(f, 1.0), np.sqrt(5.0), rtol=1e-15)
 
-    def test_homogeneous_skips_zero_mode(self):
-        f = field_from_modes(2, {0: 7.0, 1: 1.0})
-        assert_allclose(sobolev_norm(f, -1.0, homogeneous=True), 1.0, rtol=1e-15)
-
     def test_monotone_in_s(self):
         rng = np.random.default_rng(1)
         f = random_field(8, rng)
