@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import GaussianFieldSpec, mode_std, sample_ensemble, sample_matrix
+from .fields import GaussianFieldSpec, mode_std, sample_buffers, sample_ensemble, sample_matrix
 from .integrators import EquationSpec, SolverConfig, _step_plan, evolve_ensemble
 from .measures import (
     AIS_LEVELS,
@@ -148,10 +148,16 @@ class InvarianceReport:
 def _evolution_config(eq, dt, t_final, base) -> SolverConfig:
     """The config of an experiment's evolution of ``base`` rows to t_final,
     recording about eight times (part (b) of the shift experiment keeps its
-    mass history).  A missing flow or dt, gkdv on complex fields and a step
-    the scheme's guard refuses fail here, before anything is drawn."""
+    mass history).  A missing or unprojected flow, a missing dt, gkdv on
+    complex fields and a step the scheme's guard refuses fail here, before
+    anything is drawn."""
     if eq is None:
         raise ValueError("an equation is required when t_final != 0")
+    if not eq.galerkin_projected:
+        raise ValueError(
+            "experiments require galerkin_projected flows; the truncated"
+            " measure is only invariant for the projected system"
+        )
     if eq.family == "gkdv" and not base.real_valued:
         raise ValueError("gkdv evolves real_valued fields only")
     if dt is None:
@@ -194,11 +200,6 @@ def invariance_experiment(
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     base = measure.base if isinstance(measure, GibbsSpec) else measure
     if t_final != 0.0:
-        if eq is not None and not eq.galerkin_projected:
-            raise ValueError(
-                "invariance experiments require galerkin_projected flows; the"
-                " truncated measure is only invariant for the projected system"
-            )
         family = None if eq is None else eq.family
         if family == "gkdv" and not (base.real_valued and base.mean_zero):
             raise ValueError("gkdv invariance requires a real-valued mean-zero measure")
@@ -368,7 +369,6 @@ class CMReport:
     evolve_samples: int
     t_final: float
     blowup_count: int
-    global_proxy_fraction: float | None
     max_mass_ratio: float | None
     nonlinear_part_l2_median: float | None
     nonlinear_part_l2_max: float | None
@@ -396,15 +396,16 @@ def cameron_martin_experiment(
     m_samples >= 2.  One 256-row chunk body draws both ensembles, reduces
     them to these values and keeps the rows part (b) evolves, so neither
     ensemble is held whole.  Part (b) evolves the first evolve_samples <=
-    m_samples shifted rows under ``eq`` up to t_final > 0 (0: no part (b))
-    and records mass histories and blowup counts; "no blowup and sup_t mass
-    within 10x initial" is reported as a global-existence proxy, not as a
-    proof of anything.  Both parts run on up to n_threads threads (None:
-    the default count); the report does not depend on the thread count.  A
+    m_samples shifted rows under the projected flow ``eq`` up to t_final > 0
+    (0: no part (b)) and reports their blowup count, the largest ratio of
+    sup_t mass to initial mass and, for the Schroedinger family, the L^2
+    size of the nonlinear part (the evolved rows minus their free linear
+    evolution).  Both parts run on up to n_threads threads (None: the
+    default count); the report does not depend on the thread count.  A
     negative t_final, evolve_samples > 0 without a flow or horizon, and
-    part (b)'s missing dt, step guard and (gkdv) complex base, and a shift
-    wider than the base or with mass on a zero-variance mode, are refused
-    before part (a) draws anything.
+    part (b)'s unprojected flow, missing dt, step guard and (gkdv) complex
+    base, and a shift wider than the base or with mass on a zero-variance
+    mode, are refused before part (a) draws anything.
     """
     if m_samples < 2:
         raise ValueError(f"m_samples must be >= 2, got {m_samples}")
@@ -422,22 +423,20 @@ def cameron_martin_experiment(
     modes = _panel_modes(base.n_max, base.real_valued)
     names = [f"re_c[{n}]" for n in modes] + ["l2_mass"]
     shift = truncate(v0, base.n_max).coeffs
-    k = base.n_max if base.real_valued else 2 * base.n_max + 1
 
     def l2_mass(c):
         return 2.0 * np.pi * np.sum(np.abs(c) ** 2, axis=1)
 
     def workspace(rows):
-        return (*np.empty((2, rows, 2 * base.n_max + 1), dtype=np.complex128),
-                *np.empty((2, rows, 2, k)))
+        return (*sample_buffers(base, rows), *sample_buffers(base, rows))
 
     def chunk(c, start, stop, ws):
         """(log w, values of F at x and at y, part (b) rows) of chunk c: its
         noise rows x and shifted rows y are drawn as ``sample_ensemble``
         draws, on paths (_LANE_A, 0, c) and (_LANE_B, 0, c), into the
         workspace, which the next chunk overwrites; part (b)'s rows are copied."""
-        x, y, *normals = ws
-        for lane, out, g in zip((_LANE_A, _LANE_B), (x, y), normals):
+        x, gx, y, gy = ws
+        for lane, out, g in ((_LANE_A, x, gx), (_LANE_B, y, gy)):
             sample_matrix(base, stop - start, generator(seed, lane, sample=c),
                           out=out, normals=g)
         y += shift
@@ -478,7 +477,7 @@ def cameron_martin_experiment(
     identities_pass = (w_z <= CM_Z_THRESHOLD and w2_z <= CM_Z_THRESHOLD
                        and all(c.passed for c in checks))
 
-    blowups, proxy_fraction, max_mass_ratio, nl_median, nl_max = 0, None, None, None, None
+    blowups, max_mass_ratio, nl_median, nl_max = 0, None, None, None
     if evolve_samples > 0:
         mass0 = l2_mass(subset)
         sup_mass = np.zeros_like(mass0)
@@ -490,17 +489,11 @@ def cameron_martin_experiment(
         result = evolve_ensemble(subset, eq, cfg, on_record=on_record,
                                  n_threads=n_threads)
         blowups = int(np.sum(result.blowup))
-        ratios = sup_mass / np.maximum(mass0, 1e-300)
-        max_mass_ratio = float(np.max(ratios))
-        proxy_ok = (~result.blowup) & (ratios <= 10.0)
-        proxy_fraction = float(np.mean(proxy_ok))
-        if eq.family in ("nls", "wick_nls"):
-            k = (result.coeffs.shape[1] - 1) // 2
-            n = np.arange(-k, k + 1, dtype=np.float64)
+        max_mass_ratio = float(np.max(sup_mass / np.maximum(mass0, 1e-300)))
+        if eq.family in ("nls", "wick_nls"):  # projected: the working band is the data band
+            n = np.arange(-base.n_max, base.n_max + 1, dtype=np.float64)
             phase = np.exp(1j * n ** 2 * t_final)
-            full0 = np.zeros((subset.shape[0], 2 * k + 1), dtype=np.complex128)
-            full0[:, k - base.n_max: k + base.n_max + 1] = subset
-            nl = result.coeffs - phase[np.newaxis, :] * full0
+            nl = result.coeffs - phase * subset
             nl_l2 = np.sqrt(np.sum(np.abs(nl) ** 2, axis=1))
             nl_median = float(np.median(nl_l2))
             nl_max = float(np.max(nl_l2))
@@ -524,7 +517,6 @@ def cameron_martin_experiment(
         evolve_samples=evolve_samples,
         t_final=t_final,
         blowup_count=blowups,
-        global_proxy_fraction=proxy_fraction,
         max_mass_ratio=max_mass_ratio,
         nonlinear_part_l2_median=nl_median,
         nonlinear_part_l2_max=nl_max,

@@ -36,6 +36,7 @@ __all__ = [
     "mode_std",
     "expected_sobolev_sq",
     "sample",
+    "sample_buffers",
     "sample_matrix",
     "sample_ensemble",
     "shifted_sample",
@@ -101,24 +102,31 @@ def expected_sobolev_sq(spec: GaussianFieldSpec, s: float) -> float:
     return float(np.sum((1.0 + n * n) ** s * mode_std(spec) ** 2))
 
 
+def sample_buffers(spec: GaussianFieldSpec, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """(out, normals): the (rows, 2N+1) complex coefficient rows and the
+    (rows, 2, k) float normals that ``sample_matrix`` fills, k = N for a
+    real field (its positive modes) and 2N+1 for a complex one."""
+    k = spec.n_max if spec.real_valued else 2 * spec.n_max + 1
+    return (np.empty((rows, 2 * spec.n_max + 1), dtype=np.complex128),
+            np.empty((rows, 2, k)))
+
+
 def sample_matrix(spec: GaussianFieldSpec, m: int, rng: np.random.Generator,
                   out: np.ndarray | None = None,
                   normals: np.ndarray | None = None) -> np.ndarray:
-    """m independent coefficient rows from one generator: normals g (m, 2, k),
-    the real and imaginary parts of a real field's k = N positive modes
-    (mirrored by conjugation) or of all k = 2N+1 modes of a complex one,
-    then a real field's m mode-0 scalars.
+    """m independent coefficient rows from one generator: normals g, the
+    real and imaginary parts of a real field's positive modes (mirrored by
+    conjugation) or of all modes of a complex one, then a real field's m
+    mode-0 scalars.
 
-    The rows go to ``out`` (m, 2N+1) complex and the normals to ``normals``
-    (m, 2, k) float when given, to fresh arrays otherwise.
+    The rows go to ``out`` and the normals to ``normals``, a
+    ``sample_buffers(spec, m)`` pair, when ``out`` is given, to a fresh
+    pair otherwise.
     """
     n = spec.n_max
     sig = mode_std(spec)
-    k = n if spec.real_valued else 2 * n + 1
     if out is None:
-        out = np.empty((m, 2 * n + 1), dtype=np.complex128)
-    if normals is None:
-        normals = np.empty((m, 2, k))
+        out, normals = sample_buffers(spec, m)
     rng.standard_normal(out=normals)
     c, sig_c = (out[:, n + 1:], sig[n + 1:]) if spec.real_valued else (out, sig)
     np.multiply(1j, normals[:, 1, :], out=c)

@@ -473,11 +473,7 @@ def evolve(f0: TorusField, eq: EquationSpec, cfg: SolverConfig) -> TrajectoryRec
 
     def on_record(_rows, t, full, active):
         times.append(t)
-        k = (full.shape[-1] - 1) // 2
-        row = full[0]
-        if real:
-            row = (row + np.conj(row[::-1])) / 2.0  # only writes a -0.0 mean as 0.0
-        fields.append(TorusField(k, row, real))
+        fields.append(TorusField((full.shape[-1] - 1) // 2, full[0], real))
 
     result = evolve_ensemble(f0.coeffs[np.newaxis, :], eq, cfg, on_record=on_record)
     mass_series = np.array([mass(f) for f in fields])

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import GaussianFieldSpec, _check_shift, mode_std, sample_matrix
+from .fields import GaussianFieldSpec, _check_shift, mode_std, sample_buffers, sample_matrix
 from .parallel import map_chunks
 from .rng import RandomSeed, generator
 from .spectral import TorusField, grid_for, synthesize, truncate
@@ -251,9 +251,9 @@ def gibbs_log_weight_matrix(
     coeffs: np.ndarray,
     spec: GibbsSpec,
     work: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Batched log density factor -/+ (beta/p) int |u|^p and cutoff
-    indicator for coefficient rows.
+) -> np.ndarray:
+    """Batched log density factor -/+ (beta/p) int |u|^p of coefficient
+    rows, -inf for a row outside the L^2 cutoff ball when there is one.
 
     The integral is the exact quadrature on ``grid_for(N, p)``.  Defocusing
     weights are always <= 0 (density bounded by 1), which is what licenses
@@ -271,10 +271,8 @@ def gibbs_log_weight_matrix(
     log_w = sgn * (spec.beta / spec.p) * integral
     if spec.cutoff_B is not None:
         l2 = np.sqrt(2.0 * np.pi * np.sum(np.abs(coeffs) ** 2, axis=-1))
-        within = l2 <= spec.cutoff_B
-    else:
-        within = np.ones(coeffs.shape[0], dtype=bool)
-    return log_w, within
+        log_w[~(l2 <= spec.cutoff_B)] = -np.inf
+    return log_w
 
 
 def normalized_weights(log_w: np.ndarray) -> tuple[np.ndarray, float]:
@@ -324,9 +322,10 @@ def _ais_chunk(
     lam ramped quadratically from 0 to 1 (fine steps where the weight
     variance is largest); pCN moves keep each tempered level invariant, so
     the accumulated increments are exact importance weights for the target.
-    ``ws`` holds the sweep's buffers (potential pair, c, returned as a view,
-    prop, step, normals) over the chunk's rows, made once per worker by the
-    calling thread: re-making a few hundred KB per pCN step costs faults.
+    ``ws`` holds the sweep's buffers (the log weight's u and |u|^p, c,
+    returned as a view, prop, step, normals) over the chunk's rows, made
+    once per worker by the calling thread: re-making a few hundred KB per
+    pCN step costs faults.
     """
     u, power, c, prop, step, normals = ws
     m = c.shape[0]
@@ -335,13 +334,8 @@ def _ais_chunk(
     accept = np.empty(m, dtype=bool)
     finite = np.empty(m, dtype=bool)
 
-    def potential(c):
-        lw, within = gibbs_log_weight_matrix(c, spec, (u, power))
-        lw[~within] = -np.inf
-        return lw
-
     sample_matrix(spec.base, m, rng, out=c, normals=normals)
-    log_v = potential(c)  # full-strength log weight, sign included
+    log_v = gibbs_log_weight_matrix(c, spec, (u, power))  # full strength, sign included
     log_w = np.zeros(m)
     lam_prev = 0.0
     root = math.sqrt(1.0 - PCN_STEP_SIZE ** 2)
@@ -354,7 +348,7 @@ def _ais_chunk(
             sample_matrix(spec.base, m, rng, out=step, normals=normals)
             np.multiply(PCN_STEP_SIZE, step, out=step)
             np.add(prop, step, out=prop)
-            log_v_prop = potential(prop)
+            log_v_prop = gibbs_log_weight_matrix(prop, spec, (u, power))
             np.log(rng.random(out=uniforms), out=uniforms)
             with np.errstate(invalid="ignore"):
                 np.subtract(log_v_prop, log_v, out=gain)
@@ -396,10 +390,10 @@ def gibbs_ensemble(
     log_w = np.empty(m_samples)
 
     def workspace(rows):
-        k = spec.base.n_max if spec.base.real_valued else width
         m_points = grid_for(spec.base.n_max, spec.p)
-        return (np.empty((rows, m_points), dtype=np.complex128), np.empty((rows, m_points)),
-                *np.empty((3, rows, width), dtype=np.complex128), np.empty((rows, 2, k)))
+        u, power = np.empty((rows, m_points), dtype=np.complex128), np.empty((rows, m_points))
+        c, normals = sample_buffers(spec.base, rows)  # after u and power: lower peak RSS
+        return (u, power, c, *np.empty((2, rows, width), dtype=np.complex128), normals)
 
     def run_chunk(index, start, stop, ws):
         rng = generator(seed, lane=lane_index, sub=1, sample=index)

@@ -75,11 +75,9 @@ class TorusField:
             scale = max(float(np.max(np.abs(c))), 1.0)
             sym_err = np.max(np.abs(c - np.conj(c[::-1])))
             if sym_err > _SYMMETRY_RTOL * scale:
-                raise ValueError(
+                raise ValueError(  # n = 0 included: 2|Im c_0| is its error
                     f"real_valued field violates c_-n = conj(c_n) (error {sym_err:.3e})"
                 )
-            if abs(c[self.n_max].imag) > _SYMMETRY_RTOL * scale:
-                raise ValueError("real_valued field must have Im(c_0) = 0")
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
 
@@ -225,7 +223,8 @@ def from_half(half: np.ndarray) -> np.ndarray:
     full = np.empty(half.shape[:-1] + (2 * k + 1,), dtype=np.complex128)
     full[..., k:] = half
     full[..., :k] = np.conj(half[..., 1:][..., ::-1])
-    full[..., k] = full[..., k].real  # exact real mean
+    full[..., k].imag = 0.0
+    full[..., k] += 0.0  # exact real mean, never -0.0
     return full
 
 

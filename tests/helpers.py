@@ -57,8 +57,8 @@ def rejection_sample_gibbs(spec, m, seed_rng, max_batches=10000):
     rows = []
     for _ in range(max_batches):
         c = sample_matrix(spec.base, 256, seed_rng)
-        log_w, within = gibbs_log_weight_matrix(c, spec)
-        accept = within & (np.log(seed_rng.random(256)) < log_w)
+        log_w = gibbs_log_weight_matrix(c, spec)  # -inf outside the cutoff
+        accept = np.log(seed_rng.random(256)) < log_w
         rows.append(c[accept])
         if sum(r.shape[0] for r in rows) >= m:
             break

@@ -467,11 +467,12 @@ class TestExperimentCommands:
     # chunks, and 600 evolved rows are two 512-row evolve chunks, so 8
     # threads run both kinds of chunk at once.  Pinned before part (a)
     # streamed its chunks; renewed when each row's projection target became
-    # its mass at the start of its chunk (roundoff in the evolved values).
+    # its mass at the start of its chunk (roundoff in the evolved values),
+    # and when global_proxy_fraction left the report (no other byte moved).
     CM_PINNED = {
-        "theorem-1": "87310d44cb35402e059dcbf017031bde0822705d702ee505475fde33a262695f",
-        "theorem-2": "ffdeffef1d2b981f2bf90f6b728ee91689c619ff9d6dd448d183343af99d7b61",
-        "theorem-3": "073690210a9e6ea559cf45984f32a7d4582975b98b00490b7224fc60d6a574e7",
+        "theorem-1": "32582b2c0290804db0cfa8bbb0be91753034b651cab51b74a94e431466cd7df0",
+        "theorem-2": "e88d891a2d651b39d253649a2439074351c1a135c3246bd33416fd5ee6a97e2b",
+        "theorem-3": "6804986b638f5a2246105a9380baa3d0e5842a46bf474f91b5e32dcc1db988bc",
     }
 
     @pytest.mark.parametrize("preset", sorted(CM_PINNED))

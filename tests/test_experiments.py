@@ -1,5 +1,6 @@
 """Tests for the experiment drivers."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -128,6 +129,7 @@ class TestInvarianceExperiment:
         ("wick-nls-gibbs", 0.0, "dt must be > 0"),
         ("wick-nls-gibbs", 0.5, "strang guard"),
         ("kdv-white-noise", 0.05, "if_rk4 guard"),
+        ("wick-nls-gibbs", None, "dt is required when evolving"),
     ])
     def test_bad_step_fails_before_drawing(self, preset, dt, message, monkeypatch):
         import gibbsflow.experiments as ex
@@ -140,6 +142,17 @@ class TestInvarianceExperiment:
         p = invariance_preset(preset, n_max=8)
         with pytest.raises(ValueError, match=message):
             invariance_experiment(p["measure"], p["eq"], 0.1, 400, RandomSeed(0), dt=dt)
+
+    def test_missing_equation_fails_before_drawing(self, monkeypatch):
+        import gibbsflow.experiments as ex
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an ensemble was drawn before the flow was checked")
+
+        monkeypatch.setattr(ex, "sample_ensemble", refuse)
+        spec = GaussianFieldSpec("fwb", 8, alpha=1.0)
+        with pytest.raises(ValueError, match="an equation is required"):
+            invariance_experiment(spec, None, 0.1, 400, RandomSeed(0), dt=1e-3)
 
     def test_deterministic_across_threads(self):
         base = GaussianFieldSpec("fwb", 8, alpha=1.0)
@@ -213,6 +226,7 @@ class TestCameronMartinExperiment:
         ("theorem-1", 0.0, "dt must be > 0"),
         ("theorem-1", 0.5, "strang guard"),
         ("theorem-2", 0.05, "if_rk4 guard"),
+        ("theorem-2", None, "dt is required when evolving"),
     ])
     def test_bad_step_fails_before_drawing(self, preset, dt, message, monkeypatch):
         import gibbsflow.experiments as ex
@@ -293,6 +307,26 @@ class TestCameronMartinExperiment:
             cameron_martin_experiment(v0, base, m_samples=100, seed=RandomSeed(2))
         assert draws == []
 
+    @pytest.mark.parametrize("preset", ["theorem-1", "theorem-2", "theorem-3"])
+    def test_unprojected_flow_fails_before_drawing(self, preset, monkeypatch):
+        # Part (b) evolves in the data band: an unprojected flow would need
+        # a wider working band, and its truncated measure is not invariant.
+        import gibbsflow.experiments as ex
+        draws = []
+
+        def counting(*args, **kwargs):
+            draws.append(args)
+            return sample_matrix(*args, **kwargs)
+
+        monkeypatch.setattr(ex, "sample_matrix", counting)
+        p = cm_preset(preset, n_max=8)
+        eq = dataclasses.replace(p["eq"], galerkin_projected=False)
+        with pytest.raises(ValueError, match="galerkin_projected"):
+            cameron_martin_experiment(p["v0"], p["base"], eq, t_final=0.05,
+                                      m_samples=100, seed=RandomSeed(2), dt=p["dt"],
+                                      evolve_samples=4)
+        assert draws == []
+
     def test_traced_peak_below_one_ensemble(self):
         # Part (a) keeps per-row values only: its traced peak stays below
         # the bytes of one whole m x (2N+1) complex ensemble (19.8 MiB).
@@ -364,7 +398,6 @@ class TestCameronMartinExperiment:
             v0_decay=p["v0_decay"],
         )
         assert rep.blowup_count == 0
-        assert rep.global_proxy_fraction == 1.0
         assert rep.max_mass_ratio < 1.5
         assert rep.nonlinear_part_l2_median is not None
         assert rep.nonlinear_part_l2_median > 0.0
@@ -508,6 +541,12 @@ class TestLdpMc:
         base, v0, center = self.one_mode()
         with pytest.raises(ValueError, match="decreasing"):
             ldp_mc(v0, base, center, 0.3, 0.0, (0.25, 0.5), 1000, RandomSeed(0))
+
+    def test_counts_must_match_epsilons(self):
+        base, v0, center = self.one_mode()
+        with pytest.raises(ValueError, match="m_per_eps must match"):
+            ldp_mc(v0, base, center, 0.3, 0.0, (0.5, 0.25), (1000, 1000, 1000),
+                   RandomSeed(0))
 
     def test_equal_epsilons_refused(self):
         # A repeated epsilon is not strictly decreasing.

@@ -12,6 +12,7 @@ from gibbsflow.fields import (
     expected_sobolev_sq,
     mode_std,
     sample,
+    sample_buffers,
     sample_ensemble,
     sample_matrix,
     scaled_sample,
@@ -157,6 +158,18 @@ class TestEnsemblePaths:
         assert got.shape == want.shape == (300, 2 * spec.n_max + 1)
         assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_draw_into_sample_buffers(self, name):
+        # A sample_buffers pair is what sample_matrix draws into: the same
+        # bytes as a fresh draw, the rows returned in place.
+        spec = self.SPECS[name]
+        out, normals = sample_buffers(spec, 7)
+        k = spec.n_max if spec.real_valued else 2 * spec.n_max + 1
+        assert out.shape == (7, 2 * spec.n_max + 1) and normals.shape == (7, 2, k)
+        got = sample_matrix(spec, 7, generator(RandomSeed(4), 0), out=out, normals=normals)
+        assert got is out
+        assert out.tobytes() == sample_matrix(spec, 7, generator(RandomSeed(4), 0)).tobytes()
+
     def test_zero_rows(self):
         spec = self.SPECS["fwb-real-mode0"]
         assert sample_ensemble(spec, 0, RandomSeed(1)).shape == (0, 17)
@@ -245,6 +258,12 @@ class TestShifts:
         v0 = zero_field(9)
         with pytest.raises(ValueError, match="truncation mismatch"):
             shifted_sample(v0, GaussianFieldSpec("white", 4), RandomSeed(0))
+
+    def test_complex_shift_of_real_spec(self):
+        v0 = field_from_modes(4, {1: 1.0})  # complex
+        spec = GaussianFieldSpec("white", 4, real_valued=True)
+        with pytest.raises(ValueError, match="real_valued spec requires a real_valued shift"):
+            shifted_sample(v0, spec, RandomSeed(0))
 
     def test_scaled_consistency(self):
         v0 = field_from_modes(4, {1: 1.0})

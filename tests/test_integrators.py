@@ -49,6 +49,12 @@ class TestEquationSpec:
             evolve(f, eq, SolverConfig(dt=1e-3, t_final=0.1))
 
 
+    def test_gkdv_energy_needs_real(self):
+        eq = EquationSpec("gkdv", p=3)
+        with pytest.raises(ValueError, match="defined for real_valued fields"):
+            hamiltonian(field_from_modes(4, {1: 1.0}), eq)
+
+
 class TestPlaneWaves:
     # Single-mode data reduces the flows to scalar ODEs with closed-form
     # phases: the classic solver oracle.
@@ -580,4 +586,5 @@ class TestChunkedEngine:
             seed=RandomSeed(8), dt=p["dt"], evolve_samples=700, n_threads=n)
             for n in (1, 2)]
         assert reps[0].max_mass_ratio == reps[1].max_mass_ratio
-        assert reps[0].global_proxy_fraction == reps[1].global_proxy_fraction == 1.0
+        assert reps[0].nonlinear_part_l2_max == reps[1].nonlinear_part_l2_max
+        assert reps[0].blowup_count == reps[1].blowup_count == 0

@@ -50,6 +50,11 @@ class TestCovarianceEigenvalues:
         with pytest.raises(ValueError, match="mode 0"):
             covariance_eigenvalues(1.0, 0.0, [0, 1])
 
+    @pytest.mark.parametrize("beta", [0.0, -1.0])
+    def test_nonpositive_beta_rejected(self, beta):
+        with pytest.raises(ValueError, match="beta must be > 0"):
+            covariance_eigenvalues(beta, 0.0, [1])
+
 
 class TestFeldmanHajek:
     def test_equal_temperatures_equivalent(self):
@@ -149,6 +154,18 @@ class TestKakutani:
         assert kakutani_test(u, np.abs(n) ** -1.0, modes=n).verdict == "singular"
         assert kakutani_test(u, np.abs(n) ** -2.5, modes=n).verdict == "equivalent"
 
+    @pytest.mark.parametrize("u, v", [(np.ones(3), np.ones(4)),
+                                      (np.ones((2, 2)), np.ones((2, 2)))])
+    def test_shape_refused(self, u, v):
+        with pytest.raises(ValueError, match="1-d sequences of equal length"):
+            kakutani_test(u, v)
+
+    def test_empty_head_is_undecided(self):
+        # All of the statistic sits above half the largest mode, so the
+        # tail-growth ratio has no head to compare with.
+        v = kakutani_test(np.ones(4), np.array([0.0, 0.0, 0.0, 1.0]))
+        assert v.verdict == "undecided" and v.statistic == 1.0
+
     def test_partial_sums_track_brute_force(self):
         v = kakutani_power_law(1.0, 1.4, n_max=64)
         n = np.arange(1, 65, dtype=float)
@@ -169,6 +186,19 @@ class TestGibbsSpec:
         base = GaussianFieldSpec("fwb", 4, alpha=1.0)
         GibbsSpec(p=4, sign="defocusing", beta=1.0, base=base)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"p": 2}, "p must be an integer >= 3"),
+        ({"sign": "repulsive"}, "bad sign 'repulsive'"),
+        ({"beta": 0.0}, "beta must be > 0"),
+        ({"cutoff_B": 0.0}, "cutoff_B must be > 0"),
+        ({"sign": "focusing", "cutoff_B": -1.0}, "cutoff_B must be > 0"),
+    ])
+    def test_bad_parameters_refused(self, kwargs, message):
+        args = {"p": 4, "sign": "defocusing", "beta": 1.0,
+                "base": GaussianFieldSpec("fwb", 4, alpha=1.0), **kwargs}
+        with pytest.raises(ValueError, match=message):
+            GibbsSpec(**args)
+
 
 class TestGibbsLogWeight:
     def base_spec(self, n_max=4, cutoff=None, sign="defocusing"):
@@ -176,9 +206,10 @@ class TestGibbsLogWeight:
         return GibbsSpec(p=4, sign=sign, beta=1.0, base=base, cutoff_B=cutoff)
 
     def log_weight(self, f, spec):
-        """(log weight, cutoff indicator) of one field, as a one-row batch."""
-        lw, within = gibbs_log_weight_matrix(f.coeffs[np.newaxis, :], spec)
-        return float(lw[0]), bool(within[0])
+        """(log weight, cutoff indicator) of one field, as a one-row batch;
+        the cutoff is a -inf log weight."""
+        lw = float(gibbs_log_weight_matrix(f.coeffs[np.newaxis, :], spec)[0])
+        return lw, not np.isneginf(lw)
 
     def test_zero_field(self):
         spec = self.base_spec(cutoff=2.0)
@@ -231,6 +262,10 @@ class TestGibbsEnsemble:
         assert_allclose(w, np.full(500, 1 / 500), rtol=1e-14)
         assert_allclose(ess, 500.0, rtol=1e-12)
 
+    def test_all_weights_vanish_refused(self):
+        with pytest.raises(ValueError, match="all weights vanish"):
+            normalized_weights(np.full(5, -np.inf))
+
     def test_minimum_sample_count(self):
         with pytest.raises(ValueError, match="m_samples"):
             gibbs_ensemble(self.spec(), 50, RandomSeed(0))
@@ -253,7 +288,7 @@ class TestGibbsEnsemble:
     def test_reweighting_pushes_quartic_down(self):
         spec = self.spec(n_max=16)
         ens = gibbs_ensemble(spec, 2000, RandomSeed(3), levels=1, pcn_steps=0)
-        lw, _ = gibbs_log_weight_matrix(ens.coeffs, spec)
+        lw = gibbs_log_weight_matrix(ens.coeffs, spec)
         quartic = -4.0 * lw  # int |u|^4 per sample
         weighted_mean = float(np.sum(ens.weights * quartic))
         assert weighted_mean < np.mean(quartic)

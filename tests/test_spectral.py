@@ -48,6 +48,14 @@ class TestTorusField:
         with pytest.raises(ValueError, match="conj"):
             TorusField(0, np.array([1j]), real_valued=True)
 
+    def test_negative_truncation_rejected(self):
+        with pytest.raises(ValueError, match="n_max must be >= 0, got -1"):
+            TorusField(-1, np.zeros(0, dtype=complex))
+
+    def test_mode_outside_band_rejected(self):
+        with pytest.raises(ValueError, match="mode -3 outside truncation 2"):
+            field_from_modes(2, {1: 1.0, -3: 0.5})
+
     def test_immutable(self):
         f = zero_field(2)
         with pytest.raises(ValueError):

@@ -57,9 +57,21 @@ class TestKsExactTail:
         hs = list(range(-1, m + 3))
         assert ks_exact_tails(hs, m) == [per_term(h) for h in hs]
 
+    @pytest.mark.parametrize("m", [0, -4])
+    def test_needs_one_sample(self, m):
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            ks_exact_tails([1], m)
+
     def test_repeated_and_unordered_h(self):
         p5, p2 = ks_exact_tails([5], 30) + ks_exact_tails([2], 30)
         assert ks_exact_tails([5, 2, 5, 0], 30) == [p5, p2, p5, 1.0]
+
+
+class TestWilsonInterval:
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_needs_trials(self, n):
+        with pytest.raises(ValueError, match="n must be > 0"):
+            wilson_interval(0, n)
 
 
 class TestKsTwoSample:
