@@ -106,10 +106,7 @@ def _run_evolve(a: dict) -> int:
         raise ValueError(f"--init {a['init']}: not a field or a sample report ({err!r})") from None
     if a["nmax"] is not None:
         init = truncate(init, a["nmax"])
-    eq = it.EquationSpec(
-        family=a["eq"].replace("-", "_"), p=a["p"], sign=a["sign"],
-        galerkin_projected=a["galerkin"],
-    )
+    eq = it.EquationSpec(a["eq"].replace("-", "_"), p=a["p"], sign=a["sign"])
     cfg = it.SolverConfig(dt=a["dt"], t_final=a["t"],
                           record_every=a["record_every"])
     traj = it.evolve(init, eq, cfg)
@@ -271,8 +268,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--eq", choices=["nls", "wick-nls", "gkdv"], required=True)
     p.add_argument("--p", type=int, default=4, help="nonlinearity power")
     p.add_argument("--sign", choices=["plus", "minus"], default="plus")
-    p.add_argument("--galerkin", action="store_true",
-                   help="re-truncate the nonlinearity to the data band")
     p.add_argument("--nmax", type=int, default=None,
                    help="re-truncate the initial field before evolving")
     p.add_argument("--dt", type=_finite_float, required=True)

@@ -148,21 +148,16 @@ class InvarianceReport:
 def _evolution_config(eq, dt, t_final, base) -> SolverConfig:
     """The config of an experiment's evolution of ``base`` rows to t_final,
     recording about eight times (part (b) of the shift experiment keeps its
-    mass history).  A missing or unprojected flow, a missing dt, gkdv on
-    complex fields and a step the scheme's guard refuses fail here, before
-    anything is drawn."""
+    mass history).  A missing flow, a missing dt, gkdv on complex fields
+    and a step the scheme's guard refuses fail here, before anything is
+    drawn."""
     if eq is None:
         raise ValueError("an equation is required when t_final != 0")
-    if not eq.galerkin_projected:
-        raise ValueError(
-            "experiments require galerkin_projected flows; the truncated"
-            " measure is only invariant for the projected system"
-        )
     if eq.family == "gkdv" and not base.real_valued:
         raise ValueError("gkdv evolves real_valued fields only")
     if dt is None:
         raise ValueError("dt is required when evolving")
-    n_steps = _step_plan(base.n_max, eq, SolverConfig(dt=dt, t_final=t_final))[2]
+    n_steps = _step_plan(base.n_max, eq, SolverConfig(dt=dt, t_final=t_final))[1]
     return SolverConfig(dt=dt, t_final=t_final, record_every=max(1, n_steps // 8))
 
 
@@ -190,9 +185,9 @@ def invariance_experiment(
     comparison uses the weighted KS statistic calibrated by resampling
     (value, weight) pairs within each ensemble (ESS is reported so the
     power loss is visible).  With t_final = 0 the run is a null calibration
-    and needs no equation; otherwise the flow must be projected and match
-    the field type, and dt must be > 0 and within the scheme's guard, which
-    is checked before any ensemble is drawn.
+    and needs no equation; otherwise the flow must match the field type,
+    and dt must be > 0 and within the scheme's guard, which is checked
+    before any ensemble is drawn.
     """
     if m_samples < 2:
         raise ValueError(f"m_samples must be >= 2, got {m_samples}")
@@ -256,8 +251,7 @@ def invariance_experiment(
         f"gibbs(p={measure.p},{measure.sign},beta={measure.beta},"
         f"base={base.family},n={base.n_max})" if isinstance(measure, GibbsSpec)
         else f"gaussian({base.family},n={base.n_max})")
-    eq_label = "none" if eq is None else \
-        f"{eq.family}(p={eq.p},{eq.sign},galerkin={eq.galerkin_projected})"
+    eq_label = "none" if eq is None else f"{eq.family}(p={eq.p},{eq.sign})"
     return InvarianceReport(
         measure=measure_label,
         equation=eq_label,
@@ -396,16 +390,16 @@ def cameron_martin_experiment(
     m_samples >= 2.  One 256-row chunk body draws both ensembles, reduces
     them to these values and keeps the rows part (b) evolves, so neither
     ensemble is held whole.  Part (b) evolves the first evolve_samples <=
-    m_samples shifted rows under the projected flow ``eq`` up to t_final > 0
+    m_samples shifted rows under the flow ``eq`` up to t_final > 0
     (0: no part (b)) and reports their blowup count, the largest ratio of
     sup_t mass to initial mass and, for the Schroedinger family, the L^2
     size of the nonlinear part (the evolved rows minus their free linear
     evolution).  Both parts run on up to n_threads threads (None: the
     default count); the report does not depend on the thread count.  A
-    negative t_final, evolve_samples > 0 without a flow or horizon, and
-    part (b)'s unprojected flow, missing dt, step guard and (gkdv) complex
-    base, and a shift wider than the base or with mass on a zero-variance
-    mode, are refused before part (a) draws anything.
+    negative t_final, evolve_samples > 0 without a flow or horizon, part
+    (b)'s missing dt, step guard and (gkdv) complex base, and a shift wider
+    than the base or with mass on a zero-variance mode, are refused before
+    part (a) draws anything.
     """
     if m_samples < 2:
         raise ValueError(f"m_samples must be >= 2, got {m_samples}")
@@ -490,7 +484,7 @@ def cameron_martin_experiment(
                                  n_threads=n_threads)
         blowups = int(np.sum(result.blowup))
         max_mass_ratio = float(np.max(sup_mass / np.maximum(mass0, 1e-300)))
-        if eq.family in ("nls", "wick_nls"):  # projected: the working band is the data band
+        if eq.family in ("nls", "wick_nls"):
             n = np.arange(-base.n_max, base.n_max + 1, dtype=np.float64)
             phase = np.exp(1j * n ** 2 * t_final)
             nl = result.coeffs - phase * subset

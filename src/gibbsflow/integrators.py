@@ -17,12 +17,12 @@ padded grid) and integrating-factor classical RK4 for gkdv with the
 nonlinearity in conservation form d_x(u^(p-1))/(p-1), dealiased by
 padding.  The grid rule is ``spectral.grid_for(N, p)``: the smallest
 5-smooth M with M >= p*N + 1 and M >= 2N + 2, so degree-p products of the
-band |n| <= N are alias-free.  With galerkin_projected the nonlinearity
-is re-truncated to the initial band |n| <= N every evaluation and each
-step is projected onto the sphere of its row's mass when its chunk starts,
-so mass is conserved to roundoff without drift (Hairer, Lubich & Wanner
-2006, sec. IV.4), as the invariance experiments need.  wick_nls takes its
-avg|u|^2 from that initial mass too.
+band |n| <= N are alias-free.  Every flow is Galerkin-projected: the
+nonlinearity is re-truncated to the data band |n| <= N every evaluation
+and each step is projected onto the sphere of its row's mass when its
+chunk starts, so mass is conserved to roundoff without drift (Hairer,
+Lubich & Wanner 2006, sec. IV.4), as the invariance experiments need.
+wick_nls takes its avg|u|^2 from that initial mass too.
 
 Transforms are matrix products, not FFTs: at these band-limited sizes a
 GEMM against the pruned DFT matrix of ``spectral.band_matrices`` is faster
@@ -100,7 +100,6 @@ class EquationSpec:
     family: str
     p: int = 4
     sign: str = "plus"
-    galerkin_projected: bool = False
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -149,40 +148,35 @@ class TrajectoryRecord:
 class EnsembleEvolution:
     """Final states of a batched run, with per-sample blowup flags."""
 
-    coeffs: np.ndarray  # rows of the working band (``_step_plan``)
+    coeffs: np.ndarray  # rows of the data band
     blowup: np.ndarray  # bool per row
     last_valid_time: np.ndarray
     dt_effective: float
 
 
 def _step_plan(n_max: int, eq: EquationSpec, cfg: SolverConfig
-               ) -> tuple[int, int, int, float]:
-    """(grid size M, working band, step count, signed step) of a run from the
-    band |n| <= n_max; raises ValueError when the step breaks the scheme's
-    guard or the step count is not finite or above ``MAX_STEPS``.
-
-    The state lives in the data band if projected, else in the largest band
-    ``grid_for(n_max, p)`` multiplies without aliasing.
-    """
+               ) -> tuple[int, int, float]:
+    """(grid size M, step count, signed step) of a run in the band
+    |n| <= n_max; raises ValueError when the step breaks the scheme's guard
+    at n_max or the step count is not finite or above ``MAX_STEPS``."""
     m_points = grid_for(n_max, eq.p)
-    k_work = n_max if eq.galerkin_projected else (m_points - 1) // eq.p
     ratio = abs(cfg.t_final) / cfg.dt  # inf when the quotient overflows
     if not ratio <= MAX_STEPS:
         raise ValueError(f"t_final/dt = {ratio:g} steps exceeds the limit of {MAX_STEPS}")
     n_steps = max(1, int(round(ratio)))
     dt = abs(cfg.t_final) / n_steps
     if eq.family == "gkdv":
-        if dt * k_work ** 3 > AIRY_DT_N3_BOUND:
+        if dt * n_max ** 3 > AIRY_DT_N3_BOUND:
             raise ValueError(
                 f"dt={dt:g} violates the if_rk4 guard dt*N^3 <= {AIRY_DT_N3_BOUND}"
-                f" at N={k_work}"
+                f" at N={n_max}"
             )
-    elif dt * k_work ** 2 > STRANG_DT_N2_BOUND:
+    elif dt * n_max ** 2 > STRANG_DT_N2_BOUND:
         raise ValueError(
             f"dt={dt:g} violates the strang guard dt*N^2 <= {STRANG_DT_N2_BOUND}"
-            f" at N={k_work}"
+            f" at N={n_max}"
         )
-    return m_points, k_work, n_steps, math.copysign(dt, cfg.t_final) if cfg.t_final != 0 else dt
+    return m_points, n_steps, math.copysign(dt, cfg.t_final) if cfg.t_final != 0 else dt
 
 
 def _row_mass(c: np.ndarray) -> np.ndarray:
@@ -233,14 +227,14 @@ class _StrangStepper:
     and one complex GEMM back.
     """
 
-    def __init__(self, eq: EquationSpec, m_points: int, k_work: int, dt: float):
+    def __init__(self, eq: EquationSpec, m_points: int, n_max: int, dt: float):
         self.eq = eq
-        self.k = k_work
+        self.k = n_max
         self.m = m_points
-        n = np.arange(-k_work, k_work + 1, dtype=np.float64)
+        n = np.arange(-n_max, n_max + 1, dtype=np.float64)
         phase_half = np.exp(1j * n ** 2 * (dt / 2.0))
         self.synthesis, self.analysis = band_matrices(
-            k_work, self.m, False, pre=phase_half, post=phase_half)
+            n_max, self.m, False, pre=phase_half, post=phase_half)
         self.dt = dt
         self.exponent = (eq.p - 2) / 2.0
 
@@ -280,8 +274,7 @@ class _StrangStepper:
             np.sin(theta, out=rot.imag)
             np.multiply(u, rot, out=u)
             from_grid(self.analysis)
-            if eq.galerkin_projected:
-                _onto_mass_sphere(out, mass)
+            _onto_mass_sphere(out, mass)
             return top
 
         return step
@@ -296,20 +289,20 @@ class _KdvStepper:
     GEMM to the grid, the pointwise power and a GEMM back into its slope.
     """
 
-    def __init__(self, eq: EquationSpec, m_points: int, k_work: int, dt: float):
+    def __init__(self, eq: EquationSpec, m_points: int, n_max: int, dt: float):
         self.eq = eq
-        self.k = k_work
+        self.k = n_max
         self.m = m_points
-        n = np.arange(0, k_work + 1, dtype=np.float64)
+        n = np.arange(0, n_max + 1, dtype=np.float64)
         lin = 1j * n ** 3
         e_half = np.exp(lin * (dt / 2.0))
         self.e_full = e_half ** 2
         deriv = eq.s * (1j * n) / (eq.p - 1)
         self.stages = [
-            band_matrices(k_work, self.m, True, post=deriv * (dt / 6.0)),
-            band_matrices(k_work, self.m, True, pre=e_half,
+            band_matrices(n_max, self.m, True, post=deriv * (dt / 6.0)),
+            band_matrices(n_max, self.m, True, pre=e_half,
                           post=np.conj(e_half) * deriv * (dt / 3.0)),
-            band_matrices(k_work, self.m, True, pre=self.e_full,
+            band_matrices(n_max, self.m, True, pre=self.e_full,
                           post=np.conj(self.e_full) * deriv * (dt / 6.0)),
         ]
 
@@ -361,8 +354,7 @@ class _KdvStepper:
                     top, nonlinear(from_y, synthesis, analysis, axis, stage_into), out=into)
                 np.add(out, slope, out=out)
             np.multiply(out, self.e_full, out=out)
-            if self.eq.galerkin_projected:
-                _onto_mass_sphere(out[:, 1:], mass)
+            _onto_mass_sphere(out[:, 1:], mass)
             return top
 
         return step
@@ -375,7 +367,7 @@ def evolve_ensemble(
     on_record=None,
     n_threads: int | None = None,
 ) -> EnsembleEvolution:
-    """Evolve a batch of coefficient rows c_-N..c_N under the truncated
+    """Evolve a batch of coefficient rows c_-N..c_N under the projected
     flow, on the grid ``grid_for(N, eq.p)``; the row width gives N.  gkdv
     reads each row as a real field, through its half c_0..c_N.
 
@@ -403,12 +395,12 @@ def evolve_ensemble(
     write only to those rows.
     """
     n_max = (coeffs.shape[1] - 1) // 2
-    m_points, k_work, n_steps, dt = _step_plan(n_max, eq, cfg)
+    m_points, n_steps, dt = _step_plan(n_max, eq, cfg)
     use_half = eq.family == "gkdv"
-    stepper = (_KdvStepper if use_half else _StrangStepper)(eq, m_points, k_work, dt)
+    stepper = (_KdvStepper if use_half else _StrangStepper)(eq, m_points, n_max, dt)
     record_every = cfg.record_every if cfg.record_every > 0 else n_steps
 
-    n_rows, width = coeffs.shape[0], k_work + 1 if use_half else 2 * k_work + 1
+    n_rows, width = coeffs.shape[0], n_max + 1 if use_half else coeffs.shape[1]
     final = np.empty((n_rows, width), dtype=np.complex128)
     active_rows = np.ones(n_rows, dtype=bool)
     last_valid = np.full(n_rows, abs(cfg.t_final))
@@ -416,11 +408,7 @@ def evolve_ensemble(
     def evolve_chunk(_index: int, start: int, stop: int, ws):
         rows = slice(start, stop)
         state, spare, *work = ws
-        state.fill(0.0)
-        if use_half:
-            state[:, :n_max + 1] = coeffs[rows, n_max:]
-        else:
-            state[:, k_work - n_max: k_work + n_max + 1] = coeffs[rows]
+        state[:] = coeffs[rows, n_max:] if use_half else coeffs[rows]
         step = stepper.bind(state, spare, work)
 
         active = active_rows[rows]
@@ -537,7 +525,7 @@ def gauge_check(u0: TorusField, t_final: float, cfg: SolverConfig,
     eq_wick = EquationSpec("wick_nls", p=4, sign=sign)
     cfg = dataclasses.replace(cfg, t_final=t_final)
     cfg = dataclasses.replace(cfg, record_every=cfg.record_every
-                              or max(1, _step_plan(u0.n_max, eq_nls, cfg)[2] // 8))
+                              or max(1, _step_plan(u0.n_max, eq_nls, cfg)[1] // 8))
     traj_a = evolve(u0, eq_nls, cfg)
     traj_b = evolve(u0, eq_wick, cfg)
     gamma = -2.0 * eq_nls.s * mean_square(u0)

@@ -58,7 +58,7 @@ def _check_n_max(n_max: int) -> int:
 def _kdv_white_noise(n_max: int) -> dict:
     return {
         "measure": GaussianFieldSpec("white", n_max, real_valued=True),
-        "eq": EquationSpec("gkdv", p=3, sign="plus", galerkin_projected=True),
+        "eq": EquationSpec("gkdv", p=3, sign="plus"),
         "t_final": 1.0,
         "dt": 1e-4 * (32.0 / n_max) ** 3,
         "m_samples": 2000,
@@ -72,7 +72,7 @@ def _negative_control(n_max: int) -> dict:
     # must detect it (this preset documents the panel's power).
     return {
         "measure": GaussianFieldSpec("fwb", n_max, alpha=1.0),
-        "eq": EquationSpec("wick_nls", sign="plus", galerkin_projected=True),
+        "eq": EquationSpec("wick_nls", sign="plus"),
         "t_final": 1.0,
         "dt": 2e-3 * (16.0 / n_max) ** 2,
         "m_samples": 4000,
@@ -115,14 +115,14 @@ def _shift_run(v0: TorusField, base: GaussianFieldSpec, eq: EquationSpec,
 def _theorem_1(n_max: int) -> dict:
     return _shift_run(smooth_shift_field(n_max, 0.5),
                       GaussianFieldSpec("fwb", n_max, alpha=1.0),
-                      EquationSpec("nls", p=4, sign="plus", galerkin_projected=True),
+                      EquationSpec("nls", p=4, sign="plus"),
                       0.5, 0.5 / n_max ** 2)
 
 
 def _theorem_2(n_max: int) -> dict:
     return _shift_run(smooth_shift_field(n_max, 4.0, real_valued=True, mean_zero=True),
                       GaussianFieldSpec("white", n_max, real_valued=True),
-                      EquationSpec("gkdv", p=3, sign="plus", galerkin_projected=True),
+                      EquationSpec("gkdv", p=3, sign="plus"),
                       0.5, 1e-4 * (32.0 / n_max) ** 3)
 
 
@@ -130,7 +130,7 @@ def _theorem_3(n_max: int) -> dict:
     # alpha = 0.45 > 5/12: the admissible window for the Wick-ordered flow.
     return _shift_run(smooth_shift_field(n_max, 0.5),
                       GaussianFieldSpec("fwb", n_max, alpha=0.45),
-                      EquationSpec("wick_nls", sign="plus", galerkin_projected=True),
+                      EquationSpec("wick_nls", sign="plus"),
                       1.0, 0.5 / n_max ** 2)
 
 

@@ -160,11 +160,11 @@ def _onto_mass_sphere(c: np.ndarray, mass: np.ndarray) -> np.ndarray:
 class _StrangStepper:
     """Batched Strang splitting for nls / wick_nls on complex coefficients."""
 
-    def __init__(self, eq: EquationSpec, m_points: int, k_work: int, dt: float):
+    def __init__(self, eq: EquationSpec, m_points: int, n_max: int, dt: float):
         self.eq = eq
         self.m = m_points
-        self.k = k_work
-        n = np.arange(-k_work, k_work + 1, dtype=np.float64)
+        self.k = n_max
+        n = np.arange(-n_max, n_max + 1, dtype=np.float64)
         self.phase_half = np.exp(1j * n ** 2 * (dt / 2.0))
         self.dt = dt
         self.exponent = (eq.p - 2) / 2.0
@@ -183,9 +183,7 @@ class _StrangStepper:
         else:
             theta = absq ** self.exponent
         u = u * np.exp(1j * (eq.s * self.dt) * theta)
-        c = analyze(u, self.k)
-        if eq.galerkin_projected:
-            c = _onto_mass_sphere(c, mass)
+        c = _onto_mass_sphere(analyze(u, self.k), mass)
         c = c * self.phase_half
         return c, peak
 
@@ -193,11 +191,11 @@ class _StrangStepper:
 class _KdvStepper:
     """Batched integrating-factor RK4 for gkdv on the real half-spectrum."""
 
-    def __init__(self, eq: EquationSpec, m_points: int, k_work: int, dt: float):
+    def __init__(self, eq: EquationSpec, m_points: int, n_max: int, dt: float):
         self.eq = eq
         self.m = m_points
-        self.k = k_work
-        n = np.arange(0, k_work + 1, dtype=np.float64)
+        self.k = n_max
+        n = np.arange(0, n_max + 1, dtype=np.float64)
         lin = 1j * n ** 3
         self.e_half = np.exp(lin * (dt / 2.0))
         self.e_full = self.e_half ** 2
@@ -221,27 +219,20 @@ class _KdvStepper:
         n4, p4 = self._nonlinear(e2 * (h + dt * k3))
         k4 = np.conj(e2) * n4
         h_new = e2 * (h + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-        if self.eq.galerkin_projected:
-            h_new[..., 1:] = _onto_mass_sphere(h_new[..., 1:], mass)
+        h_new[..., 1:] = _onto_mass_sphere(h_new[..., 1:], mass)
         return h_new, np.maximum(np.maximum(p1, p2), np.maximum(p3, p4))
 
 
-def fft_stepper(eq: EquationSpec, m_points: int, k_work: int, dt: float):
+def fft_stepper(eq: EquationSpec, m_points: int, n_max: int, dt: float):
     """The FFT reference stepper for ``eq``'s family."""
-    return (_KdvStepper if eq.family == "gkdv" else _StrangStepper)(eq, m_points, k_work, dt)
+    return (_KdvStepper if eq.family == "gkdv" else _StrangStepper)(eq, m_points, n_max, dt)
 
 
 def fft_evolve(coeffs, n_max, eq, m_points, dt, n_steps, real_valued=False):
-    """Full working-band rows after ``n_steps`` reference steps of size dt
-    on the M-point grid (no blowup handling: the data must stay finite).  The
-    working band is the data band if projected, else the largest band the
-    grid multiplies without aliasing."""
-    k = n_max if eq.galerkin_projected else (m_points - 1) // eq.p
-    state = np.zeros((coeffs.shape[0], 2 * k + 1), dtype=np.complex128)
-    state[:, k - n_max: k + n_max + 1] = coeffs
-    if real_valued:
-        state = state[:, k:].copy()
-    stepper = fft_stepper(eq, m_points, k, dt)
+    """Full data-band rows after ``n_steps`` reference steps of size dt on
+    the M-point grid (no blowup handling: the data must stay finite)."""
+    state = np.array(coeffs[:, n_max:] if real_valued else coeffs, dtype=np.complex128)
+    stepper = fft_stepper(eq, m_points, n_max, dt)
     mass = np.sum(np.abs(state[:, 1:] if real_valued else state) ** 2, axis=-1)
     for _ in range(n_steps):
         state, _peak = stepper.step(state, mass)

@@ -198,7 +198,7 @@ def test_criterion_7_solver_correctness():
 
     # KdV self-convergence order in dt.
     f = field_from_modes(16, {1: 1.0, -1: 1.0}, real_valued=True)
-    eq = EquationSpec("gkdv", p=3, sign="plus", galerkin_projected=True)
+    eq = EquationSpec("gkdv", p=3, sign="plus")
 
     def final(dt):
         return evolve(f, eq, SolverConfig(dt=dt, t_final=1.0)).fields[-1].coeffs
@@ -277,7 +277,7 @@ def test_criterion_10_determinism(tmp_path):
 
     base = GaussianFieldSpec("fwb", 8, alpha=1.0)
     gibbs = GibbsSpec(p=4, sign="defocusing", beta=1.0, base=base)
-    eq = EquationSpec("wick_nls", sign="plus", galerkin_projected=True)
+    eq = EquationSpec("wick_nls", sign="plus")
     kwargs = dict(dt=2e-3, ais_levels=20, ais_pcn_steps=2, bootstrap_reps=400)
     rep1 = invariance_experiment(gibbs, eq, 0.1, 400, SEED, n_threads=1,
                                  **kwargs)

@@ -357,8 +357,7 @@ class TestEvolveCommand:
         payload = json.loads(traj.read_text())
         start = payload["fields"][0]
         drawn = json.loads(field.read_text())["field"]["coeffs"]
-        pad = start["n_max"] - 64  # the working band may be wider
-        assert start["coeffs"][pad:len(start["coeffs"]) - pad] == drawn
+        assert start["coeffs"] == drawn
         assert payload["blowup_flag"] is False
 
     @pytest.mark.parametrize("text", ['{"kind": "trajectory"}', '{"kind": "sample"}',
@@ -371,18 +370,16 @@ class TestEvolveCommand:
         err = capsys.readouterr().err
         assert f"--init {init}: not a field or a sample report" in err
 
-    # sha256 of the reports of unprojected runs from one fwb sample at N=16
-    # (50 steps, energies every 10), pinned while a caller could still
-    # pass the grid: the energy series is taken on the derived grid.
-    # gkdv-p5 and wick-nls were renewed when the RK4 weights moved into the
-    # stage matrices and the Wick mean became each row's initial mass.
+    # sha256 of the reports of runs from one fwb sample at N=16 (50 steps,
+    # energies every 10), renewed when every flow became the projected one
+    # in the data band.
     EVOLVE_PINNED = {
         "nls-p6": ([], ["--eq", "nls", "--p", "6"],
-                   "dcd9db82c53c4664caeaa05678e52ecaced7c70fb482ae848923f2fc46821c8d"),
+                   "63fa9628fae129e37b77ddf509da8687a13f8f3824e8b6fd3f917d083e8e788b"),
         "wick-nls": ([], ["--eq", "wick-nls"],
-                     "b6fff2914717943cefe9538494617481e6a9673562c37080f05ccff72018d214"),
+                     "cb48bde52692b24cc59a108fc40a3c66c8d64a8cbb6ba0ff8e208dc6136fa58d"),
         "gkdv-p5": (["--real", "--mean-zero"], ["--eq", "gkdv", "--p", "5"],
-                    "cc86bd8a02682281c97505c888627ea0ba39cff2c04a94e2c13c9d817719bdab"),
+                    "b52e2ea3a8bf9b1172ddb2179af17cfe835819279b08d71c1f54f50c9c5e6184"),
     }
 
     @pytest.mark.parametrize("name", sorted(EVOLVE_PINNED))
@@ -399,13 +396,23 @@ class TestEvolveCommand:
         field, out = tmp_path / "field.json", tmp_path / "traj.json"
         assert main(["sample", "--family", "fwb", "--nmax", "8", "--seed", "3",
                      "--out", str(field)]) == 0
-        assert main(["evolve", "--eq", "nls", "--galerkin", "--nmax", "4",
+        assert main(["evolve", "--eq", "nls", "--nmax", "4",
                      "--dt", "1e-3", "--t", "0.01", "--init", str(field),
                      "--out", str(out)]) == 0
         drawn = json.loads(field.read_text())["field"]["coeffs"]
         start = json.loads(out.read_text())["fields"][0]
-        assert start["n_max"] == 4  # projected: the working band is the data band
+        assert start["n_max"] == 4
         assert start["coeffs"] == drawn[4:13]
+
+    def test_galerkin_flag_is_gone(self, tmp_path, capsys):
+        # Every flow is projected: the flag that chose it is refused.
+        init = tmp_path / "init.json"
+        init.write_text(json.dumps(field_to_json(field_from_modes(1, {1: 0.5}))))
+        with pytest.raises(SystemExit) as exc:
+            main(["evolve", "--eq", "nls", "--dt", "1e-3", "--t", "0.01",
+                  "--init", str(init), "--out", str(tmp_path / "traj.json"), "--galerkin"])
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --galerkin" in capsys.readouterr().err
 
     def test_step_count_overflow_exits_one(self, tmp_path, capsys):
         # t/dt overflows to inf: refused with a message, not a traceback.
@@ -488,7 +495,8 @@ class TestExperimentCommands:
     # sha256 of a weighted invariance report at N=8, pinned before the
     # bootstrap's running sums were blocked: its 600 pooled members are not
     # a whole number of the scan's 16-member runs, so the padding is used.
-    WICK_PINNED = "6851df498b2d3df5ce0661ea789465920d3acf7a082868e27c4f1fb7db90bde5"
+    # Renewed when the equation label lost its projection suffix.
+    WICK_PINNED = "52617f91888eeb6fdcab3ca47ad0281ef159b86d407a76ae8b2049dfc0a0c4d2"
 
     def test_weighted_report_pinned_for_any_thread_count(self, tmp_path):
         for threads in ("1", "8"):
@@ -503,7 +511,8 @@ class TestExperimentCommands:
     # pins and band were derived from the base and the CLI handed presets
     # to their drivers whole: an ldp run with a pinned mode 0 and the real
     # factor (oracle -0.0093), one with the complex factor and sigma
-    # weights (oracle -0.04), and a plain-KS invariance run.
+    # weights (oracle -0.04), and a plain-KS invariance run (renewed when
+    # the equation label lost its projection suffix).
     REPORT_PINNED = {
         "ldp-real-white": (["ldp", "--real", "--family", "white", "--nmax", "2",
                             "--center-mode", "1", "--center-value", "0.45",
@@ -515,7 +524,7 @@ class TestExperimentCommands:
                             "bc3505e31ee943758d6540a5f3cfa8d80adee5997f1a6245a2d7db69b7def4d8"),
         "invariance-kdv": (["invariance", "--preset", "kdv-white-noise", "--nmax", "8",
                             "--samples", "300", "--t", "0.05"],
-                           "32d365bec978562f49c5f8ad821e0d8b9c85ea8c1aa37d74030b56814219ec8c"),
+                           "61c9775b74065f786794d301ddf456b75cd7e8526cd3a3617379a9320ad8e3b7"),
     }
 
     @pytest.mark.parametrize("name", sorted(REPORT_PINNED))

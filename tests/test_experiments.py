@@ -1,6 +1,5 @@
 """Tests for the experiment drivers."""
 
-import dataclasses
 import math
 import tracemalloc
 
@@ -77,25 +76,19 @@ class TestInvarianceExperiment:
         # mode 0 observables are constant zero in both ensembles
         assert "re_c[0]" in rep.skipped_observables
 
-    def test_requires_galerkin_for_evolution(self):
-        spec = GaussianFieldSpec("white", 8, real_valued=True)
-        eq = EquationSpec("gkdv", p=3, sign="plus", galerkin_projected=False)
-        with pytest.raises(ValueError, match="galerkin_projected"):
-            invariance_experiment(spec, eq, 1.0, 400, RandomSeed(1), dt=1e-3)
-
     def test_compatibility_checks(self):
-        eq = EquationSpec("gkdv", p=3, sign="plus", galerkin_projected=True)
+        eq = EquationSpec("gkdv", p=3, sign="plus")
         complex_spec = GaussianFieldSpec("fwb", 8, alpha=1.0)
         with pytest.raises(ValueError, match="real-valued mean-zero"):
             invariance_experiment(complex_spec, eq, 1.0, 400, RandomSeed(1), dt=1e-3)
-        eq_nls = EquationSpec("wick_nls", sign="plus", galerkin_projected=True)
+        eq_nls = EquationSpec("wick_nls", sign="plus")
         real_spec = GaussianFieldSpec("white", 8, real_valued=True)
         with pytest.raises(ValueError, match="complex fields"):
             invariance_experiment(real_spec, eq_nls, 1.0, 400, RandomSeed(1), dt=1e-3)
 
     def test_small_kdv_white_noise_run(self):
         spec = GaussianFieldSpec("white", 16, real_valued=True)
-        eq = EquationSpec("gkdv", p=3, sign="plus", galerkin_projected=True)
+        eq = EquationSpec("gkdv", p=3, sign="plus")
         rep = invariance_experiment(spec, eq, 0.5, 500, RandomSeed(7), dt=4e-4)
         assert not rep.any_rejection
         assert rep.blowup_count == 0
@@ -104,7 +97,7 @@ class TestInvarianceExperiment:
     def test_gibbs_run_reports_ess(self):
         base = GaussianFieldSpec("fwb", 8, alpha=1.0)
         gibbs = GibbsSpec(p=4, sign="defocusing", beta=1.0, base=base)
-        eq = EquationSpec("wick_nls", sign="plus", galerkin_projected=True)
+        eq = EquationSpec("wick_nls", sign="plus")
         rep = invariance_experiment(gibbs, eq, 0.2, 400, RandomSeed(9), dt=2e-3,
                                     ais_levels=40, ais_pcn_steps=2,
                                     bootstrap_reps=400)
@@ -118,7 +111,7 @@ class TestInvarianceExperiment:
         # degree: here a null run and a projected cubic flow.
         base = GaussianFieldSpec("fwb", 4, alpha=1.0)
         gibbs = GibbsSpec(p=6, sign="defocusing", beta=1.0, base=base)
-        eq = EquationSpec("nls", p=4, sign="plus", galerkin_projected=True)
+        eq = EquationSpec("nls", p=4, sign="plus")
         rep = invariance_experiment(gibbs, eq if t_final else None, t_final, 200,
                                     RandomSeed(4), dt=1e-3, ais_levels=4,
                                     ais_pcn_steps=1, bootstrap_reps=50)
@@ -157,7 +150,7 @@ class TestInvarianceExperiment:
     def test_deterministic_across_threads(self):
         base = GaussianFieldSpec("fwb", 8, alpha=1.0)
         gibbs = GibbsSpec(p=4, sign="defocusing", beta=1.0, base=base)
-        eq = EquationSpec("wick_nls", sign="plus", galerkin_projected=True)
+        eq = EquationSpec("wick_nls", sign="plus")
         kwargs = dict(dt=2e-3, ais_levels=20, ais_pcn_steps=1, bootstrap_reps=200)
         rep1 = invariance_experiment(gibbs, eq, 0.1, 400, RandomSeed(3),
                                      n_threads=1, **kwargs)
@@ -280,7 +273,7 @@ class TestCameronMartinExperiment:
 
         monkeypatch.setattr(ex, "sample_matrix", refuse)
         base = GaussianFieldSpec("fwb", 16, alpha=1.0)  # complex fields
-        eq = EquationSpec("gkdv", p=3, galerkin_projected=True)
+        eq = EquationSpec("gkdv", p=3)
         with pytest.raises(ValueError, match="real_valued fields only"):
             cameron_martin_experiment(smooth_shift_field(16, 0.5), base, eq,
                                       t_final=0.01, m_samples=20000, seed=RandomSeed(2),
@@ -305,26 +298,6 @@ class TestCameronMartinExperiment:
         base = GaussianFieldSpec("fwb", 8, alpha=1.0, mean_zero=mean_zero)
         with pytest.raises(error, match=message):
             cameron_martin_experiment(v0, base, m_samples=100, seed=RandomSeed(2))
-        assert draws == []
-
-    @pytest.mark.parametrize("preset", ["theorem-1", "theorem-2", "theorem-3"])
-    def test_unprojected_flow_fails_before_drawing(self, preset, monkeypatch):
-        # Part (b) evolves in the data band: an unprojected flow would need
-        # a wider working band, and its truncated measure is not invariant.
-        import gibbsflow.experiments as ex
-        draws = []
-
-        def counting(*args, **kwargs):
-            draws.append(args)
-            return sample_matrix(*args, **kwargs)
-
-        monkeypatch.setattr(ex, "sample_matrix", counting)
-        p = cm_preset(preset, n_max=8)
-        eq = dataclasses.replace(p["eq"], galerkin_projected=False)
-        with pytest.raises(ValueError, match="galerkin_projected"):
-            cameron_martin_experiment(p["v0"], p["base"], eq, t_final=0.05,
-                                      m_samples=100, seed=RandomSeed(2), dt=p["dt"],
-                                      evolve_samples=4)
         assert draws == []
 
     def test_traced_peak_below_one_ensemble(self):

@@ -127,7 +127,7 @@ class TestConservation:
 
     def test_gkdv_mean_exactly_constant(self):
         f = field_from_modes(8, {0: 0.3, 1: 0.25, -1: 0.25}, real_valued=True)
-        eq = EquationSpec("gkdv", p=3, sign="plus", galerkin_projected=True)
+        eq = EquationSpec("gkdv", p=3, sign="plus")
         traj = evolve(f, eq, SolverConfig(dt=1e-3, t_final=1.0, record_every=100))
         for snap in traj.fields:
             assert snap.coeffs[snap.n_max] == 0.3
@@ -137,7 +137,7 @@ class TestConservation:
         for spec in (GaussianFieldSpec("white", 16, real_valued=True),
                      GaussianFieldSpec("fwb", 16, alpha=1.0, real_valued=True)):
             f = sample(spec, RandomSeed(4))
-            eq = EquationSpec("gkdv", p=3, sign="plus", galerkin_projected=True)
+            eq = EquationSpec("gkdv", p=3, sign="plus")
             traj = evolve(f, eq, SolverConfig(dt=1e-3, t_final=0.01, record_every=2))
             assert len(traj.fields) == 6
             for snap in traj.fields:
@@ -147,13 +147,13 @@ class TestConservation:
     def test_galerkin_mass_exact_per_step(self):
         spec = GaussianFieldSpec("white", 16, real_valued=True)
         f = sample(spec, RandomSeed(2))
-        eq = EquationSpec("gkdv", p=3, sign="plus", galerkin_projected=True)
+        eq = EquationSpec("gkdv", p=3, sign="plus")
         traj = evolve(f, eq, SolverConfig(dt=1e-4, t_final=0.002, record_every=1))
         m0 = traj.mass_series[0]
         assert np.max(np.abs(traj.mass_series - m0)) / m0 < 1e-13
 
         u0 = sample(GaussianFieldSpec("fwb", 16, alpha=1.0), RandomSeed(3))
-        eqw = EquationSpec("wick_nls", sign="plus", galerkin_projected=True)
+        eqw = EquationSpec("wick_nls", sign="plus")
         trajw = evolve(u0, eqw, SolverConfig(dt=2e-3, t_final=0.02, record_every=1))
         m0 = trajw.mass_series[0]
         assert np.max(np.abs(trajw.mass_series - m0)) / m0 < 1e-13
@@ -179,7 +179,7 @@ class TestConservation:
 class TestAccuracy:
     def test_kdv_self_convergence_order_four(self):
         f = field_from_modes(16, {1: 1.0, -1: 1.0}, real_valued=True)
-        eq = EquationSpec("gkdv", p=3, sign="plus", galerkin_projected=True)
+        eq = EquationSpec("gkdv", p=3, sign="plus")
 
         def final(dt):
             traj = evolve(f, eq, SolverConfig(dt=dt, t_final=1.0))
@@ -191,7 +191,7 @@ class TestAccuracy:
         assert order >= 3.8, (errs, order)
 
     def test_kdv_spectral_in_n(self):
-        eq = EquationSpec("gkdv", p=3, sign="plus", galerkin_projected=True)
+        eq = EquationSpec("gkdv", p=3, sign="plus")
         outs = {}
         for n in (8, 16, 32):
             f = field_from_modes(n, {1: 0.75, -1: 0.75}, real_valued=True)
@@ -206,10 +206,7 @@ class TestAccuracy:
         eq = EquationSpec("wick_nls", sign="plus")
         fwd = evolve(u0, eq, SolverConfig(dt=1e-3, t_final=1.0))
         back = evolve(fwd.fields[-1], eq, SolverConfig(dt=1e-3, t_final=-1.0))
-        k = back.fields[-1].n_max
-        emb = np.zeros(2 * k + 1, dtype=complex)
-        emb[k - 16: k + 17] = u0.coeffs
-        assert np.max(np.abs(back.fields[-1].coeffs - emb)) < 1e-6
+        assert np.max(np.abs(back.fields[-1].coeffs - u0.coeffs)) < 1e-6
 
 
 class TestGaugeLink:
@@ -250,7 +247,7 @@ class TestBlowupHandling:
     def test_unstable_run_is_flagged_not_raised(self):
         big = field_from_modes(16, {1: 40.0, -1: 40.0, 2: 30.0, -2: 30.0},
                                real_valued=True)
-        eq = EquationSpec("gkdv", p=5, sign="minus", galerkin_projected=True)
+        eq = EquationSpec("gkdv", p=5, sign="minus")
         traj = evolve(big, eq, SolverConfig(dt=1e-3, t_final=1.0))
         assert traj.blowup
         assert traj.last_valid_time < 1.0
@@ -261,7 +258,7 @@ class TestBlowupHandling:
         bad = field_from_modes(16, {1: 45.0, -1: 45.0, 2: 31.0, -2: 31.0},
                                real_valued=True).coeffs
         batch = np.stack([good, bad])
-        eq = EquationSpec("gkdv", p=5, sign="minus", galerkin_projected=True)
+        eq = EquationSpec("gkdv", p=5, sign="minus")
         res = evolve_ensemble(batch, eq, SolverConfig(dt=1e-3, t_final=0.5))
         assert list(res.blowup) == [False, True]
         assert np.all(np.isfinite(res.coeffs))
@@ -270,7 +267,7 @@ class TestBlowupHandling:
         good = field_from_modes(16, {1: 0.5, -1: 0.5}, real_valued=True).coeffs
         bad = field_from_modes(16, {1: 45.0, -1: 45.0, 2: 31.0, -2: 31.0},
                                real_valued=True).coeffs
-        eq = EquationSpec("gkdv", p=5, sign="minus", galerkin_projected=True)
+        eq = EquationSpec("gkdv", p=5, sign="minus")
         seen = {}
 
         def on_record(_rows, t, full, _active):
@@ -305,7 +302,7 @@ class TestBlowupHandling:
         for row, amp in ((40, 2.15), (300, -2.0), (511, 1.95),
                          (520, 2.2), (900, -2.1), (1023, 1.95)):
             rows[row] = amp * bad
-        eq = EquationSpec("gkdv", p=5, sign="minus", galerkin_projected=True)
+        eq = EquationSpec("gkdv", p=5, sign="minus")
         return rows, 16, eq, SolverConfig(dt=1e-3, t_final=0.05), True
 
     def _bad_input_wick(self):
@@ -313,7 +310,7 @@ class TestBlowupHandling:
         rows = sample_ensemble(GaussianFieldSpec("fwb", 8, alpha=1.0), 600, RandomSeed(14))
         rows[100, 3] = np.nan
         rows[550, 9] = np.inf
-        eq = EquationSpec("wick_nls", p=4, sign="plus", galerkin_projected=True)
+        eq = EquationSpec("wick_nls", p=4, sign="plus")
         return rows, 8, eq, SolverConfig(dt=1e-3, t_final=0.05), False
 
     @pytest.mark.parametrize("case", sorted(PINNED))
@@ -361,7 +358,7 @@ class TestBlowupHandling:
         real = family == "gkdv"
         spec = GaussianFieldSpec("fwb", 16, alpha=1.0, real_valued=real)
         rows = 0.5 * sample_ensemble(spec, 40, RandomSeed(15))
-        eq = EquationSpec(family, p=3 if real else 4, sign="plus", galerkin_projected=True)
+        eq = EquationSpec(family, p=3 if real else 4, sign="plus")
         cfg = SolverConfig(dt=1e-3, t_final=0.02)
         live = evolve_ensemble(rows, eq, cfg)
         rows[7] = 0.0
@@ -374,25 +371,25 @@ class TestBlowupHandling:
 class TestGuards:
     def test_strang_step_guard(self):
         f = smooth_complex_field(32)
-        eq = EquationSpec("nls", p=4, sign="plus", galerkin_projected=True)
+        eq = EquationSpec("nls", p=4, sign="plus")
         with pytest.raises(ValueError, match="strang guard"):
             evolve(f, eq, SolverConfig(dt=2e-3, t_final=0.1))
 
     @pytest.mark.parametrize("dt, t_final", [(1e-308, 1e308), (1e-300, 1.0)])
     def test_step_plan_refuses_unrunnable_step_count(self, dt, t_final):
         # The first quotient overflows to inf; the second asks for 1e300 steps.
-        eq = EquationSpec("nls", p=4, galerkin_projected=True)
+        eq = EquationSpec("nls", p=4)
         with pytest.raises(ValueError, match="steps exceeds the limit"):
             _step_plan(4, eq, SolverConfig(dt=dt, t_final=t_final))
 
     def test_step_plan_accepts_the_step_limit(self):
-        eq = EquationSpec("nls", p=4, galerkin_projected=True)
+        eq = EquationSpec("nls", p=4)
         cfg = SolverConfig(dt=2.0 ** -10, t_final=2.0 ** -10 * MAX_STEPS)  # exact
-        assert _step_plan(4, eq, cfg)[2] == MAX_STEPS
+        assert _step_plan(4, eq, cfg)[1] == MAX_STEPS
 
     def test_airy_step_guard(self):
         f = field_from_modes(32, {1: 0.5, -1: 0.5}, real_valued=True)
-        eq = EquationSpec("gkdv", p=3, sign="plus", galerkin_projected=True)
+        eq = EquationSpec("gkdv", p=3, sign="plus")
         with pytest.raises(ValueError, match="if_rk4 guard"):
             evolve(f, eq, SolverConfig(dt=1e-3, t_final=0.1))
 
@@ -403,7 +400,7 @@ class TestGridIndependence:
         # rule's M = 100 and on M = 128 alike; only roundoff may differ.
         rows = sample_ensemble(GaussianFieldSpec("white", 32, real_valued=True),
                                8, RandomSeed(5))
-        eq = EquationSpec("gkdv", p=3, sign="plus", galerkin_projected=True)
+        eq = EquationSpec("gkdv", p=3, sign="plus")
         assert grid_for(32, 3) == 100
         a = evolve_ensemble(rows, eq, SolverConfig(dt=1e-4, t_final=0.02)).coeffs
         b = fft_evolve(rows, 32, eq, 128, 1e-4, 200, real_valued=True)
@@ -414,19 +411,19 @@ class TestMatrixSteppers:
     """The GEMM steppers against the FFT round-trip reference steppers of
     ``helpers``: roundoff apart after one step and after 1000."""
 
-    # (equation, initial measure, amplitude, dt); the last case is an
-    # unprojected run on the capacity band with the phase |u|^4.
+    # (equation, initial measure, amplitude, dt); nls-p6 takes the phase
+    # |u|^4.
     CASES = {
-        "gkdv-p3": (EquationSpec("gkdv", p=3, sign="plus", galerkin_projected=True),
+        "gkdv-p3": (EquationSpec("gkdv", p=3, sign="plus"),
                     GaussianFieldSpec("white", 32, real_valued=True), 0.5, 1e-4),
-        "gkdv-p5": (EquationSpec("gkdv", p=5, sign="minus", galerkin_projected=True),
+        "gkdv-p5": (EquationSpec("gkdv", p=5, sign="minus"),
                     GaussianFieldSpec("fwb", 16, alpha=1.0, real_valued=True), 0.5, 1e-3),
-        "nls": (EquationSpec("nls", p=4, sign="plus", galerkin_projected=True),
+        "nls": (EquationSpec("nls", p=4, sign="plus"),
                 GaussianFieldSpec("fwb", 32, alpha=1.0), 1.0, 2.0 ** -11),
-        "wick": (EquationSpec("wick_nls", p=4, sign="plus", galerkin_projected=True),
+        "wick": (EquationSpec("wick_nls", p=4, sign="plus"),
                  GaussianFieldSpec("fwb", 16, alpha=1.0), 1.0, 2e-3),
-        "nls-p6-unprojected": (EquationSpec("nls", p=6, sign="minus"),
-                               GaussianFieldSpec("fwb", 8, alpha=1.0), 0.5, 1e-3),
+        "nls-p6": (EquationSpec("nls", p=6, sign="minus"),
+                   GaussianFieldSpec("fwb", 8, alpha=1.0), 0.5, 1e-3),
     }
 
     @pytest.mark.parametrize("steps,tol", [(1, 1e-14), (1000, 1e-11)])
@@ -499,13 +496,13 @@ class TestChunkedEngine:
         rows = 0.3 * sample_ensemble(spec, 600, RandomSeed(11))
         rows[self.BLOWN] = field_from_modes(16, {1: 2.0, -1: 2.0, 2: 1.4, -2: 1.4},
                                             real_valued=True).coeffs
-        eq = EquationSpec("gkdv", p=5, sign="minus", galerkin_projected=True)
+        eq = EquationSpec("gkdv", p=5, sign="minus")
         return rows, 16, eq, SolverConfig(dt=1e-3, t_final=0.05), True
 
     def _wick(self):
         rows = sample_ensemble(GaussianFieldSpec("fwb", 8, alpha=1.0), 600, RandomSeed(12))
         rows[self.BLOWN, 9] = 1e7  # |u|^2 above the 1e12 blowup threshold
-        eq = EquationSpec("wick_nls", p=4, sign="plus", galerkin_projected=True)
+        eq = EquationSpec("wick_nls", p=4, sign="plus")
         return rows, 8, eq, SolverConfig(dt=1e-3, t_final=0.05), False
 
     @pytest.mark.parametrize("case", ["_gkdv", "_wick"])
@@ -524,10 +521,10 @@ class TestChunkedEngine:
 
     @pytest.mark.parametrize("family, real", [("gkdv", True), ("nls", False)])
     def test_empty_batch(self, family, real):
-        eq = EquationSpec(family, p=4, galerkin_projected=True)
+        eq = EquationSpec(family, p=4)
         cfg = SolverConfig(dt=1e-3, t_final=0.01)
         res = evolve_ensemble(np.zeros((0, 17), dtype=np.complex128), eq, cfg)
-        assert res.coeffs.shape == (0, 2 * _step_plan(8, eq, cfg)[1] + 1)
+        assert res.coeffs.shape == (0, 17)
         assert res.blowup.shape == res.last_valid_time.shape == (0,)
         assert res.blowup.dtype == bool
 

@@ -244,8 +244,8 @@ class TestBandMatrices:
     """The GEMM transforms against the FFT ``synthesize``/``analyze`` pair,
     with per-mode factors folded in on both sides."""
 
-    # (M, band k): the data band of a projected run and the capacity band
-    # (M - 1) // p of an unprojected one on each grid the solvers use.
+    # (M, band k): on each grid the solvers use, the data band and the
+    # widest band (M - 1) // p it multiplies without aliasing.
     BANDS = [(72, 16), (72, 17), (100, 32), (100, 33), (128, 32), (128, 42),
              (135, 32), (135, 33)]
 
